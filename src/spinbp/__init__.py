@@ -26,6 +26,8 @@ from .spinchain import (
     heisenberg_term,
     load_model,
     total_hamiltonian,
+    xxz_chain,
+    xxz_term,
 )
 from .cbp import (
     FactorChain,
@@ -53,12 +55,5 @@ from .trotter import (
 )
 from .qbp import QbpResult, qbp_init, qbp_opcount, qbp_run, qbp_update_edge
 from .metrics import NotDensityMatrixError, fidelity, trace_distance
-from .bench import (
-    SweepConfig,
-    SweepRecord,
-    compare_complexity,
-    emit_csv,
-    run_sweep,
-)
 
 __version__ = "0.1.0"

@@ -34,8 +34,6 @@ class SweepConfig:
     ``keep`` uses 0-based site indices.  ``time_repeats`` is the number of
     timed repetitions per row (median reported); 0 disables timing and
     writes 0.0, which makes the CSV bytes reproducible across runs.
-    ``seed`` only labels randomized test fixtures; the engines themselves
-    are deterministic.
     """
 
     sites: int = 3
@@ -49,7 +47,6 @@ class SweepConfig:
     qbp_damping: float = 0.5
     keep: tuple = (0, 1)
     out: str | None = None
-    seed: int = 0
     time_repeats: int = 5
     couplings: tuple | None = None
 
@@ -315,7 +312,7 @@ def _parse_keep(text: str) -> tuple:
 
 _CONFIG_FLAG_KEYS = (
     "beta-min", "beta-max", "beta-steps", "methods", "st-slices", "keep",
-    "qbp-tol", "qbp-max-iters", "qbp-damping", "out", "seed", "time-repeats",
+    "qbp-tol", "qbp-max-iters", "qbp-damping", "out", "time-repeats",
 )
 _CONFIG_MODEL_KEYS = ("model", "sites", "beta")
 
@@ -376,7 +373,6 @@ def _build_sweep_config(args) -> SweepConfig:
         qbp_damping=pick(args.qbp_damping, "qbp-damping", float, qbp.DEFAULT_DAMPING),
         keep=pick(args.keep, "keep", _parse_keep, (0, 1)),
         out=pick(args.out, "out", str, None),
-        seed=pick(args.seed, "seed", int, 0),
         time_repeats=pick(args.time_repeats, "time-repeats", int, 5),
         couplings=couplings,
     )
@@ -412,7 +408,6 @@ def _make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--qbp-max-iters", type=int, dest="qbp_max_iters")
     sweep.add_argument("--qbp-damping", type=float, dest="qbp_damping")
     sweep.add_argument("--out", help="CSV output path (default: print to stdout)")
-    sweep.add_argument("--seed", type=int, help="label for randomized fixtures")
     sweep.add_argument(
         "--time-repeats", type=int, dest="time_repeats",
         help="timed repetitions per row; 0 for reproducible output (default 5)",

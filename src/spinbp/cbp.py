@@ -251,15 +251,30 @@ def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.n
     return b / b.sum()
 
 
+def _rescale_columns(block: np.ndarray, log_scales: np.ndarray) -> None:
+    """Scale each column of ``block`` to unit absolute sum, logging the scale.
+
+    In place; a column that sums to zero is left undivided and its log scale
+    is unchanged.
+    """
+    scales = np.abs(block).sum(axis=0)
+    scales[scales == 0.0] = 1.0
+    block /= scales
+    log_scales += np.log(scales)
+
+
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     """Joint quasi-marginal of the two end variables of an open chain.
 
-    ``potentials[k]`` couples chain variable k to k+1 (locals flat).  For
-    each state b of the far end, the interior variables are summed out by
-    the message recursion m <- psi @ m starting from the b-th column of the
-    last potential; messages are renormalized to unit absolute sum at every
-    step with the scale carried in log form.  The returned matrix (axes:
-    first variable, last variable) is normalized to unit absolute sum.
+    ``potentials[k]`` couples chain variable k to k+1 (locals flat).  The
+    interior variables are summed out by the message recursion
+    block <- psi @ block, starting from the last potential; column b of the
+    block is the message for far-end state b, so one matrix product per
+    potential advances every far-end state at once.  Each column is
+    renormalized to unit absolute sum at every step, with its scale carried
+    in a per-column log; a column that sums to zero is left as it is.  The
+    returned matrix (axes: first variable, last variable) is normalized to
+    unit absolute sum.
     """
     mats = [np.asarray(p, dtype=float) for p in potentials]
     if not mats:
@@ -273,27 +288,13 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
                 f"has {mats[k + 1].shape[0]} rows"
             )
 
-    card_first = mats[0].shape[0]
-    card_last = mats[-1].shape[1]
-    columns = np.empty((card_first, card_last))
-    log_scales = np.empty(card_last)
-    for b in range(card_last):
-        vec = mats[-1][:, b].copy()
-        log_scale = 0.0
-        scale = float(np.abs(vec).sum())
-        if scale > 0.0:
-            vec /= scale
-            log_scale += math.log(scale)
-        for k in range(len(mats) - 2, -1, -1):
-            vec = mats[k] @ vec
-            scale = float(np.abs(vec).sum())
-            if scale > 0.0:
-                vec /= scale
-                log_scale += math.log(scale)
-        columns[:, b] = vec
-        log_scales[b] = log_scale
+    block = mats[-1].copy()
+    log_scales = np.zeros(block.shape[1])
+    _rescale_columns(block, log_scales)
+    for m in reversed(mats[:-1]):
+        block = m @ block
+        _rescale_columns(block, log_scales)
 
     # bring all columns to a common scale before the final normalization
-    ref = log_scales.max()
-    out = columns * np.exp(log_scales - ref)
+    out = block * np.exp(log_scales - log_scales.max())
     return out / np.abs(out).sum()

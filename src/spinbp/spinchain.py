@@ -1,4 +1,4 @@
-"""Heisenberg spin-chain models and the exact Gibbs-state reference.
+"""Heisenberg and XXZ spin-chain models and the exact Gibbs-state reference.
 
 Sites are numbered 0..n_sites-1.  A model is an open chain with one
 Hermitian 4x4 coupling term per nearest-neighbour bond; bond k couples
@@ -23,13 +23,18 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
-def heisenberg_term() -> np.ndarray:
-    """Two-site exchange term sx.sx + sy.sy + sz.sz (4x4, real symmetric)."""
+def xxz_term(delta: float) -> np.ndarray:
+    """Two-site XXZ exchange sx.sx + sy.sy + delta sz.sz (4x4, real symmetric)."""
     return (
         linalg.kron(SIGMA_X, SIGMA_X)
         + linalg.kron(SIGMA_Y, SIGMA_Y)
-        + linalg.kron(SIGMA_Z, SIGMA_Z)
+        + float(delta) * linalg.kron(SIGMA_Z, SIGMA_Z)
     )
+
+
+def heisenberg_term() -> np.ndarray:
+    """Two-site exchange term sx.sx + sy.sy + sz.sz (4x4, real symmetric)."""
+    return xxz_term(1.0)
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,20 @@ class SpinChainModel:
         object.__setattr__(self, "beta", float(self.beta))
 
 
-def heisenberg_chain(
-    n_sites: int, beta: float, couplings: Sequence[float] | None = None
+def xxz_chain(
+    n_sites: int,
+    beta: float,
+    couplings: Sequence[float] | None = None,
+    delta: float = 1.0,
+    field: float = 0.0,
 ) -> SpinChainModel:
-    """Isotropic Heisenberg chain; optional per-bond couplings J_k (default 1)."""
-    base = heisenberg_term()
+    """XXZ chain in a longitudinal field; optional per-bond couplings J_k (default 1).
+
+    Bond k is J_k (sx.sx + sy.sy + delta sz.sz) + (field/2) (sz.1 + 1.sz):
+    the field term is split evenly over the two sites of each bond and is
+    not scaled by J_k.  Delta 1 and field 0 give the Heisenberg chain.
+    """
+    exchange = xxz_term(delta)
     if couplings is None:
         couplings = [1.0] * (n_sites - 1)
     couplings = [float(j) for j in couplings]
@@ -74,7 +88,21 @@ def heisenberg_chain(
         raise ValueError(
             f"expected {n_sites - 1} couplings for {n_sites} sites, got {len(couplings)}"
         )
-    return SpinChainModel(n_sites, tuple(j * base for j in couplings), beta)
+    terms = [j * exchange for j in couplings]
+    # adding a zero field would flip the sign of zeros under negative J_k
+    if field:
+        zeeman = (float(field) / 2) * (
+            linalg.kron(SIGMA_Z, IDENTITY_2) + linalg.kron(IDENTITY_2, SIGMA_Z)
+        )
+        terms = [t + zeeman for t in terms]
+    return SpinChainModel(n_sites, tuple(terms), beta)
+
+
+def heisenberg_chain(
+    n_sites: int, beta: float, couplings: Sequence[float] | None = None
+) -> SpinChainModel:
+    """Isotropic Heisenberg chain; optional per-bond couplings J_k (default 1)."""
+    return xxz_chain(n_sites, beta, couplings)
 
 
 def embed_term(term, pair: tuple[int, int], n_sites: int) -> np.ndarray:

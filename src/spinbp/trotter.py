@@ -5,7 +5,10 @@ Trotter slice W = prod_k exp(-(beta/n) h_k), the product taken in ascending
 bond order.  Matrix element (a, b) of the unnormalized density matrix is
 then the two-end contraction of an open chain of n identical pairwise
 weights W over 2^N-state slice variables; the chain is never materialized,
-only per-end-state message vectors of length 2^N (see cbp.chain_end_marginal).
+only one 2^N x 2^N block of messages, one column per far-end state (see
+cbp.chain_end_marginal).  Each bond factor exp(-(beta/n) h_k) acts on two
+sites only, so it is exponentiated as a 4x4 matrix and applied to W in
+place of its 2^N x 2^N embedding.
 
 W is a product of positive-definite factors but is not symmetric when the
 bond terms fail to commute, so the n-slice density matrix carries an
@@ -15,12 +18,11 @@ O(beta^2/n) non-Hermitian residue, on the same order as its Trotter error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import cbp, linalg
-from .spinchain import SpinChainModel, embed_term
+from .spinchain import SpinChainModel
 
 # Transfer weights must be real to this relative residue.
 IMAG_RTOL = 1e-12
@@ -32,7 +34,7 @@ class ComplexResidueError(ValueError):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """A model, a slice count n, and the per-bond factors exp(-(beta/n) h_k)."""
+    """A model, a slice count n, and the 4x4 bond factors exp(-(beta/n) h_k)."""
 
     model: SpinChainModel
     n_slices: int
@@ -45,10 +47,7 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
     if n_slices < 1:
         raise ValueError(f"n_slices must be positive, got {n_slices}")
     step = model.beta / n_slices
-    factors = tuple(
-        linalg.herm_exp(-step * embed_term(term, (k, k + 1), model.n_sites))
-        for k, term in enumerate(model.terms)
-    )
+    factors = tuple(linalg.herm_exp(-step * term) for term in model.terms)
     return TrotterPlan(model, n_slices, factors)
 
 
@@ -60,9 +59,16 @@ class TransferWeights:
 
 
 def build_weights(plan: TrotterPlan) -> TransferWeights:
-    """Multiply the slice factors in bond order and strip the imaginary part."""
+    """Multiply the slice factors in bond order and strip the imaginary part.
+
+    W = F_0 F_1 ... F_{N-2} with F_k = 1 kron f_k kron 1 is built right to
+    left: viewing W's row index as (left sites, pair k, right sites), f_k
+    acts on the middle axis only, a batch of 4x4 by 4x(2^(N-k-2) 2^N) products.
+    """
     dim = 2**plan.model.n_sites
-    w = reduce(np.matmul, plan.slice_factors, np.eye(dim, dtype=np.complex128))
+    w = np.eye(dim, dtype=np.complex128)
+    for k in range(len(plan.slice_factors) - 1, -1, -1):
+        w = np.matmul(plan.slice_factors[k], w.reshape(2**k, 4, -1)).reshape(dim, dim)
     scale = np.abs(w).max()
     residue = np.abs(w.imag).max()
     if residue > IMAG_RTOL * scale:
@@ -76,8 +82,9 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
 def st_density(plan: TrotterPlan) -> np.ndarray:
     """Density matrix from the two-end marginal of the n-slice weight chain.
 
-    Algebraically equal to W^n / tr(W^n); computed by the per-end-state
-    message recursion, which keeps only length-2^N vectors alive.
+    Algebraically equal to W^n / tr(W^n); computed by the message recursion
+    of cbp.chain_end_marginal, which carries all 2^N far-end states at once
+    as the columns of one 2^N x 2^N block.
     """
     w = build_weights(plan).matrix
     p = cbp.chain_end_marginal([w] * plan.n_slices)

@@ -252,6 +252,36 @@ def test_chain_end_marginal_scale_invariant_on_long_chains():
     np.testing.assert_allclose(big, tiny, atol=1e-13)
 
 
+def test_chain_end_marginal_rectangular_matches_brute():
+    # cardinalities 2, 3, 4, 5: every block product changes shape
+    rng = np.random.default_rng(31)
+    cards = [2, 3, 4, 5]
+    psis = [rng.uniform(-1.0, 2.0, size=(cards[k], cards[k + 1])) for k in range(3)]
+    chain = FactorChain(cards, [(k, k + 1, psis[k]) for k in range(3)])
+    got = chain_end_marginal(psis)
+    assert got.shape == (2, 5)
+    expected = brute_marginal(chain, [0, 3])
+    np.testing.assert_allclose(got, expected / np.abs(expected).sum(), atol=1e-13)
+
+
+@pytest.mark.parametrize("where", ["last potential", "annihilated inside"])
+def test_chain_end_marginal_zero_weight_far_end_state(where):
+    rng = np.random.default_rng(37)
+    psis = [rng.uniform(0.1, 2.0, size=(3, 3)) for _ in range(3)]
+    if where == "last potential":
+        psis[-1][:, 1] = 0.0
+    else:
+        # column 1 of the last potential is nonzero, but the one before maps it to 0
+        psis[-1][:, 1] = [1.0, -1.0, 0.0]
+        psis[-2][:, :2] = 1.0
+    chain = FactorChain([3] * 4, [(k, k + 1, psis[k]) for k in range(3)])
+    got = chain_end_marginal(psis)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got[:, 1], 0.0)
+    expected = brute_marginal(chain, [0, 3])
+    np.testing.assert_allclose(got, expected / np.abs(expected).sum(), atol=1e-13)
+
+
 def test_chain_end_marginal_validates_shapes():
     with pytest.raises(ValueError):
         chain_end_marginal([])

@@ -19,15 +19,7 @@ from spinbp.qbp import (
     qbp_run,
     qbp_update_edge,
 )
-from spinbp.spinchain import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SpinChainModel,
-    exact_gibbs,
-    heisenberg_chain,
-    heisenberg_term,
-)
+from spinbp.spinchain import exact_gibbs, heisenberg_chain, heisenberg_term, xxz_chain
 from spinbp.trotter import st_reduced, trotter_plan
 
 I2 = np.eye(2, dtype=complex)
@@ -42,19 +34,6 @@ def two_site_message_oracle(beta):
     lw, lv = np.linalg.eigh(traced)
     logm = (lv * np.log(lw)) @ lv.conj().T
     return logm - (np.trace(logm) / 2) * I2
-
-
-def xxz_field_chain(beta, couplings):
-    """XXZ exchange (delta 0.5) in a longitudinal field (h 0.3), one bond per coupling.
-
-    Bond k is J_k (sx.sx + sy.sy + 0.5 sz.sz) + 0.15 (sz.1 + 1.sz).
-    """
-    exchange = (
-        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + 0.5 * np.kron(SIGMA_Z, SIGMA_Z)
-    )
-    zeeman = 0.15 * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
-    terms = tuple(j * exchange + zeeman for j in couplings)
-    return SpinChainModel(len(terms) + 1, terms, beta)
 
 
 # --- initialization ----------------------------------------------------------
@@ -154,7 +133,7 @@ def test_beliefs_are_density_matrices():
 
 def test_marginal_consistency_at_fixed_point():
     tol = 1e-10
-    result = qbp_run(xxz_field_chain(1.0, [1.0, 1.0]), tol=tol)
+    result = qbp_run(xxz_chain(3, 1.0, delta=0.5, field=0.3), tol=tol)
     assert result.converged
     assert result.iterations > 1
     for (i, j), q in result.beliefs_pair.items():
@@ -179,7 +158,7 @@ def test_runs_are_deterministic():
 
 def test_asymmetric_couplings_converge_with_damping():
     # unequal couplings on an anisotropic chain; the damped iteration still settles
-    result = qbp_run(xxz_field_chain(1.0, [1.0, 0.5, 0.25]))
+    result = qbp_run(xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3))
     assert result.converged
     assert result.iterations > 1
     assert result.residual < 1e-10

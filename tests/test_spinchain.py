@@ -14,6 +14,7 @@ from spinbp.spinchain import (
     heisenberg_chain,
     heisenberg_term,
     total_hamiltonian,
+    xxz_chain,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -126,6 +127,22 @@ def test_per_bond_couplings_scale_terms():
     model = heisenberg_chain(3, 1.0, couplings=[2.0, 0.5])
     np.testing.assert_allclose(model.terms[0], 2.0 * heisenberg_term(), atol=1e-15)
     np.testing.assert_allclose(model.terms[1], 0.5 * heisenberg_term(), atol=1e-15)
+
+
+def test_xxz_chain_bond_terms():
+    model = xxz_chain(3, 1.0, couplings=[2.0, 0.5], delta=0.5, field=0.3)
+    exchange = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + 0.5 * np.kron(SIGMA_Z, SIGMA_Z)
+    zeeman = 0.15 * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
+    np.testing.assert_allclose(model.terms[0], 2.0 * exchange + zeeman, atol=1e-15)
+    np.testing.assert_allclose(model.terms[1], 0.5 * exchange + zeeman, atol=1e-15)
+
+
+def test_heisenberg_chain_is_the_isotropic_zero_field_xxz_chain():
+    # bit-identical to J_k times the exchange term, signed zeros included
+    couplings = [1.0, -0.9, 1.1]
+    model = heisenberg_chain(4, 1.0, couplings)
+    for term, j in zip(model.terms, couplings):
+        assert term.tobytes() == (j * heisenberg_term()).tobytes()
 
 
 def test_parse_key_values():

@@ -1,8 +1,9 @@
 """Suzuki-Trotter engine: contraction identity, convergence order, op counts.
 
-The contraction route (per-end-state message recursion) is checked against
-direct matrix powering of the transfer weights, and the n -> infinity limit
-against full diagonalization.
+The contraction route (the block message recursion) is checked against
+direct matrix powering of the transfer weights, the locally built weights
+against the product of embedded 2^N x 2^N exponentials, and the
+n -> infinity limit against full diagonalization.
 """
 
 import numpy as np
@@ -13,9 +14,11 @@ from spinbp.spinchain import (
     SIGMA_X,
     SIGMA_Y,
     SpinChainModel,
+    embed_term,
     exact_gibbs,
     heisenberg_chain,
     total_hamiltonian,
+    xxz_chain,
 )
 from spinbp.trotter import (
     ComplexResidueError,
@@ -36,6 +39,16 @@ def power_oracle(plan):
     return p / np.trace(p)
 
 
+def embedded_product(plan):
+    """prod_k exp(-(beta/n) I kron h_k kron I) with dense 2^N x 2^N exponentials."""
+    model = plan.model
+    step = model.beta / plan.n_slices
+    w = np.eye(2**model.n_sites, dtype=complex)
+    for k, term in enumerate(model.terms):
+        w = w @ linalg.herm_exp(-step * embed_term(term, (k, k + 1), model.n_sites))
+    return w
+
+
 def exact_rho12(beta):
     rho = exact_gibbs(heisenberg_chain(3, beta))
     return linalg.partial_trace(rho, [2, 2, 2], [0, 1])
@@ -44,13 +57,32 @@ def exact_rho12(beta):
 def test_plan_factors_are_the_slice_exponentials():
     model = heisenberg_chain(3, 1.2)
     plan = trotter_plan(model, 16)
-    from spinbp.spinchain import embed_term
-
     for k, term in enumerate(model.terms):
-        expected = linalg.herm_exp(-(1.2 / 16) * embed_term(term, (k, k + 1), 3))
+        expected = linalg.herm_exp(-(1.2 / 16) * term)
         np.testing.assert_allclose(plan.slice_factors[k], expected, atol=1e-12)
+    np.testing.assert_allclose(build_weights(plan).matrix, embedded_product(plan), atol=1e-12)
     with pytest.raises(ValueError):
         trotter_plan(model, 0)
+
+
+def test_weights_on_a_chain_without_reflection_symmetry():
+    # XXZ plus field with unequal couplings: W is not symmetric, so a wrong
+    # bond order or a transposed W shows
+    plan = trotter_plan(xxz_chain(4, 1.5, [1.0, 0.6, 0.3], delta=0.5, field=0.3), 10)
+    w = build_weights(plan).matrix
+    assert np.abs(w - w.T).max() > 1e-3
+    np.testing.assert_allclose(w, embedded_product(plan), atol=1e-12)
+    np.testing.assert_allclose(st_density(plan), power_oracle(plan), atol=1e-10)
+
+
+def test_weights_on_one_and_two_sites():
+    one = trotter_plan(SpinChainModel(1, (), 1.0), 5)
+    assert one.slice_factors == ()
+    np.testing.assert_array_equal(build_weights(one).matrix, np.eye(2))
+    np.testing.assert_array_equal(st_density(one), np.eye(2) / 2)
+    two = trotter_plan(xxz_chain(2, 1.0, [0.7], delta=0.5, field=0.3), 5)
+    np.testing.assert_allclose(build_weights(two).matrix, two.slice_factors[0].real, atol=1e-15)
+    np.testing.assert_allclose(st_density(two), power_oracle(two), atol=1e-12)
 
 
 def test_weights_identity_at_beta_zero():
