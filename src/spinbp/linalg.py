@@ -5,6 +5,12 @@ provides the validated operations the engines share: spectral decomposition,
 matrix functions of Hermitian matrices, Kronecker products, partial traces
 and the absolute trace norm.  Matrices stay dense; the sizes of interest
 (8x8 up to 4096x4096) never justify sparse storage.
+
+``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
+``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
+each matrix, so many small matrices cost one call.  Every check (Hermiticity,
+positivity) is made per matrix, on that matrix's own scale, and a stack gives
+the same bits as the per-matrix calls.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def as_complex_stack(a) -> np.ndarray:
+    """Coerce to complex128 of shape (..., d, d): one square matrix or a stack."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    return arr
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 matrix."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -44,26 +58,44 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Return ``a`` as a complex matrix, rejecting non-Hermitian input.
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
-    The check is relative: max |A - A^dag| must not exceed rtol * max |A|.
+
+def _first_flagged(flags: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first flagged matrix and a message prefix naming it.
+
+    ``flags`` holds one bool per matrix; for a single matrix it is 0-d, the
+    index is () and the prefix is empty.
     """
-    arr = as_complex_matrix(a)
-    residue = np.abs(arr - arr.conj().T).max() if arr.size else 0.0
-    scale = np.abs(arr).max() if arr.size else 0.0
-    if residue > rtol * scale:
+    at = np.unravel_index(int(np.argmax(flags)), flags.shape)
+    return at, (f"stack index {tuple(int(i) for i in at)}: " if at else "")
+
+
+def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """Return ``a`` as a complex matrix or stack, rejecting non-Hermitian input.
+
+    The check is relative and applies to each matrix of a stack on its own
+    scale: max |A - A^dag| must not exceed rtol * max |A|.
+    """
+    arr = as_complex_stack(a)
+    residue = np.abs(arr - dagger(arr)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    bad = residue > rtol * scale
+    if bad.any():
+        at, where = _first_flagged(bad)
         raise NotHermitianError(
-            f"matrix is not Hermitian: residue {residue:.3e} exceeds "
-            f"{rtol:g} * max|A| = {rtol * scale:.3e}"
+            f"{where}matrix is not Hermitian: residue {residue[at]:.3e} exceeds "
+            f"{rtol:g} * max|A| = {rtol * scale[at]:.3e}"
         )
     return arr
 
 
 def herm_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending."""
     arr = require_hermitian(a)
-    arr = (arr + arr.conj().T) / 2
+    arr = (arr + dagger(arr)) / 2
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -79,48 +111,58 @@ def mat_func(
     neg_tol: float | None = None,
     floor: float = 1e-300,
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix spectrally.
+    """Apply a scalar function to a Hermitian matrix, or to each of a stack, spectrally.
 
     Returns V diag(f(w)) V^dag.  ``f`` must act elementwise on a real numpy
-    vector (np.exp, np.log, np.sqrt, ...).  With ``positive=True`` the
+    array (np.exp, np.log, np.sqrt, ...).  With ``positive=True`` the
     spectrum is required to be nonnegative up to a clamp tolerance:
-    eigenvalues within ``neg_tol`` below zero (default 1e-12 * max|w|) are
-    raised to ``floor`` before ``f`` is applied, anything more negative
-    raises DomainError.  The tiny-positive default floor keeps log finite on
-    spectra that are positive in exact arithmetic but graze zero in floats.
+    eigenvalues within ``neg_tol`` below zero (default 1e-12 * max|w|, taken
+    per matrix) are raised to ``floor`` before ``f`` is applied, anything
+    more negative raises DomainError.  The tiny-positive default floor keeps
+    log finite on spectra that are positive in exact arithmetic but graze
+    zero in floats.
     """
     w, v = herm_eig(a)
     if positive:
-        scale = float(np.abs(w).max()) if w.size else 0.0
-        tol = HERMITIAN_RTOL * scale if neg_tol is None else float(neg_tol)
-        lowest = float(w.min()) if w.size else 0.0
-        if lowest < -tol:
+        scale = np.abs(w).max(axis=-1, initial=0.0)
+        tol = HERMITIAN_RTOL * scale if neg_tol is None else np.full_like(scale, neg_tol)
+        lowest = w.min(axis=-1, initial=np.inf)
+        bad = lowest < -tol
+        if bad.any():
+            at, where = _first_flagged(bad)
             raise DomainError(
-                f"eigenvalue {lowest:.6e} below the clamp tolerance {-tol:.3e}; "
-                "input is not positive semidefinite"
+                f"{where}eigenvalue {lowest[at]:.6e} below the clamp tolerance "
+                f"{-tol[at]:.3e}; input is not positive semidefinite"
             )
         w = np.maximum(w, floor)
     fw = np.asarray(f(w))
-    out = (v * fw) @ v.conj().T
+    out = (v * fw[..., None, :]) @ dagger(v)
     if not np.iscomplexobj(fw):
         # real-valued f on a Hermitian argument: repair roundoff skew
-        out = (out + out.conj().T) / 2
+        out = (out + dagger(out)) / 2
     return out
 
 
 def herm_exp(a) -> np.ndarray:
-    """exp(A) for Hermitian A."""
+    """exp(A) for Hermitian A, or for each matrix of a stack."""
     return mat_func(a, np.exp)
 
 
 def herm_log(a) -> np.ndarray:
-    """log(A) for Hermitian positive-definite A (roundoff-negative clamped)."""
+    """log(A) for Hermitian positive-definite A, or for each matrix of a stack
+    (roundoff-negative eigenvalues clamped)."""
     return mat_func(a, np.log, positive=True)
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product: (A kron B)[i*dB+k, j*dB+l] = A[i,j] * B[k,l]."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product: (A kron B)[..., i*dB+k, j*dB+l] = A[..., i,j] * B[..., k,l].
+
+    Either factor may be a stack of square matrices; leading axes broadcast.
+    """
+    a, b = as_complex_stack(a), as_complex_stack(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    dim = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
@@ -159,8 +201,8 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
 
 def abs_trace_norm(a) -> float:
     """tr|A| = sum of |eigenvalues| for Hermitian A."""
-    arr = require_hermitian(a)
-    arr = (arr + arr.conj().T) / 2
+    arr = require_hermitian(as_complex_matrix(a))
+    arr = (arr + dagger(arr)) / 2
     try:
         w = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological

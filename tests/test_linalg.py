@@ -187,6 +187,46 @@ def test_mat_func_sqrt_with_absolute_slack():
     np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
+# --- stacks -----------------------------------------------------------------
+
+
+def test_stacked_exp_and_log_equal_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for dim in (2, 4):
+        stack = np.array([random_hermitian(rng, dim) for _ in range(7)])
+        exps = linalg.herm_exp(stack)
+        logs = linalg.herm_log(exps)
+        assert exps.shape == logs.shape == stack.shape
+        for k in range(len(stack)):
+            np.testing.assert_array_equal(exps[k], linalg.herm_exp(stack[k]))
+            np.testing.assert_array_equal(logs[k], linalg.herm_log(exps[k]))
+        assert linalg.herm_exp(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+        assert linalg.herm_log(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+
+
+# A 1e6-scale neighbour would hide a defect of a unit-scale matrix from a
+# check taken over the whole stack: its tolerance would be 1e6 times larger.
+BIG = 1e6 * np.eye(2)
+
+
+def test_stacked_hermiticity_check_is_per_matrix():
+    skewed = np.array([[1.0, 1e-9j], [0.0, 1.0]])  # residue 1e-9 > 1e-12 * 1
+    with pytest.raises(linalg.NotHermitianError, match=r"stack index \(1,\)"):
+        linalg.herm_exp(np.array([BIG, skewed]))
+    with pytest.raises(linalg.NotHermitianError):
+        linalg.require_hermitian(np.array([[BIG, BIG], [BIG, skewed]]))
+    linalg.require_hermitian(np.array([BIG, np.eye(2)]))
+
+
+def test_stacked_positivity_check_is_per_matrix():
+    negative = np.diag([-1e-9, 1.0])  # below -1e-12 * 1, so not clamped
+    with pytest.raises(linalg.DomainError, match=r"stack index \(1,\)"):
+        linalg.herm_log(np.array([BIG, negative]))
+    # roundoff negatives are still clamped per matrix
+    got = linalg.herm_log(np.array([BIG, np.diag([-1e-15, 1.0])]))
+    np.testing.assert_array_equal(got[1], linalg.herm_log(np.diag([-1e-15, 1.0])))
+
+
 # --- kron -------------------------------------------------------------------
 
 
@@ -227,6 +267,17 @@ def test_kron_associativity_bit_for_bit():
         np.testing.assert_array_equal(
             linalg.kron(linalg.kron(a, b), c), linalg.kron(a, linalg.kron(b, c))
         )
+
+
+def test_kron_of_stacks_equals_per_matrix_kron_bit_for_bit():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    left, right = linalg.kron(a, b), linalg.kron(b, a)
+    assert left.shape == right.shape == (5, 6, 6)
+    for k in range(5):
+        np.testing.assert_array_equal(left[k], np.kron(a[k], b))
+        np.testing.assert_array_equal(right[k], np.kron(b, a[k]))
 
 
 def test_kron_associativity_generic_entries():

@@ -4,7 +4,8 @@ The two-site update is cross-checked against a raw-numpy oracle that builds
 the gauge-fixed log of the traced bond exponential directly.  The Heisenberg
 chain gives zero messages after one sweep, so the tests of the damped
 iteration use an XXZ chain in a longitudinal field, whose messages are not
-multiples of the identity.
+multiples of the identity.  The orientation of reversed edges is checked on
+a chain whose bond terms are not symmetric under site swap.
 """
 
 import numpy as np
@@ -19,21 +20,70 @@ from spinbp.qbp import (
     qbp_run,
     qbp_update_edge,
 )
-from spinbp.spinchain import exact_gibbs, heisenberg_chain, heisenberg_term, xxz_chain
+from spinbp.spinchain import (
+    SIGMA_Z,
+    SpinChainModel,
+    exact_gibbs,
+    heisenberg_chain,
+    heisenberg_term,
+    xxz_chain,
+    xxz_term,
+)
 from spinbp.trotter import st_reduced, trotter_plan
 
 I2 = np.eye(2, dtype=complex)
+SWAP = np.eye(4)[[0, 2, 1, 3]]  # exchanges the two sites of a 4x4 operator
 
 
-def two_site_message_oracle(beta):
-    """Gauge-fixed log of tr_2 exp(-beta E), built with raw numpy calls."""
-    w, v = np.linalg.eigh(-beta * heisenberg_term())
+def two_site_message_oracle(beta, term=None, into_i=None, into_j=None):
+    """Gauge-fixed log of tr_2 exp(-beta E + into_i x 1 + 1 x into_j), minus
+    into_i, built with raw numpy calls.  E defaults to the Heisenberg term and
+    the incoming messages to zero."""
+    term = heisenberg_term() if term is None else term
+    into_i = np.zeros((2, 2)) if into_i is None else into_i
+    into_j = np.zeros((2, 2)) if into_j is None else into_j
+    w, v = np.linalg.eigh(-beta * term + np.kron(into_i, I2) + np.kron(I2, into_j))
     expo = (v * np.exp(w)) @ v.conj().T
     t = expo.reshape(2, 2, 2, 2)
     traced = np.einsum('akbk->ab', t)
     lw, lv = np.linalg.eigh(traced)
-    logm = (lv * np.log(lw)) @ lv.conj().T
+    logm = (lv * np.log(lw)) @ lv.conj().T - into_i
     return logm - (np.trace(logm) / 2) * I2
+
+
+def oracle_edge_inputs(model, messages, edge):
+    """Bond term of edge (j, i) with the receiving site i first, and the sums of
+    the messages into i and into j from their other neighbours."""
+    j, i = edge
+    k = min(i, j)
+    term = model.terms[k] if i < j else SWAP @ model.terms[k] @ SWAP
+
+    def into(site, excluded):
+        incoming = [messages[(n, site)] for n in (site - 1, site + 1)
+                    if 0 <= n < model.n_sites and n != excluded]
+        return sum(incoming, np.zeros((2, 2)))
+
+    return term, into(i, j), into(j, i)
+
+
+def oracle_gibbs(expo):
+    w, v = np.linalg.eigh(expo)
+    q = (v * np.exp(w)) @ v.conj().T
+    return q / np.trace(q).real
+
+
+def swap_asymmetric_chain(beta):
+    """4-site chain whose bond terms change under site swap: a field on the
+    left site of each bond only.  Every chain the library builds is swap
+    symmetric, so a wrongly oriented reversed-edge term would pass on it."""
+    left_field = 0.4 * np.kron(SIGMA_Z, I2)
+    return SpinChainModel(4, tuple(c * xxz_term(0.5) + left_field for c in (1.0, 0.6, 0.3)), beta)
+
+
+def random_traceless_hermitian(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = (a + a.conj().T) / 2
+    return a - (np.trace(a) / 2) * I2
 
 
 # --- initialization ----------------------------------------------------------
@@ -85,6 +135,46 @@ def test_update_rejects_non_edges():
     model = heisenberg_chain(3, 1.0)
     with pytest.raises(ValueError):
         qbp_update_edge(model, qbp_init(model), (0, 2))
+
+
+def test_update_on_swap_asymmetric_chain_matches_oracle_on_every_edge():
+    model = swap_asymmetric_chain(1.2)
+    rng = np.random.default_rng(4)
+    messages = {e: random_traceless_hermitian(rng) for e in directed_edges(model)}
+    for edge in directed_edges(model):
+        expected = two_site_message_oracle(
+            model.beta, *oracle_edge_inputs(model, messages, edge)
+        )
+        np.testing.assert_allclose(
+            qbp_update_edge(model, messages, edge), expected, rtol=0, atol=1e-12
+        )
+
+
+def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle():
+    model = swap_asymmetric_chain(1.2)
+    sweeps = 3
+    edges = directed_edges(model)
+    messages = {e: np.zeros((2, 2)) for e in edges}
+    for _ in range(sweeps):
+        updates = {
+            e: two_site_message_oracle(model.beta, *oracle_edge_inputs(model, messages, e))
+            for e in edges
+        }
+        messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
+    result = qbp_run(model, max_iters=sweeps)
+    assert result.iterations == sweeps
+    assert not result.converged
+    for k in range(model.n_sites - 1):
+        term, into_k, into_next = oracle_edge_inputs(model, messages, (k + 1, k))
+        expected = oracle_gibbs(
+            -model.beta * term + np.kron(into_k, I2) + np.kron(I2, into_next)
+        )
+        np.testing.assert_allclose(result.beliefs_pair[(k, k + 1)], expected, rtol=0, atol=1e-12)
+    for i in range(model.n_sites):
+        incoming = sum(messages[(n, i)] for n in (i - 1, i + 1) if 0 <= n < model.n_sites)
+        np.testing.assert_allclose(
+            result.beliefs_single[i], oracle_gibbs(incoming), rtol=0, atol=1e-12
+        )
 
 
 def test_messages_stay_traceless_hermitian():
@@ -154,6 +244,27 @@ def test_runs_are_deterministic():
         np.testing.assert_array_equal(a.beliefs_single[i], b.beliefs_single[i])
     for e in a.beliefs_pair:
         np.testing.assert_array_equal(a.beliefs_pair[e], b.beliefs_pair[e])
+
+
+def test_runs_are_deterministic_on_the_damped_iteration():
+    model = xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3)
+    a, b = qbp_run(model), qbp_run(model)
+    assert a.iterations == b.iterations > 1
+    assert a.residual == b.residual
+    for i in a.beliefs_single:
+        np.testing.assert_array_equal(a.beliefs_single[i], b.beliefs_single[i])
+    for e in a.beliefs_pair:
+        np.testing.assert_array_equal(a.beliefs_pair[e], b.beliefs_pair[e])
+
+
+def test_single_site_run():
+    result = qbp_run(heisenberg_chain(1, 1.0))
+    assert result.iterations == 1
+    assert result.converged
+    assert result.residual == 0.0
+    assert list(result.beliefs_single) == [0]
+    np.testing.assert_array_equal(result.beliefs_single[0], I2 / 2)
+    assert result.beliefs_pair == {}
 
 
 def test_asymmetric_couplings_converge_with_damping():
