@@ -17,7 +17,7 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class SweepConfig:
 
     ``keep`` uses 0-based site indices.  ``time_repeats`` is the number of
     timed repetitions per row (median reported); 0 disables timing and
-    writes 0.0, which makes the CSV bytes reproducible across runs.
+    writes 0.0, which makes the CSV bytes reproducible across runs.  These
+    are the sweep's only defaults: the CLI sets just the fields it is given.
     """
 
     sites: int = 3
@@ -42,9 +43,9 @@ class SweepConfig:
     beta_steps: int = 10
     methods: tuple = KNOWN_METHODS
     st_slices: tuple = (20, 100)
-    qbp_tol: float = 1e-10
-    qbp_max_iters: int = 500
-    qbp_damping: float = 0.5
+    qbp_tol: float = qbp.DEFAULT_TOL
+    qbp_max_iters: int = qbp.DEFAULT_MAX_ITERS
+    qbp_damping: float = qbp.DEFAULT_DAMPING
     keep: tuple = (0, 1)
     out: str | None = None
     time_repeats: int = 5
@@ -139,34 +140,39 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
+def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices):
+    """The call a sweep row times; it returns (reduced state on ``keep``, extra).
+
+    ``extra`` is 0 for exact, the slice count for st and the QbpResult for qbp.
+    """
+    if method == "exact":
+        return lambda: (
+            linalg.partial_trace(spinchain.exact_gibbs(model), [2] * model.n_sites, keep), 0
+        )
+    if method == "st":
+        return lambda: (trotter.st_reduced(trotter.trotter_plan(model, n_slices), keep), n_slices)
+    if method == "qbp":
+        def compute():
+            result = qbp.qbp_run(
+                model,
+                max_iters=config.qbp_max_iters,
+                tol=config.qbp_tol,
+                damping=config.qbp_damping,
+            )
+            return _qbp_state(result, keep), result
+        return compute
+    raise ValueError(f"unknown method {method!r}")  # pragma: no cover - validate() rejects this
+
+
 def _run_row(config, model, reference, keep, method, n_slices) -> SweepRecord:
-    sites = config.sites
     iterations = 0
     opcount = 0
     try:
-        if method == "exact":
-            def compute():
-                return linalg.partial_trace(spinchain.exact_gibbs(model), [2] * sites, keep), 0
-        elif method == "st":
-            if n_slices >= 3:
-                opcount = trotter.st_opcount(n_slices, sites)
-
-            def compute():
-                return trotter.st_reduced(trotter.trotter_plan(model, n_slices), keep), n_slices
+        if method == "st" and n_slices >= 3:
+            opcount = trotter.st_opcount(n_slices, config.sites)
         elif method == "qbp":
-            opcount = qbp.qbp_opcount(sites)
-
-            def compute():
-                result = qbp.qbp_run(
-                    model,
-                    max_iters=config.qbp_max_iters,
-                    tol=config.qbp_tol,
-                    damping=config.qbp_damping,
-                )
-                return _qbp_state(result, keep), result
-        else:  # pragma: no cover - validate() rejects this
-            raise ValueError(f"unknown method {method!r}")
-
+            opcount = qbp.qbp_opcount(config.sites)
+        compute = _engine_call(config, model, keep, method, n_slices)
         (state, extra), wall_ms = _timed(compute, config.time_repeats)
         status = "ok"
         if method == "qbp":
@@ -248,16 +254,20 @@ def compare_complexity(
 
     The belief-propagation total budgets one sweep per site (the tree-depth
     heuristic that makes the overall cost quadratic in the chain length).
+    The wall times are those of the calls a default sweep row times
+    (``_engine_call``), Trotter plan and reduction onto the kept sites included.
     """
+    config = SweepConfig()
     rows = []
     for sites in sites_list:
         model = spinchain.heisenberg_chain(int(sites), float(beta))
         per_sweep = qbp.qbp_opcount(sites)
-        _, qbp_ms = _timed(lambda: qbp.qbp_run(model), time_repeats)
+        qbp_call = _engine_call(config, model, config.keep, "qbp", None)
+        _, qbp_ms = _timed(qbp_call, time_repeats)
         for slices in slices_list:
             st_ops = trotter.st_opcount(slices, sites) if slices >= 3 else 0
-            plan = trotter.trotter_plan(model, int(slices))
-            _, st_ms = _timed(lambda: trotter.st_density(plan), time_repeats)
+            st_call = _engine_call(config, model, config.keep, "st", int(slices))
+            _, st_ms = _timed(st_call, time_repeats)
             rows.append(
                 ComplexityRow(
                     int(sites), int(slices), per_sweep, sites * per_sweep, st_ops, qbp_ms, st_ms
@@ -306,81 +316,50 @@ def _parse_int_range(text: str, flag: str) -> tuple:
 def _parse_keep(text: str) -> tuple:
     labels = _parse_int_list(text, "--keep")
     if any(l < 1 for l in labels):
-        raise ValueError(f"--keep: site labels are 1-based, got {text!r}")
+        # argparse prints the message of this error type, not of a ValueError
+        raise argparse.ArgumentTypeError(f"site labels are 1-based, got {text!r}")
     return tuple(l - 1 for l in labels)
 
 
-_CONFIG_FLAG_KEYS = (
-    "beta-min", "beta-max", "beta-steps", "methods", "st-slices", "keep",
-    "qbp-tol", "qbp-max-iters", "qbp-damping", "out", "time-repeats",
-)
-_CONFIG_MODEL_KEYS = ("model", "sites", "beta")
+_SWEEP_FIELDS = frozenset(f.name for f in fields(SweepConfig))
 
 
-def _config_from_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        keys = spinchain.parse_key_values(fh.read())
-    for key in keys:
-        if key in _CONFIG_FLAG_KEYS or key in _CONFIG_MODEL_KEYS or key.startswith("J_"):
-            continue
-        raise ValueError(f"config file: unknown key {key!r}")
-    return keys
+def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepConfig:
+    """The SweepConfig of the flags given, with unset flags taken from ``--config``.
 
-
-def _build_sweep_config(args) -> SweepConfig:
-    file_keys = _config_from_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_keys:
-            try:
-                return convert(file_keys[key])
-            except ValueError as exc:
-                raise ValueError(f"config file, key {key!r}: {exc}") from None
-        return default
-
-    sites = pick(args.sites, "sites", int, 3)
-
-    # a bare 'beta' key gives a single-point grid unless an explicit grid is set
-    beta_min = pick(args.beta_min, "beta-min", float, None)
-    beta_max = pick(args.beta_max, "beta-max", float, None)
-    beta_steps = pick(args.beta_steps, "beta-steps", int, None)
-    if beta_min is None and beta_max is None and beta_steps is None and "beta" in file_keys:
-        beta_min = beta_max = float(file_keys["beta"])
-        beta_steps = 1
-    beta_min = 0.2 if beta_min is None else beta_min
-    beta_max = 2.0 if beta_max is None else beta_max
-    beta_steps = 10 if beta_steps is None else beta_steps
-
-    couplings = None
-    if any(k.startswith("J_") for k in file_keys):
-        couplings = tuple(spinchain.couplings_from_keys(file_keys, sites))
-
-    config = SweepConfig(
-        sites=sites,
-        beta_min=beta_min,
-        beta_max=beta_max,
-        beta_steps=beta_steps,
-        methods=pick(
-            args.methods, "methods", lambda t: tuple(t.split(",")), KNOWN_METHODS
-        ),
-        st_slices=pick(
-            args.st_slices, "st-slices", lambda t: _parse_int_list(t, "st-slices"), (20, 100)
-        ),
-        qbp_tol=pick(args.qbp_tol, "qbp-tol", float, qbp.DEFAULT_TOL),
-        qbp_max_iters=pick(args.qbp_max_iters, "qbp-max-iters", int, qbp.DEFAULT_MAX_ITERS),
-        qbp_damping=pick(args.qbp_damping, "qbp-damping", float, qbp.DEFAULT_DAMPING),
-        keep=pick(args.keep, "keep", _parse_keep, (0, 1)),
-        out=pick(args.out, "out", str, None),
-        time_repeats=pick(args.time_repeats, "time-repeats", int, 5),
-        couplings=couplings,
-    )
-    config.validate()
+    A config-file key is a sweep flag without its dashes, converted by that
+    flag's own type.  Any other key must be a model key (``model``, ``beta``,
+    ``J_<i>``); spinchain reads those as ``load_model`` does.  A bare ``beta``
+    key gives a single-point grid unless a grid flag or key is set.
+    """
+    values = {k: v for k, v in vars(args).items() if k in _SWEEP_FIELDS and v is not None}
+    model_keys = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_keys = spinchain.parse_key_values(fh.read())
+        for key, text in file_keys.items():
+            action = sweep_parser._option_string_actions.get("--" + key)
+            if action is None or action.dest not in _SWEEP_FIELDS:
+                if key not in ("model", "beta") and not key.startswith("J_"):
+                    raise ValueError(f"config file: unknown key {key!r}")
+                model_keys[key] = text
+            elif action.dest not in values:
+                try:
+                    values[action.dest] = action.type(text) if action.type else text
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ValueError(f"config file, key {key!r}: {exc}") from None
+    config = SweepConfig(**values)
+    if model_keys:
+        model = spinchain.model_from_keys({**model_keys, "sites": str(config.sites)})
+        config.couplings = tuple(spinchain.couplings_from_keys(model_keys, config.sites))
+        if "beta" in model_keys and not values.keys() & {"beta_min", "beta_max", "beta_steps"}:
+            config.beta_min = config.beta_max = model.beta
+            config.beta_steps = 1
     return config
 
 
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The spinbp parser and its ``sweep`` subparser."""
     parser = argparse.ArgumentParser(
         prog="spinbp",
         description="Gibbs-state engines for Heisenberg chains: sweep and compare.",
@@ -419,22 +398,18 @@ def _make_parser() -> argparse.ArgumentParser:
     comp.add_argument("--slices", default="20", help="range like 10-40 or comma list")
     comp.add_argument("--beta", type=float, default=1.0)
     comp.add_argument("--time-repeats", type=int, dest="time_repeats", default=3)
-    return parser
+    return parser, sweep
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
+    parser, sweep_parser = _make_parser()
     args = parser.parse_args(argv)
 
     if args.command == "sweep":
         try:
-            config = _build_sweep_config(args)
-        except (ValueError, OSError) as exc:
-            print(f"spinbp: config error: {exc}", file=sys.stderr)
-            return 2
-        try:
+            config = _build_sweep_config(sweep_parser, args)
             records = run_sweep(config)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"spinbp: config error: {exc}", file=sys.stderr)
             return 2
         if config.out:

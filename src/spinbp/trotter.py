@@ -59,24 +59,27 @@ class TransferWeights:
 
 
 def build_weights(plan: TrotterPlan) -> TransferWeights:
-    """Multiply the slice factors in bond order and strip the imaginary part.
+    """Check that each slice factor is real, then multiply them in bond order.
 
     W = F_0 F_1 ... F_{N-2} with F_k = 1 kron f_k kron 1 is built right to
-    left: viewing W's row index as (left sites, pair k, right sites), f_k
-    acts on the middle axis only, a batch of 4x4 by 4x(2^(N-k-2) 2^N) products.
+    left in float64: viewing W's row index as (left sites, pair k, right
+    sites), f_k acts on the middle axis only, a batch of 4x4 by
+    4x(2^(N-k-2) 2^N) products.
     """
+    real_factors = []
+    for k, f in enumerate(plan.slice_factors):
+        residue = np.abs(f.imag).max()
+        if residue > IMAG_RTOL * np.abs(f).max():
+            raise ComplexResidueError(
+                f"bond {k}: imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * max|f_k|; "
+                "transfer weights are only real for real-symmetric bond terms"
+            )
+        real_factors.append(f.real)
     dim = 2**plan.model.n_sites
-    w = np.eye(dim, dtype=np.complex128)
-    for k in range(len(plan.slice_factors) - 1, -1, -1):
-        w = np.matmul(plan.slice_factors[k], w.reshape(2**k, 4, -1)).reshape(dim, dim)
-    scale = np.abs(w).max()
-    residue = np.abs(w.imag).max()
-    if residue > IMAG_RTOL * scale:
-        raise ComplexResidueError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * max|W|; "
-            "transfer weights are only real for real-symmetric bond terms"
-        )
-    return TransferWeights(np.ascontiguousarray(w.real))
+    w = np.eye(dim)
+    for k in range(len(real_factors) - 1, -1, -1):
+        w = np.matmul(real_factors[k], w.reshape(2**k, 4, -1)).reshape(dim, dim)
+    return TransferWeights(w)
 
 
 def st_density(plan: TrotterPlan) -> np.ndarray:

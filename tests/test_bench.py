@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinbp import bench
+from spinbp import bench, spinchain, trotter
 from spinbp.bench import (
     SweepConfig,
     SweepRecord,
@@ -157,6 +157,23 @@ def test_complexity_growth_with_sites():
         assert 3.5 < b / a < 4.5
 
 
+def test_complexity_times_the_sweep_rows_call(monkeypatch):
+    # the Trotter plan is built inside the timed call in both tables
+    calls = []
+    plan = trotter.trotter_plan
+
+    def counting_plan(model, n_slices):
+        calls.append(n_slices)
+        return plan(model, n_slices)
+
+    monkeypatch.setattr(trotter, "trotter_plan", counting_plan)
+    compare_complexity([3], [20], time_repeats=2)
+    in_complexity = len(calls)
+    calls.clear()
+    run_sweep(quick_config(methods=("st",), time_repeats=2))
+    assert in_complexity == len(calls) == 3  # one untimed call, two timed
+
+
 # --- config validation ---------------------------------------------------------------
 
 
@@ -266,3 +283,74 @@ def test_cli_complexity(capsys):
 def test_cli_complexity_bad_range(capsys):
     assert main(["complexity", "--sites", "6-2"]) == 2
     capsys.readouterr()
+
+
+# --- one config path: file keys are the sweep flags ----------------------------------
+
+
+def sweep_config(argv):
+    parser, sweep_parser = bench._make_parser()
+    return bench._build_sweep_config(sweep_parser, parser.parse_args(["sweep", *argv]))
+
+
+def sweep_flags():
+    _, sweep_parser = bench._make_parser()
+    return [
+        opt
+        for action in sweep_parser._actions
+        if action.dest not in ("help", "config")
+        for opt in action.option_strings
+        if opt.startswith("--")
+    ]
+
+
+@pytest.mark.parametrize("flag", sweep_flags())
+def test_every_sweep_flag_is_a_config_key(tmp_path, flag):
+    # "4" and "6" convert under every flag's type and differ from every default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}=4\n", encoding="utf-8")
+    from_file = sweep_config(["--config", str(cfg)])
+    assert from_file == sweep_config([flag, "4"])
+    assert from_file != SweepConfig()
+    assert sweep_config(["--config", str(cfg), flag, "6"]) == sweep_config([flag, "6"])
+
+
+def test_cli_config_model_key_fails_as_in_load_model(tmp_path, capsys):
+    cfg = tmp_path / "ising.cfg"
+    cfg.write_text("model=ising\nsites=3\nbeta=0.0\ntime-repeats=0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        spinchain.load_model(cfg)
+    assert "unsupported model" in str(expected.value)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert str(expected.value) in capsys.readouterr().err
+
+
+def test_cli_config_methods_parse_as_the_flag(tmp_path, capsys):
+    grid = ["--sites", "3", "--beta-min", "0", "--beta-max", "0", "--beta-steps", "1",
+            "--time-repeats", "0"]
+    assert main(["sweep", *grid, "--methods", "exact,"]) == 0
+    from_flag = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("methods=exact,\n", encoding="utf-8")
+    assert main(["sweep", *grid, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == from_flag
+    assert from_flag.splitlines()[1:] == ["0,exact,,1,0,0,0,0,ok"]
+
+
+def test_cli_config_bad_beta_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites=3\nbeta=abc\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'beta'" in err and "'abc'" in err
+
+
+def test_keep_zero_names_one_based_labels(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--keep", "0"])
+    assert exit_info.value.code == 2
+    assert "1-based" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("keep=0\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "1-based" in capsys.readouterr().err
