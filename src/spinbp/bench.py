@@ -56,8 +56,10 @@ class SweepConfig:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
         if self.beta_steps < 1:
             raise ValueError(f"beta-steps must be >= 1, got {self.beta_steps}")
-        if self.beta_min < 0:
-            raise ValueError(f"beta-min must be >= 0, got {self.beta_min}")
+        if not (np.isfinite(self.beta_min) and self.beta_min >= 0):
+            raise ValueError(f"beta-min must be finite and >= 0, got {self.beta_min}")
+        if not np.isfinite(self.beta_max):
+            raise ValueError(f"beta-max must be finite, got {self.beta_max}")
         if self.beta_steps > 1 and self.beta_max <= self.beta_min:
             raise ValueError("beta-max must exceed beta-min for a multi-point grid")
         bad = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -74,6 +76,7 @@ class SweepConfig:
             raise ValueError(f"keep sites {self.keep} out of range for {self.sites} sites")
         if self.time_repeats < 0:
             raise ValueError(f"time-repeats must be >= 0, got {self.time_repeats}")
+        qbp.check_options(self.qbp_max_iters, self.qbp_tol, self.qbp_damping)
 
     def beta_grid(self) -> list[float]:
         if self.beta_steps == 1:
@@ -291,32 +294,32 @@ def format_complexity(rows: list[ComplexityRow]) -> str:
 # CLI
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
+def _parse_int_list(text: str) -> tuple:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        # argparse prints the message of this error type, not of a ValueError
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
 
 
 def _parse_int_range(text: str, flag: str) -> tuple:
     """Accept 'a-b' (inclusive) or a comma-separated list."""
     text = text.strip()
-    if "-" in text and "," not in text:
+    try:
+        if "-" not in text or "," in text:
+            return _parse_int_list(text)
         lo, _, hi = text.partition("-")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ValueError(f"{flag}: expected a range like 2-6, got {text!r}") from None
-        if hi_i < lo_i:
-            raise ValueError(f"{flag}: empty range {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
-    return _parse_int_list(text, flag)
+        lo_i, hi_i = int(lo), int(hi)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{flag}: expected a range (2-6) or a list (3,5), got {text!r}") from None
+    if hi_i < lo_i:
+        raise ValueError(f"{flag}: empty range {text!r}")
+    return tuple(range(lo_i, hi_i + 1))
 
 
 def _parse_keep(text: str) -> tuple:
-    labels = _parse_int_list(text, "--keep")
+    labels = _parse_int_list(text)
     if any(l < 1 for l in labels):
-        # argparse prints the message of this error type, not of a ValueError
         raise argparse.ArgumentTypeError(f"site labels are 1-based, got {text!r}")
     return tuple(l - 1 for l in labels)
 
@@ -328,9 +331,9 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
     """The SweepConfig of the flags given, with unset flags taken from ``--config``.
 
     A config-file key is a sweep flag without its dashes, converted by that
-    flag's own type.  Any other key must be a model key (``model``, ``beta``,
-    ``J_<i>``); spinchain reads those as ``load_model`` does.  A bare ``beta``
-    key gives a single-point grid unless a grid flag or key is set.
+    flag's own type.  Every other key goes to ``spinchain.model_from_keys``,
+    which checks and reads it as ``load_model`` does.  A bare ``beta`` key
+    gives a single-point grid unless a grid flag or key is set.
     """
     values = {k: v for k, v in vars(args).items() if k in _SWEEP_FIELDS and v is not None}
     model_keys = {}
@@ -340,8 +343,6 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
         for key, text in file_keys.items():
             action = sweep_parser._option_string_actions.get("--" + key)
             if action is None or action.dest not in _SWEEP_FIELDS:
-                if key not in ("model", "beta") and not key.startswith("J_"):
-                    raise ValueError(f"config file: unknown key {key!r}")
                 model_keys[key] = text
             elif action.dest not in values:
                 try:
@@ -376,7 +377,7 @@ def _make_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         help="comma list from exact,st,qbp",
     )
     sweep.add_argument(
-        "--st-slices", dest="st_slices", type=lambda t: _parse_int_list(t, "--st-slices"),
+        "--st-slices", dest="st_slices", type=_parse_int_list,
         help="comma list of slice counts",
     )
     sweep.add_argument(

@@ -4,7 +4,10 @@ All operators in this package are plain complex numpy matrices; this module
 provides the validated operations the engines share: spectral decomposition,
 matrix functions of Hermitian matrices, Kronecker products, partial traces
 and the absolute trace norm.  Matrices stay dense; the sizes of interest
-(8x8 up to 4096x4096) never justify sparse storage.
+(8x8 up to 4096x4096) never justify sparse storage.  ``herm_eig`` is the
+package's only eigensolver call: every spectrum, in ``mat_func``,
+``abs_trace_norm``, the exact Gibbs state and the metrics, passes its
+Hermiticity check and its handler for solver failure.
 
 ``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
 ``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
@@ -21,6 +24,8 @@ import numpy as np
 
 # Relative Hermiticity tolerance used by every construction check.
 HERMITIAN_RTOL = 1e-12
+# ``mat_func(..., positive=True)`` raises clamped eigenvalues to this, so log stays finite.
+POSITIVE_FLOOR = 1e-300
 
 
 class NotHermitianError(ValueError):
@@ -73,21 +78,21 @@ def _first_flagged(flags: np.ndarray) -> tuple[tuple, str]:
     return at, (f"stack index {tuple(int(i) for i in at)}: " if at else "")
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return ``a`` as a complex matrix or stack, rejecting non-Hermitian input.
 
     The check is relative and applies to each matrix of a stack on its own
-    scale: max |A - A^dag| must not exceed rtol * max |A|.
+    scale: max |A - A^dag| must not exceed HERMITIAN_RTOL * max |A|.
     """
     arr = as_complex_stack(a)
     residue = np.abs(arr - dagger(arr)).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
-    bad = residue > rtol * scale
+    tol = HERMITIAN_RTOL * np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    bad = residue > tol
     if bad.any():
         at, where = _first_flagged(bad)
         raise NotHermitianError(
             f"{where}matrix is not Hermitian: residue {residue[at]:.3e} exceeds "
-            f"{rtol:g} * max|A| = {rtol * scale[at]:.3e}"
+            f"{HERMITIAN_RTOL:g} * max|A| = {tol[at]:.3e}"
         )
     return arr
 
@@ -103,29 +108,20 @@ def herm_eig(a) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
-def mat_func(
-    a,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    positive: bool = False,
-    neg_tol: float | None = None,
-    floor: float = 1e-300,
-) -> np.ndarray:
+def mat_func(a, f: Callable[[np.ndarray], np.ndarray], *, positive: bool = False) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix, or to each of a stack, spectrally.
 
     Returns V diag(f(w)) V^dag.  ``f`` must act elementwise on a real numpy
-    array (np.exp, np.log, np.sqrt, ...).  With ``positive=True`` the
-    spectrum is required to be nonnegative up to a clamp tolerance:
-    eigenvalues within ``neg_tol`` below zero (default 1e-12 * max|w|, taken
-    per matrix) are raised to ``floor`` before ``f`` is applied, anything
-    more negative raises DomainError.  The tiny-positive default floor keeps
-    log finite on spectra that are positive in exact arithmetic but graze
-    zero in floats.
+    array (np.exp, np.log, ...).  With ``positive=True`` the spectrum is
+    required to be nonnegative up to a clamp tolerance of 1e-12 * max|w|,
+    taken per matrix: eigenvalues within it below zero are raised to
+    ``POSITIVE_FLOOR`` before ``f`` is applied, anything more negative
+    raises DomainError.  The tiny positive floor keeps log finite on spectra
+    that are positive in exact arithmetic but graze zero in floats.
     """
     w, v = herm_eig(a)
     if positive:
-        scale = np.abs(w).max(axis=-1, initial=0.0)
-        tol = HERMITIAN_RTOL * scale if neg_tol is None else np.full_like(scale, neg_tol)
+        tol = HERMITIAN_RTOL * np.abs(w).max(axis=-1, initial=0.0)
         lowest = w.min(axis=-1, initial=np.inf)
         bad = lowest < -tol
         if bad.any():
@@ -134,7 +130,7 @@ def mat_func(
                 f"{where}eigenvalue {lowest[at]:.6e} below the clamp tolerance "
                 f"{-tol[at]:.3e}; input is not positive semidefinite"
             )
-        w = np.maximum(w, floor)
+        w = np.maximum(w, POSITIVE_FLOOR)
     fw = np.asarray(f(w))
     out = (v * fw[..., None, :]) @ dagger(v)
     if not np.iscomplexobj(fw):
@@ -201,10 +197,4 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
 
 def abs_trace_norm(a) -> float:
     """tr|A| = sum of |eigenvalues| for Hermitian A."""
-    arr = require_hermitian(as_complex_matrix(a))
-    arr = (arr + dagger(arr)) / 2
-    try:
-        w = np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return float(np.abs(w).sum())
+    return float(np.abs(herm_eig(as_complex_matrix(a)).eigenvalues).sum())

@@ -4,6 +4,7 @@ Both metrics validate their inputs as density matrices with an absolute
 slack of 1e-8 on Hermiticity, unit trace and positive semidefiniteness,
 so engine outputs whose eigenvalues dip slightly below zero from roundoff
 are accepted; such eigenvalues are clamped to zero inside the metrics.
+Each input is decomposed once, for its check and for the fidelity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ class NotDensityMatrixError(ValueError):
     """Input is not a density matrix within the accepted slack."""
 
 
-def _check_density(a, name: str) -> np.ndarray:
+def _check_density(a, name: str) -> tuple[np.ndarray, linalg.HermitianEigen]:
+    """The symmetrized density matrix and its spectral decomposition."""
     arr = linalg.as_complex_matrix(a)
     residue = np.abs(arr - arr.conj().T).max()
     if residue > PSD_SLACK:
@@ -28,30 +30,32 @@ def _check_density(a, name: str) -> np.ndarray:
     tr = float(np.trace(arr).real)
     if abs(tr - 1.0) > PSD_SLACK:
         raise NotDensityMatrixError(f"{name}: trace {tr!r} differs from 1 beyond {PSD_SLACK:g}")
-    lowest = float(np.linalg.eigvalsh(arr).min())
+    eig = linalg.herm_eig(arr)
+    lowest = float(eig.eigenvalues[0])
     if lowest < -PSD_SLACK:
         raise NotDensityMatrixError(f"{name}: eigenvalue {lowest:.3e} below -{PSD_SLACK:g}")
-    return arr
+    return arr, eig
 
 
-def _check_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    r = _check_density(rho, "rho")
-    s = _check_density(sigma, "sigma")
+def _check_pair(rho, sigma):
+    (r, eig), (s, _) = _check_density(rho, "rho"), _check_density(sigma, "sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return r, s
+    return r, eig, s
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the absolute trace norm of the difference; 0 iff equal, at most 1."""
-    r, s = _check_pair(rho, sigma)
+    r, _, s = _check_pair(rho, sigma)
     return 0.5 * linalg.abs_trace_norm(r - s)
 
 
 def fidelity(rho, sigma) -> float:
     """tr sqrt(sqrt(rho) sigma sqrt(rho)); 1 iff equal, 0 for orthogonal states."""
-    r, s = _check_pair(rho, sigma)
-    root = linalg.mat_func(r, np.sqrt, positive=True, neg_tol=PSD_SLACK, floor=0.0)
-    inner = root @ s @ root
-    outer = linalg.mat_func(inner, np.sqrt, positive=True, neg_tol=PSD_SLACK, floor=0.0)
-    return float(np.trace(outer).real)
+    _, (w, v), s = _check_pair(rho, sigma)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ linalg.dagger(v)
+    inner = linalg.herm_eig(root @ s @ root).eigenvalues
+    if inner[0] < -PSD_SLACK:
+        raise linalg.DomainError(f"eigenvalue {inner[0]:.6e} below the clamp tolerance "
+                                 f"{-PSD_SLACK:.3e}; input is not positive semidefinite")
+    return float(np.sqrt(np.maximum(inner, 0.0)).sum())

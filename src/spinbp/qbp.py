@@ -100,6 +100,13 @@ def _normalized(q: np.ndarray) -> np.ndarray:
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 
+def check_options(max_iters: int, tol: float, damping: float) -> None:
+    """Reject run options the iteration cannot honour."""
+    if not (max_iters >= 1 and tol > 0 and 0 < damping <= 1):
+        raise ValueError(f"qbp needs max_iters >= 1, tol > 0 and damping in (0, 1], got "
+                         f"max_iters={max_iters}, tol={tol}, damping={damping}")
+
+
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
     """Recompute the message for the directed edge (j, i), gauge-fixed."""
     edges, neg_terms, into_recv, into_send = _edge_plan(model)
@@ -122,22 +129,16 @@ def qbp_run(
     and applies new <- (1-damping)*old + damping*update; the residual is the
     largest Frobenius-norm change of any message in the sweep.
     """
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
+    check_options(max_iters, tol, damping)
     edges, neg_terms, into_recv, into_send = _edge_plan(model)
     stack = np.zeros((len(edges) + 1, 2, 2), dtype=np.complex128)
     messages = stack[:-1]  # a view; the last row stays zero
-    iterations = 0
-    residual = 0.0
-    converged = not edges
-    for _ in range(max_iters):
-        iterations += 1
+    for iterations in range(1, max_iters + 1):  # check_options: at least one sweep
         update = _updates(neg_terms, stack[into_recv], stack[into_send])
         new = (1 - damping) * messages + damping * update
         residual = float(np.linalg.norm(new - messages, axis=(1, 2)).max(initial=0.0))
         messages[...] = new
         if residual < tol:
-            converged = True
             break
 
     n, zero_row = model.n_sites, len(edges)
@@ -149,7 +150,7 @@ def qbp_run(
     expo = _dressed(neg_terms[bond], stack[into_recv[bond]], stack[into_send[bond]])
     pairs = _normalized(linalg.herm_exp(expo))
     beliefs_pair = {(k, k + 1): q for k, q in enumerate(pairs)}
-    return QbpResult(dict(enumerate(singles)), beliefs_pair, iterations, converged, residual)
+    return QbpResult(dict(enumerate(singles)), beliefs_pair, iterations, residual < tol, residual)
 
 
 def qbp_opcount(n_sites: int) -> int:

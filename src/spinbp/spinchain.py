@@ -52,8 +52,8 @@ class SpinChainModel:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if len(self.terms) != self.n_sites - 1:
             raise ValueError(
                 f"expected {self.n_sites - 1} bond terms for {self.n_sites} sites, "
@@ -136,10 +136,7 @@ def exact_gibbs(model: SpinChainModel) -> np.ndarray:
     The spectrum is shifted by its minimum before exponentiating so large
     beta cannot overflow; the shift cancels in the normalization.
     """
-    eig = linalg.herm_eig(total_hamiltonian(model))
-    w = np.exp(-model.beta * (eig.eigenvalues - eig.eigenvalues.min()))
-    rho = (eig.eigenvectors * w) @ eig.eigenvectors.conj().T
-    rho = (rho + rho.conj().T) / 2
+    rho = linalg.mat_func(total_hamiltonian(model), lambda w: np.exp(-model.beta * (w - w.min())))
     return rho / np.trace(rho).real
 
 
@@ -184,13 +181,16 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
 def model_from_keys(keys: dict[str, str]) -> SpinChainModel:
     """Build a model from the plain-text description format.
 
-    Recognized keys: ``model=heisenberg``, ``sites=<int>``, ``beta=<float>``
+    Keys, and no others: ``model=heisenberg``, ``sites=<int>``, ``beta=<float>``
     and optional per-bond couplings ``J_<i>=<float>`` where i is the 1-based
     bond index (bond i couples sites i and i+1 in 1-based labels).
     """
     kind = keys.get("model", "heisenberg")
     if kind != "heisenberg":
         raise ValueError(f"unsupported model {kind!r}; only 'heisenberg' is available")
+    for key in keys:
+        if key not in ("model", "sites", "beta") and not key.startswith("J_"):
+            raise ValueError(f"unknown key {key!r}; model keys are model, sites, beta, J_<i>")
     try:
         sites = int(keys["sites"])
     except KeyError:

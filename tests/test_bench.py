@@ -354,3 +354,38 @@ def test_keep_zero_names_one_based_labels(tmp_path, capsys):
     cfg.write_text("keep=0\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "1-based" in capsys.readouterr().err
+
+
+# --- config errors exit 2 --------------------------------------------------------
+
+
+def test_cli_config_unknown_model_key_fails_as_in_load_model(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("sites=3\nJ2=0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        spinchain.load_model(cfg)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert str(expected.value) in capsys.readouterr().err
+
+
+def test_st_slices_parse_error_names_the_expected_format(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--st-slices", "x"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--st-slices: expected comma-separated integers: 'x'" in err
+    assert main(["complexity", "--sites", "x"]) == 2
+    assert "--sites: expected a range (2-6) or a list (3,5), got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta-min", "nan", "--beta-steps", "1"],
+    ["--beta-max", "inf"],
+    ["--qbp-damping", "0"],
+    ["--qbp-max-iters", "0"],
+    ["--qbp-tol", "-1"],
+])
+def test_cli_bad_grid_and_qbp_options_exit_2(flags, capsys):
+    # each used to pass validation, then fail or mislabel every row
+    assert main(["sweep", *flags, "--time-repeats", "0"]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -6,6 +6,9 @@ implementation, so none of the reference values depend on the code paths
 under test.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -178,13 +181,6 @@ def test_mat_func_clamps_roundoff_negatives():
     got = linalg.herm_log(np.diag([-1e-15, 1.0]))
     assert np.isfinite(got).all()
     assert got[0, 0].real < -600  # log of the tiny positive floor
-
-
-def test_mat_func_sqrt_with_absolute_slack():
-    out = linalg.mat_func(
-        np.diag([-5e-9, 1.0]), np.sqrt, positive=True, neg_tol=1e-8, floor=0.0
-    )
-    np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 # --- stacks -----------------------------------------------------------------
@@ -360,3 +356,29 @@ def test_abs_trace_norm_bounds_trace():
 def test_abs_trace_norm_rejects_non_hermitian():
     with pytest.raises(linalg.NotHermitianError):
         linalg.abs_trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# --- one spectral path ------------------------------------------------------
+
+
+def test_herm_eig_is_the_only_hermitian_eigensolver_call():
+    """eigh and eigvalsh are named in src/spinbp only inside linalg.herm_eig,
+    so every spectrum shares its Hermiticity check and solver-failure handler."""
+    solver_names = {"eigh", "eigvalsh"}
+    inside, outside = [], []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "linalg.py":
+            (herm_eig,) = [n for n in tree.body
+                           if isinstance(n, ast.FunctionDef) and n.name == "herm_eig"]
+            allowed = {id(n) for n in ast.walk(herm_eig)}
+        for node in ast.walk(tree):
+            # attribute (np.linalg.eigh), bare name (eigh) or import alias
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name in solver_names:
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert inside, "linalg.herm_eig no longer calls the eigensolver"
+    assert outside == []

@@ -24,6 +24,13 @@ def seeded_pairs(n_pairs=100, dims=(2, 4, 8)):
         yield random_density(rng, dim), random_density(rng, dim)
 
 
+def rank_deficient_density(rng, dim, rank):
+    """Random state on the first ``rank`` basis states: its null space is exact in floats."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:rank, :rank] = random_density(rng, rank)
+    return rho
+
+
 # --- closed-form values --------------------------------------------------------
 
 
@@ -88,6 +95,44 @@ def test_zero_distance_iff_equal():
             assert trace_distance(rho, sigma) > 1e-9
 
 
+# --- raw-numpy oracle ------------------------------------------------------------
+
+
+def psd_sqrt(a):
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def oracle_pairs():
+    """Seeded pairs at dims 2, 4, 8 in which sigma has full rank on rho's
+    support: full-rank pairs, and a rank-deficient rho against a full-rank or
+    a rank-deficient sigma."""
+    rng = np.random.default_rng(606)
+    for dim in (2, 4, 8):
+        for _ in range(10):
+            full = random_density(rng, dim)
+            yield full, random_density(rng, dim)
+            for rank in range(1, dim):
+                deficient = rank_deficient_density(rng, dim, rank)
+                yield deficient, full
+                yield deficient, rank_deficient_density(rng, dim, int(rng.integers(rank, dim)))
+
+
+def test_metrics_match_raw_numpy_oracles():
+    # fidelity as the trace norm of sqrt(rho) sqrt(sigma), by SVD; trace
+    # distance from the eigenvalues of the difference
+    for rho, sigma in oracle_pairs():
+        expected_f = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False).sum()
+        expected_d = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
+        assert abs(fidelity(rho, sigma) - expected_f) < 1e-12
+        assert abs(trace_distance(rho, sigma) - expected_d) < 1e-12
+        assert abs(trace_distance(sigma, rho) - expected_d) < 1e-12
+        # swapped, sqrt(sigma) rho sqrt(sigma) has zero eigenvalues wherever
+        # rho is rank-deficient; they come out near +-1e-17, and their square
+        # roots add a few 1e-9, as the square root is ill-conditioned at zero
+        assert abs(fidelity(sigma, rho) - expected_f) < 1e-7
+
+
 # --- input validation -----------------------------------------------------------
 
 
@@ -118,3 +163,9 @@ def test_accepts_roundoff_negative_eigenvalues():
     nearly = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
     assert trace_distance(nearly, KET0) < 1e-8
     assert fidelity(nearly, KET0) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fidelity_clamps_roundoff_negative_eigenvalues_to_zero():
+    # sqrt(rho) takes 0, not sqrt|-5e-9| ~ 7e-5, on the negative eigenvalue
+    nearly = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
+    assert abs(fidelity(nearly, MIXED) - np.sqrt((1.0 + 5e-9) / 2)) < 1e-12

@@ -8,6 +8,8 @@ multiples of the identity.  The orientation of reversed edges is checked on
 a chain whose bond terms are not symmetric under site swap.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,18 @@ def test_three_site_belief_is_less_accurate_than_trotter():
 def test_damping_validation():
     with pytest.raises(ValueError):
         qbp_run(heisenberg_chain(2, 1.0), damping=0.0)
+
+
+@pytest.mark.parametrize("option", [
+    dict(max_iters=0), dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+    dict(damping=1.5), dict(damping=float("nan")),
+])
+def test_run_options_are_checked(option):
+    # max_iters=0 used to return a not-converged run with residual 0; a
+    # non-positive tol never converged
+    ((key, value),) = option.items()
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
+        qbp_run(heisenberg_chain(2, 1.0), **option)
 
 
 # --- operation count -----------------------------------------------------------

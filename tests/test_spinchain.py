@@ -123,6 +123,14 @@ def test_model_validation():
         SpinChainModel(2, (np.triu(np.ones((4, 4))),), 1.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_model_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite"):
+        heisenberg_chain(3, beta)
+    with pytest.raises(ValueError, match="finite"):
+        spinchain.model_from_keys({"sites": "3", "beta": str(beta)})
+
+
 def test_per_bond_couplings_scale_terms():
     model = heisenberg_chain(3, 1.0, couplings=[2.0, 0.5])
     np.testing.assert_allclose(model.terms[0], 2.0 * heisenberg_term(), atol=1e-15)
@@ -182,3 +190,11 @@ def test_load_model(tmp_path):
     model = spinchain.load_model(path)
     assert model.n_sites == 4
     assert model.beta == pytest.approx(2.0)
+
+
+def test_load_model_rejects_unknown_keys(tmp_path):
+    # J2 for J_2 used to load the uniform chain
+    path = tmp_path / "chain.cfg"
+    path.write_text("sites=3\nJ2=0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown key 'J2'"):
+        spinchain.load_model(path)
