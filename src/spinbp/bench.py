@@ -5,7 +5,8 @@ operator belief propagation) over an inverse-temperature grid, compares each
 reduced state against the exact-diagonalization reference with fidelity and
 trace distance, and writes one CSV row per (beta, method, slices) point.
 Also tabulates the closed-form operation counts of both approximate engines
-against measured wall times.
+against measured wall times, read off one-beta sweeps, so one function
+(``_run_row``) builds, times and scores the rows of both tables.
 
 The library API is 0-based; the CLI and config files use 1-based site
 labels (``--keep 1,2`` keeps the first two sites).
@@ -17,13 +18,12 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import linalg, metrics, qbp, spinchain, trotter
 
-CSV_HEADER = "beta,method,n_slices,fidelity,trace_distance,iterations,wall_time_ms,opcount,status"
 KNOWN_METHODS = ("exact", "st", "qbp")
 
 
@@ -99,6 +99,9 @@ class SweepRecord:
     status: str = "ok"
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
+
+
 def _qbp_state(result: qbp.QbpResult, keep: tuple) -> np.ndarray:
     keep = tuple(sorted(set(keep)))
     if len(keep) == 1:
@@ -130,30 +133,24 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     records = []
     for beta in config.beta_grid():
         model = spinchain.heisenberg_chain(config.sites, beta, config.couplings)
-        reference = linalg.partial_trace(
-            spinchain.exact_gibbs(model), [2] * config.sites, keep
-        )
+        reference, _, _ = _engine_call(config, model, keep, "exact", None)()
         for method in config.methods:
-            if method == "st":
-                for n in config.st_slices:
-                    records.append(_run_row(config, model, reference, keep, method, n))
-            else:
-                records.append(_run_row(config, model, reference, keep, method, None))
+            for n in config.st_slices if method == "st" else (None,):
+                records.append(_run_row(config, model, reference, keep, method, n))
     records.sort(key=lambda r: (r.beta, r.method, r.n_slices or 0))
     return records
 
 
 def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices):
-    """The call a sweep row times; it returns (reduced state on ``keep``, extra).
-
-    ``extra`` is 0 for exact, the slice count for st and the QbpResult for qbp.
-    """
+    """The call a sweep row times; it returns (reduced state on ``keep``, iterations, status)."""
     if method == "exact":
         return lambda: (
-            linalg.partial_trace(spinchain.exact_gibbs(model), [2] * model.n_sites, keep), 0
+            linalg.partial_trace(spinchain.exact_gibbs(model), [2] * model.n_sites, keep), 0, "ok"
         )
     if method == "st":
-        return lambda: (trotter.st_reduced(trotter.trotter_plan(model, n_slices), keep), n_slices)
+        return lambda: (
+            trotter.st_reduced(trotter.trotter_plan(model, n_slices), keep), n_slices, "ok"
+        )
     if method == "qbp":
         def compute():
             result = qbp.qbp_run(
@@ -162,28 +159,21 @@ def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices)
                 tol=config.qbp_tol,
                 damping=config.qbp_damping,
             )
-            return _qbp_state(result, keep), result
+            status = "ok" if result.converged else f"not-converged(residual={result.residual:.3e})"
+            return _qbp_state(result, keep), result.iterations, status
         return compute
     raise ValueError(f"unknown method {method!r}")  # pragma: no cover - validate() rejects this
 
 
 def _run_row(config, model, reference, keep, method, n_slices) -> SweepRecord:
-    iterations = 0
-    opcount = 0
+    iterations = opcount = 0
     try:
         if method == "st" and n_slices >= 3:
             opcount = trotter.st_opcount(n_slices, config.sites)
         elif method == "qbp":
             opcount = qbp.qbp_opcount(config.sites)
         compute = _engine_call(config, model, keep, method, n_slices)
-        (state, extra), wall_ms = _timed(compute, config.time_repeats)
-        status = "ok"
-        if method == "qbp":
-            iterations = extra.iterations
-            if not extra.converged:
-                status = f"not-converged(residual={extra.residual:.3e})"
-        else:
-            iterations = extra
+        (state, iterations, status), wall_ms = _timed(compute, config.time_repeats)
         fid = metrics.fidelity(state, reference)
         dist = metrics.trace_distance(state, reference)
         return SweepRecord(
@@ -205,23 +195,7 @@ def _fmt(value) -> str:
 
 
 def format_csv(records: list[SweepRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.beta),
-                    r.method,
-                    _fmt(r.n_slices),
-                    _fmt(r.fidelity),
-                    _fmt(r.trace_distance),
-                    _fmt(r.iterations),
-                    _fmt(r.wall_time_ms),
-                    _fmt(r.opcount),
-                    r.status,
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(map(_fmt, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -239,7 +213,8 @@ def emit_csv(records: list[SweepRecord], path) -> None:
 
 @dataclass
 class ComplexityRow:
-    """Operation counts and wall times for one (sites, slices) grid point."""
+    """Operation counts and wall times for one (sites, slices) grid point;
+    ``status`` is "ok" or names each of its two sweep rows that failed."""
 
     sites: int
     slices: int
@@ -248,6 +223,7 @@ class ComplexityRow:
     st_ops: int
     qbp_wall_ms: float
     st_wall_ms: float
+    status: str = "ok"
 
 
 def compare_complexity(
@@ -255,27 +231,32 @@ def compare_complexity(
 ) -> list[ComplexityRow]:
     """Closed-form operation counts next to measured wall times.
 
-    The belief-propagation total budgets one sweep per site (the tree-depth
+    Each site count is a one-beta sweep of ``st`` at every slice count and of
+    ``qbp``, with the sweep's defaults otherwise, so a row reads the opcounts
+    and wall times of its qbp record and one st record: both tables time the
+    same calls, and the rows are scored against the exact state as sweep rows
+    are.  Every site count's config is validated before any sweep runs.  The
+    belief-propagation total budgets one sweep per site (the tree-depth
     heuristic that makes the overall cost quadratic in the chain length).
-    The wall times are those of the calls a default sweep row times
-    (``_engine_call``), Trotter plan and reduction onto the kept sites included.
     """
-    config = SweepConfig()
+    configs = [
+        SweepConfig(sites=sites, beta_min=beta, beta_steps=1, methods=("st", "qbp"),
+                    st_slices=tuple(slices_list), time_repeats=time_repeats)
+        for sites in sites_list
+    ]
+    for config in configs:
+        config.validate()
     rows = []
-    for sites in sites_list:
-        model = spinchain.heisenberg_chain(int(sites), float(beta))
-        per_sweep = qbp.qbp_opcount(sites)
-        qbp_call = _engine_call(config, model, config.keep, "qbp", None)
-        _, qbp_ms = _timed(qbp_call, time_repeats)
-        for slices in slices_list:
-            st_ops = trotter.st_opcount(slices, sites) if slices >= 3 else 0
-            st_call = _engine_call(config, model, config.keep, "st", int(slices))
-            _, st_ms = _timed(st_call, time_repeats)
-            rows.append(
-                ComplexityRow(
-                    int(sites), int(slices), per_sweep, sites * per_sweep, st_ops, qbp_ms, st_ms
-                )
-            )
+    for config in configs:
+        records = run_sweep(config)
+        (q,) = [r for r in records if r.method == "qbp"]
+        st = {r.n_slices: r for r in records if r.method == "st"}
+        for s in (st[n] for n in config.st_slices):
+            status = "; ".join(f"{r.method}: {r.status}" for r in (q, s) if r.status != "ok")
+            rows.append(ComplexityRow(
+                config.sites, s.n_slices, q.opcount, config.sites * q.opcount, s.opcount,
+                q.wall_time_ms, s.wall_time_ms, status or "ok",
+            ))
     return rows
 
 
@@ -405,45 +386,38 @@ def _make_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 def main(argv=None) -> int:
     parser, sweep_parser = _make_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "sweep":
-        try:
+    try:
+        if args.command == "sweep":
             config = _build_sweep_config(sweep_parser, args)
             records = run_sweep(config)
-        except (ValueError, OSError) as exc:
-            print(f"spinbp: config error: {exc}", file=sys.stderr)
-            return 2
+        else:
+            rows = compare_complexity(
+                _parse_int_range(args.sites, "--sites"), _parse_int_range(args.slices, "--slices"),
+                beta=args.beta, time_repeats=args.time_repeats,
+            )
+    except (ValueError, OSError) as exc:
+        print(f"spinbp: config error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.command == "complexity":
+        sys.stdout.write(format_complexity(rows))
+        failures = [
+            (f"sites={r.sites}, slices={r.slices}", r.status) for r in rows if r.status != "ok"
+        ]
+    else:
         if config.out:
             emit_csv(records, config.out)
             print(f"wrote {len(records)} rows to {config.out}")
         else:
             sys.stdout.write(format_csv(records))
-        failures = [r for r in records if r.status != "ok"]
-        for r in failures:
-            print(
-                f"spinbp: row (beta={r.beta:g}, {r.method}"
-                + (f", n={r.n_slices}" if r.n_slices else "")
-                + f"): {r.status}",
-                file=sys.stderr,
-            )
-        return 3 if failures else 0
-
-    if args.command == "complexity":
-        try:
-            sites = _parse_int_range(args.sites, "--sites")
-            slices = _parse_int_range(args.slices, "--slices")
-            if any(s < 2 for s in sites):
-                raise ValueError("--sites: chain length must be >= 2")
-            if any(s < 1 for s in slices):
-                raise ValueError("--slices: slice count must be >= 1")
-        except ValueError as exc:
-            print(f"spinbp: config error: {exc}", file=sys.stderr)
-            return 2
-        rows = compare_complexity(sites, slices, beta=args.beta, time_repeats=args.time_repeats)
-        sys.stdout.write(format_complexity(rows))
-        return 0
-
-    return 2  # pragma: no cover - subparsers are required
+        failures = [
+            (f"beta={r.beta:g}, {r.method}" + (f", n={r.n_slices}" if r.n_slices else ""),
+             r.status)
+            for r in records if r.status != "ok"
+        ]
+    for label, status in failures:
+        print(f"spinbp: row ({label}): {status}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 if __name__ == "__main__":

@@ -3,14 +3,13 @@
 Potentials may carry negative entries: on a tree the message recursion is
 still an exact contraction, so the normalized "beliefs" are then signed
 quasi-marginals rather than probabilities.  Every message is rescaled to
-unit absolute sum when it is produced, and the removed positive scale is
-accumulated in log form, so arbitrarily long chains neither underflow nor
-overflow while the overall normalization stays recoverable.
+unit absolute sum when it is produced, so arbitrarily long chains neither
+underflow nor overflow; the beliefs are normalized, so the scales are not
+kept.  ``chain_end_marginal`` carries its per-column scales in log form.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -129,15 +128,10 @@ class FactorChain:
 
 @dataclass
 class MessageTable:
-    """Directed messages (src, dst) -> vector over the states of dst.
-
-    Vectors have unit absolute sum; ``log_norms`` holds the log of the
-    positive scale stripped from each message (local scale plus everything
-    inherited from upstream messages).
-    """
+    """Directed messages (src, dst) -> vector over the states of dst, each of
+    unit absolute sum (or zero)."""
 
     messages: dict = field(default_factory=dict)
-    log_norms: dict = field(default_factory=dict)
 
 
 def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
@@ -182,30 +176,21 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
 
 def _send(chain: FactorChain, table: MessageTable, src: int, dst: int) -> None:
     prod = chain.phis[src].copy()
-    log_scale = 0.0
     for k in chain.neighbors(src):
-        if k == dst:
-            continue
-        prod = prod * table.messages[(k, src)]
-        log_scale += table.log_norms[(k, src)]
+        if k != dst:
+            prod = prod * table.messages[(k, src)]
     vec = chain.psi_between(src, dst).T @ prod
     scale = float(np.abs(vec).sum())
-    if scale > 0.0:
-        vec = vec / scale
-        log_scale += math.log(scale)
-    else:
-        log_scale = -math.inf
-    table.messages[(src, dst)] = vec
-    table.log_norms[(src, dst)] = log_scale
+    table.messages[(src, dst)] = vec / scale if scale > 0.0 else vec
 
 
-def run_bp(chain: FactorChain, root: int = 0) -> MessageTable:
-    """Two-pass sum-product: leaves to ``root``, then root back to leaves.
+def run_bp(chain: FactorChain) -> MessageTable:
+    """Two-pass sum-product: leaves to variable 0, then variable 0 back to leaves.
 
     On a tree two passes converge exactly; no iteration or damping needed.
     """
-    order = [root]
-    parent = {root: None}
+    order = [0]
+    parent = {0: None}
     for v in order:
         for u in chain.neighbors(v):
             if u not in parent:

@@ -4,7 +4,8 @@ Both metrics validate their inputs as density matrices with an absolute
 slack of 1e-8 on Hermiticity, unit trace and positive semidefiniteness,
 so engine outputs whose eigenvalues dip slightly below zero from roundoff
 are accepted; such eigenvalues are clamped to zero inside the metrics.
-Each input is decomposed once, for its check and for the fidelity.
+Each input is decomposed once, for its check and for the fidelity, which is
+the nuclear norm of sqrt(rho) sqrt(sigma) taken from the two decompositions.
 """
 
 from __future__ import annotations
@@ -38,24 +39,28 @@ def _check_density(a, name: str) -> tuple[np.ndarray, linalg.HermitianEigen]:
 
 
 def _check_pair(rho, sigma):
-    (r, eig), (s, _) = _check_density(rho, "rho"), _check_density(sigma, "sigma")
+    (r, r_eig), (s, s_eig) = _check_density(rho, "rho"), _check_density(sigma, "sigma")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return r, eig, s
+    return r, r_eig, s, s_eig
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the absolute trace norm of the difference; 0 iff equal, at most 1."""
-    r, _, s = _check_pair(rho, sigma)
+    r, _, s, _ = _check_pair(rho, sigma)
     return 0.5 * linalg.abs_trace_norm(r - s)
 
 
 def fidelity(rho, sigma) -> float:
-    """tr sqrt(sqrt(rho) sigma sqrt(rho)); 1 iff equal, 0 for orthogonal states."""
-    _, (w, v), s = _check_pair(rho, sigma)
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ linalg.dagger(v)
-    inner = linalg.herm_eig(root @ s @ root).eigenvalues
-    if inner[0] < -PSD_SLACK:
-        raise linalg.DomainError(f"eigenvalue {inner[0]:.6e} below the clamp tolerance "
-                                 f"{-PSD_SLACK:.3e}; input is not positive semidefinite")
-    return float(np.sqrt(np.maximum(inner, 0.0)).sum())
+    """tr|sqrt(rho) sqrt(sigma)|; 1 iff equal, 0 for orthogonal states.
+
+    It is the sum of the singular values of diag(sqrt(w_rho)) V_rho^dag V_sigma
+    diag(sqrt(w_sigma)), from the decompositions the checks made.
+    """
+    _, (wr, vr), _, (ws, vs) = _check_pair(rho, sigma)
+    m = np.sqrt(np.maximum(wr, 0.0))[:, None] * (linalg.dagger(vr) @ vs)
+    m *= np.sqrt(np.maximum(ws, 0.0))
+    try:
+        return float(np.linalg.svd(m, compute_uv=False).sum())
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise linalg.NoConvergenceError(f"singular values did not converge: {exc}") from exc

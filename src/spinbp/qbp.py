@@ -66,20 +66,16 @@ def qbp_init(model: SpinChainModel) -> dict:
     return {edge: zero.copy() for edge in directed_edges(model)}
 
 
-def _edge_plan(model: SpinChainModel):
-    """Per-run constants, one row per directed edge (j, i): the edges, -beta
-    times the bond term with the receiving site i first, and the rows of the
-    message stack that hold the messages into i and into j from their other
-    neighbours 2i-j and 2j-i (row E, one past the last edge, is a zero message)."""
-    edges = directed_edges(model)
-    row = {e: k for k, e in enumerate(edges)}
-    terms = np.array(model.terms, dtype=np.complex128).reshape(-1, 2, 2, 2, 2)
+def _edge_plan(model: SpinChainModel, edges: list):
+    """Per-edge constants for directed edges (j, i): -beta times the bond term
+    with the receiving site i first, and the pair of edges that carry the
+    messages into i and into j from their other neighbours 2i-j and 2j-i."""
+    terms = np.array([model.terms[min(e)] for e in edges], dtype=np.complex128)
+    terms = terms.reshape(-1, 2, 2, 2, 2)
     # edge (k, k+1) receives at k+1, so its sites are swapped; (k+1, k) is as stored
-    oriented = np.stack([terms.transpose(0, 2, 1, 4, 3), terms], axis=1).reshape(-1, 4, 4)
-    into = [[row.get((2 * i - j, i), len(edges)), row.get((2 * j - i, j), len(edges))]
-            for j, i in edges]
-    into_recv, into_send = np.array(into, dtype=np.intp).reshape(-1, 2).T
-    return edges, -model.beta * oriented, into_recv, into_send
+    swap = np.array([j < i for j, i in edges]).reshape(-1, 1, 1, 1, 1)
+    oriented = np.where(swap, terms.transpose(0, 2, 1, 4, 3), terms).reshape(-1, 4, 4)
+    return -model.beta * oriented, [((2 * i - j, i), (2 * j - i, j)) for j, i in edges]
 
 
 def _dressed(neg_terms, into_recv, into_send) -> np.ndarray:
@@ -109,12 +105,14 @@ def check_options(max_iters: int, tol: float, damping: float) -> None:
 
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
     """Recompute the message for the directed edge (j, i), gauge-fixed."""
-    edges, neg_terms, into_recv, into_send = _edge_plan(model)
-    if tuple(edge) not in edges:
+    edge, edges = tuple(edge), directed_edges(model)
+    if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")
-    e = [edges.index(tuple(edge))]
-    stack = np.array([messages[d] for d in edges] + [np.zeros((2, 2))], dtype=np.complex128)
-    return _updates(neg_terms[e], stack[into_recv[e]], stack[into_send[e]])[0]
+    neg_term, (into,) = _edge_plan(model, [edge])
+    zero = np.zeros((2, 2))
+    recv, send = (np.array([messages[e] if e in edges else zero], dtype=np.complex128)
+                  for e in into)
+    return _updates(neg_term, recv, send)[0]
 
 
 def qbp_run(
@@ -130,7 +128,11 @@ def qbp_run(
     largest Frobenius-norm change of any message in the sweep.
     """
     check_options(max_iters, tol, damping)
-    edges, neg_terms, into_recv, into_send = _edge_plan(model)
+    edges = directed_edges(model)
+    neg_terms, into = _edge_plan(model, edges)
+    row = {e: k for k, e in enumerate(edges)}  # row E, one past the last edge, is a zero message
+    into_recv, into_send = np.array([[row.get(e, len(edges)) for e in pair] for pair in into],
+                                    dtype=np.intp).reshape(-1, 2).T
     stack = np.zeros((len(edges) + 1, 2, 2), dtype=np.complex128)
     messages = stack[:-1]  # a view; the last row stays zero
     for iterations in range(1, max_iters + 1):  # check_options: at least one sweep

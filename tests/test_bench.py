@@ -1,9 +1,12 @@
 """Sweep harness, CSV emission, complexity table, CLI behaviour."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
-from spinbp import bench, spinchain, trotter
+from spinbp import bench, qbp, spinchain, trotter
 from spinbp.bench import (
     SweepConfig,
     SweepRecord,
@@ -174,6 +177,45 @@ def test_complexity_times_the_sweep_rows_call(monkeypatch):
     assert in_complexity == len(calls) == 3  # one untimed call, two timed
 
 
+def test_complexity_rows_are_read_off_sweep_records():
+    rows = compare_complexity([3, 4], [2, 20], time_repeats=0)
+    assert [(r.sites, r.slices) for r in rows] == [(3, 2), (3, 20), (4, 2), (4, 20)]
+    for sites in (3, 4):
+        records = {
+            (r.method, r.n_slices): r
+            for r in run_sweep(SweepConfig(sites=sites, beta_min=1.0, beta_steps=1,
+                                           st_slices=(2, 20), time_repeats=0))
+        }
+        qbp_ops = records[("qbp", None)].opcount
+        for row in (r for r in rows if r.sites == sites):
+            st = records[("st", row.slices)]
+            assert (row.qbp_ops_per_sweep, row.qbp_ops_total) == (qbp_ops, sites * qbp_ops)
+            assert (row.slices, row.st_ops) == (st.n_slices, st.opcount)
+            assert row.status == "ok"
+
+
+def test_timed_is_called_only_from_run_row():
+    """One timing path: only bench._run_row calls _timed, so the sweep and
+    complexity tables time the same calls."""
+    inside, outside = [], []
+    for path in sorted(pathlib.Path(bench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "bench.py":
+            (run_row,) = [n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "_run_row"]
+            allowed = {id(n) for n in ast.walk(run_row)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            # bare name (_timed) or attribute (bench._timed)
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name == "_timed":
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert inside, "bench._run_row no longer calls _timed"
+    assert outside == []
+
+
 # --- config validation ---------------------------------------------------------------
 
 
@@ -280,9 +322,50 @@ def test_cli_complexity(capsys):
     assert "112" in out and "2584" in out
 
 
-def test_cli_complexity_bad_range(capsys):
-    assert main(["complexity", "--sites", "6-2"]) == 2
-    capsys.readouterr()
+def count_timed_calls(monkeypatch):
+    calls = []
+    timed = bench._timed
+
+    def counting_timed(fn, repeats):
+        calls.append(repeats)
+        return timed(fn, repeats)
+
+    monkeypatch.setattr(bench, "_timed", counting_timed)
+    return calls
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sites", "6-2"],
+    ["--beta", "-1"],
+    ["--beta", "nan"],
+    ["--time-repeats", "-1"],
+    ["--slices", "0"],
+    ["--sites", "1-2"],
+])
+def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
+    calls = count_timed_calls(monkeypatch)
+    assert main(["complexity", *flags]) == 2
+    assert "spinbp: config error" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_complexity_validates_every_site_count_before_timing(capsys, monkeypatch):
+    # the bad site count comes last; the first one must not be run either
+    calls = count_timed_calls(monkeypatch)
+    assert main(["complexity", "--sites", "3,1", "--time-repeats", "0"]) == 2
+    assert "spinbp: config error" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_complexity_failed_row_exits_3(capsys, monkeypatch):
+    def failing_run(model, **options):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr(qbp, "qbp_run", failing_run)
+    assert main(["complexity", "--sites", "3", "--slices", "20", "--time-repeats", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "2584" in captured.out  # the table is still printed
+    assert "spinbp: row (sites=3, slices=20): qbp: error: engine broke" in captured.err
 
 
 # --- one config path: file keys are the sweep flags ----------------------------------
