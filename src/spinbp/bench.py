@@ -15,16 +15,24 @@ labels (``--keep 1,2`` keeps the first two sites).
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from . import linalg, metrics, qbp, spinchain, trotter
 
 KNOWN_METHODS = ("exact", "st", "qbp")
+
+
+def _check_beta(beta: float, name: str) -> None:
+    """Reject an inverse temperature that is not finite and >= 0; ``name`` labels it."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {beta}")
 
 
 @dataclass
@@ -56,8 +64,7 @@ class SweepConfig:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
         if self.beta_steps < 1:
             raise ValueError(f"beta-steps must be >= 1, got {self.beta_steps}")
-        if not (np.isfinite(self.beta_min) and self.beta_min >= 0):
-            raise ValueError(f"beta-min must be finite and >= 0, got {self.beta_min}")
+        _check_beta(self.beta_min, "beta-min")
         if not np.isfinite(self.beta_max):
             raise ValueError(f"beta-max must be finite, got {self.beta_max}")
         if self.beta_steps > 1 and self.beta_max <= self.beta_min:
@@ -77,6 +84,17 @@ class SweepConfig:
         if self.time_repeats < 0:
             raise ValueError(f"time-repeats must be >= 0, got {self.time_repeats}")
         qbp.check_options(self.qbp_max_iters, self.qbp_tol, self.qbp_damping)
+        if self.out:
+            # checked before any row runs, without creating or truncating the file
+            path = Path(self.out)
+            if path.exists():
+                writable = not path.is_dir() and os.access(path, os.W_OK)
+            else:
+                writable = path.parent.is_dir() and os.access(path.parent, os.W_OK)
+            if not writable:
+                raise ValueError(
+                    f"out must name a writable file in an existing directory, got {self.out!r}"
+                )
 
     def beta_grid(self) -> list[float]:
         if self.beta_steps == 1:
@@ -174,8 +192,7 @@ def _run_row(config, model, reference, keep, method, n_slices) -> SweepRecord:
             opcount = qbp.qbp_opcount(config.sites)
         compute = _engine_call(config, model, keep, method, n_slices)
         (state, iterations, status), wall_ms = _timed(compute, config.time_repeats)
-        fid = metrics.fidelity(state, reference)
-        dist = metrics.trace_distance(state, reference)
+        fid, dist = metrics.scores(state, reference)
         return SweepRecord(
             model.beta, method, n_slices, fid, dist, iterations, wall_ms, opcount, status
         )
@@ -391,6 +408,7 @@ def main(argv=None) -> int:
             config = _build_sweep_config(sweep_parser, args)
             records = run_sweep(config)
         else:
+            _check_beta(args.beta, "--beta")
             rows = compare_complexity(
                 _parse_int_range(args.sites, "--sites"), _parse_int_range(args.slices, "--slices"),
                 beta=args.beta, time_repeats=args.time_repeats,

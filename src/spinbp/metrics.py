@@ -6,6 +6,7 @@ so engine outputs whose eigenvalues dip slightly below zero from roundoff
 are accepted; such eigenvalues are clamped to zero inside the metrics.
 Each input is decomposed once, for its check and for the fidelity, which is
 the nuclear norm of sqrt(rho) sqrt(sigma) taken from the two decompositions.
+``scores`` gives both metrics from one check of the pair.
 """
 
 from __future__ import annotations
@@ -45,10 +46,24 @@ def _check_pair(rho, sigma):
     return r, r_eig, s, s_eig
 
 
+def _trace_distance(r, s) -> float:
+    return 0.5 * linalg.abs_trace_norm(r - s)
+
+
+def _fidelity(r_eig: linalg.HermitianEigen, s_eig: linalg.HermitianEigen) -> float:
+    (wr, vr), (ws, vs) = r_eig, s_eig
+    m = np.sqrt(np.maximum(wr, 0.0))[:, None] * (linalg.dagger(vr) @ vs)
+    m *= np.sqrt(np.maximum(ws, 0.0))
+    try:
+        return float(np.linalg.svd(m, compute_uv=False).sum())
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise linalg.NoConvergenceError(f"singular values did not converge: {exc}") from exc
+
+
 def trace_distance(rho, sigma) -> float:
     """Half the absolute trace norm of the difference; 0 iff equal, at most 1."""
     r, _, s, _ = _check_pair(rho, sigma)
-    return 0.5 * linalg.abs_trace_norm(r - s)
+    return _trace_distance(r, s)
 
 
 def fidelity(rho, sigma) -> float:
@@ -57,10 +72,11 @@ def fidelity(rho, sigma) -> float:
     It is the sum of the singular values of diag(sqrt(w_rho)) V_rho^dag V_sigma
     diag(sqrt(w_sigma)), from the decompositions the checks made.
     """
-    _, (wr, vr), _, (ws, vs) = _check_pair(rho, sigma)
-    m = np.sqrt(np.maximum(wr, 0.0))[:, None] * (linalg.dagger(vr) @ vs)
-    m *= np.sqrt(np.maximum(ws, 0.0))
-    try:
-        return float(np.linalg.svd(m, compute_uv=False).sum())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise linalg.NoConvergenceError(f"singular values did not converge: {exc}") from exc
+    _, r_eig, _, s_eig = _check_pair(rho, sigma)
+    return _fidelity(r_eig, s_eig)
+
+
+def scores(rho, sigma) -> tuple[float, float]:
+    """(fidelity, trace_distance) of the pair, which is checked once for both."""
+    r, r_eig, s, s_eig = _check_pair(rho, sigma)
+    return _fidelity(r_eig, s_eig), _trace_distance(r, s)

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from spinbp import bench, qbp, spinchain, trotter
+from spinbp import bench, metrics, qbp, spinchain, trotter
 from spinbp.bench import (
     SweepConfig,
     SweepRecord,
@@ -345,8 +345,33 @@ def count_timed_calls(monkeypatch):
 def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
     calls = count_timed_calls(monkeypatch)
     assert main(["complexity", *flags]) == 2
-    assert "spinbp: config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spinbp: config error" in err
+    if flags[0] == "--beta":
+        assert f"--beta must be finite and >= 0, got {float(flags[1])}" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_cli_unwritable_out_exits_2_before_any_row(out, tmp_path, capsys, monkeypatch):
+    calls = count_timed_calls(monkeypatch)
+    argv = ["sweep", "--sites", "3", "--beta-steps", "1", "--time-repeats", "0"]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    assert "spinbp: config error: out must name a writable file" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_row_is_scored_with_one_density_check(monkeypatch):
+    calls, check = [], metrics._check_pair
+
+    def counting_check(rho, sigma):
+        calls.append(1)
+        return check(rho, sigma)
+
+    monkeypatch.setattr(metrics, "_check_pair", counting_check)
+    records = run_sweep(quick_config())
+    assert len(calls) == len(records) == 3
 
 
 def test_cli_complexity_validates_every_site_count_before_timing(capsys, monkeypatch):

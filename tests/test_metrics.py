@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinbp.metrics import NotDensityMatrixError, fidelity, trace_distance
+from spinbp.metrics import NotDensityMatrixError, fidelity, scores, trace_distance
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -133,6 +133,11 @@ def test_metrics_match_raw_numpy_oracles():
 
 
 # --- input validation -----------------------------------------------------------
+
+
+def test_scores_are_the_two_metrics_bit_for_bit():
+    for rho, sigma in seeded_pairs(30):
+        assert scores(rho, sigma) == (fidelity(rho, sigma), trace_distance(rho, sigma))
 
 
 def test_dimension_mismatch():

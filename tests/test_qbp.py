@@ -13,9 +13,13 @@ import re
 import numpy as np
 import pytest
 
-from spinbp import linalg, metrics
+from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     QbpResult,
+    check_options,
     directed_edges,
     qbp_init,
     qbp_opcount,
@@ -163,7 +167,7 @@ def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle():
             for e in edges
         }
         messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
-    result = qbp_run(model, max_iters=sweeps)
+    result = qbp_run(model, max_iters=sweeps, memory=0)
     assert result.iterations == sweeps
     assert not result.converged
     for k in range(model.n_sites - 1):
@@ -301,6 +305,74 @@ def test_run_options_are_checked(option):
     ((key, value),) = option.items()
     with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
         qbp_run(heisenberg_chain(2, 1.0), **option)
+
+
+# --- Anderson mixing ------------------------------------------------------------
+
+
+def benchmark_style_chain(seed, beta):
+    """XXZ(0.5) chain in a field 0.3, N=8, couplings drawn uniformly from [0.9, 1.1]."""
+    couplings = np.random.default_rng(seed).uniform(0.9, 1.1, 7)
+    return xxz_chain(8, beta, couplings, delta=0.5, field=0.3)
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_xxz_field_chain_converges_within_default_budget(beta):
+    # the plain damped iteration needs 834 (beta 2) and 1551 (beta 3) sweeps
+    result = qbp_run(xxz_chain(10, beta, delta=0.5, field=0.3))
+    assert result.converged
+    assert result.residual < DEFAULT_TOL
+    assert result.iterations < 100
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_mixed_fixed_point_matches_a_long_plain_run(seed, beta):
+    # at the default tol 1e-10 they agree only to about 1e-10, as a plain
+    # run stopped at 1e-10 does
+    model = benchmark_style_chain(seed, beta)
+    mixed = qbp_run(model, tol=1e-13)
+    plain = qbp_run(model, memory=0, max_iters=5000, tol=1e-15)
+    assert mixed.converged and plain.converged
+    for i, q in plain.beliefs_single.items():
+        np.testing.assert_allclose(mixed.beliefs_single[i], q, rtol=0, atol=1e-12)
+    for e, q in plain.beliefs_pair.items():
+        np.testing.assert_allclose(mixed.beliefs_pair[e], q, rtol=0, atol=1e-12)
+
+
+def test_history_restarts_when_the_residual_grows(monkeypatch):
+    # on this chain the residual grows once after the history is full; the
+    # fits stay well conditioned, so the restart comes from the growth
+    columns, lstsq = [], np.linalg.lstsq
+
+    def counting_lstsq(a, b, rcond=None):
+        columns.append(a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    result = qbp_run(benchmark_style_chain(3, 2.0))
+    assert result.converged
+    assert max(columns) == qbp.DEFAULT_MEMORY
+    assert any(b < a for a, b in zip(columns, columns[1:]))  # the history was emptied
+
+
+def test_ill_conditioned_fits_take_the_damped_step(monkeypatch):
+    # with FIT_RCOND = 1 no fit is accepted, so every sweep restarts
+    model = benchmark_style_chain(1, 1.0)
+    plain = qbp_run(model, max_iters=40, memory=0)
+    monkeypatch.setattr(qbp, "FIT_RCOND", 1.0)
+    mixed = qbp_run(model, max_iters=40)
+    assert (mixed.iterations, mixed.residual) == (plain.iterations, plain.residual)
+    for i in plain.beliefs_single:
+        np.testing.assert_array_equal(mixed.beliefs_single[i], plain.beliefs_single[i])
+    for e in plain.beliefs_pair:
+        np.testing.assert_array_equal(mixed.beliefs_pair[e], plain.beliefs_pair[e])
+
+
+@pytest.mark.parametrize("memory", [-1, 2.5, 5.0, True])
+def test_memory_must_be_an_integer_at_least_zero(memory):
+    with pytest.raises(ValueError, match=re.escape(f"memory={memory}")):
+        check_options(DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_DAMPING, memory)
 
 
 # --- operation count -----------------------------------------------------------
