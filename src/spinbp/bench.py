@@ -20,7 +20,6 @@ import statistics
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -86,11 +85,11 @@ class SweepConfig:
         qbp.check_options(self.qbp_max_iters, self.qbp_tol, self.qbp_damping)
         if self.out:
             # checked before any row runs, without creating or truncating the file
-            path = Path(self.out)
-            if path.exists():
-                writable = not path.is_dir() and os.access(path, os.W_OK)
+            if os.path.exists(self.out):
+                writable = not os.path.isdir(self.out) and os.access(self.out, os.W_OK)
             else:
-                writable = path.parent.is_dir() and os.access(path.parent, os.W_OK)
+                parent = os.path.dirname(self.out) or "."
+                writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
             if not writable:
                 raise ValueError(
                     f"out must name a writable file in an existing directory, got {self.out!r}"

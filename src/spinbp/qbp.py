@@ -27,10 +27,10 @@ and Ni 2011, SIAM J. Numer. Anal. 49:1715) on the flattened real view x of
 the message stack.  With f = update - x and the damping d as the mixing
 step, the next iterate is x + d*f - (dX + d*dF) gamma.  The columns of dX
 and dF are the differences between successive iterates, and between their
-f, over the last ``memory`` sweeps; gamma is the least-squares fit of f on
+f, over the last ``MEMORY`` sweeps; gamma is the least-squares fit of f on
 dF.  The result is projected back onto traceless Hermitian messages.  The
 history restarts when the residual grows or the fit is ill-conditioned, and
-an empty history (or memory 0) gives the plain damped step.  Each sweep
+an empty history (or ``MEMORY = 0``) gives the plain damped step.  Each sweep
 makes one stacked update call.
 """
 
@@ -46,7 +46,8 @@ from .spinchain import IDENTITY_2, SpinChainModel
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 500
 DEFAULT_DAMPING = 0.5
-DEFAULT_MEMORY = 5
+# sweeps of history behind each mixed step, read by every qbp_run call
+MEMORY = 5
 # A fit whose smallest singular value is at most this fraction of its largest
 # is ill-conditioned; on the benchmark's XXZ chains the ratio stays above 1e-4.
 FIT_RCOND = 1e-8
@@ -116,14 +117,11 @@ def _normalized(q: np.ndarray) -> np.ndarray:
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def check_options(max_iters: int, tol: float, damping: float,
-                  memory: int = DEFAULT_MEMORY) -> None:
+def check_options(max_iters: int, tol: float, damping: float) -> None:
     """Reject run options the iteration cannot honour."""
-    whole = isinstance(memory, (int, np.integer)) and not isinstance(memory, bool)
-    if not (max_iters >= 1 and tol > 0 and 0 < damping <= 1 and whole and memory >= 0):
-        raise ValueError(f"qbp needs max_iters >= 1, tol > 0, damping in (0, 1] and an "
-                         f"integer memory >= 0, got max_iters={max_iters}, tol={tol}, "
-                         f"damping={damping}, memory={memory}")
+    if not (max_iters >= 1 and tol > 0 and 0 < damping <= 1):
+        raise ValueError(f"qbp needs max_iters >= 1, tol > 0 and damping in (0, 1], got "
+                         f"max_iters={max_iters}, tol={tol}, damping={damping}")
 
 
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
@@ -143,7 +141,6 @@ def qbp_run(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     damping: float = DEFAULT_DAMPING,
-    memory: int = DEFAULT_MEMORY,
 ) -> QbpResult:
     """Anderson-mixed synchronous message iteration followed by belief assembly.
 
@@ -151,12 +148,12 @@ def qbp_run(
     The residual is the largest Frobenius-norm change of any message under
     the plain damped step (1-damping)*old + damping*update; the run has
     converged when it falls below ``tol``, and that last step is the damped
-    one.  Otherwise the step is mixed over the last ``memory`` sweeps (see
+    one.  Otherwise the step is mixed over the last ``MEMORY`` sweeps (see
     the module docstring); the history restarts when the residual grows or
-    the fit's singular values span more than 1/FIT_RCOND.  ``memory=0`` is
-    the plain damped iteration.
+    the fit's singular values span more than 1/FIT_RCOND.  ``MEMORY = 0``
+    is the plain damped iteration.
     """
-    check_options(max_iters, tol, damping, memory)
+    check_options(max_iters, tol, damping)
     edges = directed_edges(model)
     neg_terms, into = _edge_plan(model, edges)
     row = {e: k for k, e in enumerate(edges)}  # row E, one past the last edge, is a zero message
@@ -169,13 +166,13 @@ def qbp_run(
         update = _updates(neg_terms, stack[into_recv], stack[into_send])
         new = (1 - damping) * messages + damping * update
         residual = float(np.linalg.norm(new - messages, axis=(1, 2)).max(initial=0.0))
-        if memory and residual >= tol:
+        if MEMORY and residual >= tol:
             x = messages.view(np.float64).ravel().copy()
             f = (update - messages).view(np.float64).ravel()
             if last is None or residual > last[2]:
                 history = []  # first sweep, or the residual grew: restart
             else:
-                history = (history + [(x - last[0], f - last[1])])[-memory:]
+                history = (history + [(x - last[0], f - last[1])])[-MEMORY:]
             last = x, f, residual
             if history:
                 dx, df = (np.stack(cols, axis=1) for cols in zip(*history))

@@ -15,11 +15,8 @@ import pytest
 
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     QbpResult,
-    check_options,
     directed_edges,
     qbp_init,
     qbp_opcount,
@@ -156,7 +153,8 @@ def test_update_on_swap_asymmetric_chain_matches_oracle_on_every_edge():
         )
 
 
-def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle():
+def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle(monkeypatch):
+    monkeypatch.setattr(qbp, "MEMORY", 0)  # the oracle takes plain damped steps
     model = swap_asymmetric_chain(1.2)
     sweeps = 3
     edges = directed_edges(model)
@@ -167,7 +165,7 @@ def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle():
             for e in edges
         }
         messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
-    result = qbp_run(model, max_iters=sweeps, memory=0)
+    result = qbp_run(model, max_iters=sweeps)
     assert result.iterations == sweeps
     assert not result.converged
     for k in range(model.n_sites - 1):
@@ -327,12 +325,13 @@ def test_xxz_field_chain_converges_within_default_budget(beta):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-def test_mixed_fixed_point_matches_a_long_plain_run(seed, beta):
+def test_mixed_fixed_point_matches_a_long_plain_run(seed, beta, monkeypatch):
     # at the default tol 1e-10 they agree only to about 1e-10, as a plain
     # run stopped at 1e-10 does
     model = benchmark_style_chain(seed, beta)
     mixed = qbp_run(model, tol=1e-13)
-    plain = qbp_run(model, memory=0, max_iters=5000, tol=1e-15)
+    monkeypatch.setattr(qbp, "MEMORY", 0)
+    plain = qbp_run(model, max_iters=5000, tol=1e-15)
     assert mixed.converged and plain.converged
     for i, q in plain.beliefs_single.items():
         np.testing.assert_allclose(mixed.beliefs_single[i], q, rtol=0, atol=1e-12)
@@ -341,38 +340,36 @@ def test_mixed_fixed_point_matches_a_long_plain_run(seed, beta):
 
 
 def test_history_restarts_when_the_residual_grows(monkeypatch):
-    # on this chain the residual grows once after the history is full; the
-    # fits stay well conditioned, so the restart comes from the growth
-    columns, lstsq = [], np.linalg.lstsq
+    # on this chain the residual grows once after the history is full; every
+    # fit is well conditioned, so only the growth can empty the history
+    columns, conditions, lstsq = [], [], np.linalg.lstsq
 
-    def counting_lstsq(a, b, rcond=None):
+    def recording_lstsq(a, b, rcond=None):
+        fit = lstsq(a, b, rcond=rcond)
         columns.append(a.shape[1])
-        return lstsq(a, b, rcond=rcond)
+        conditions.append(fit[3][-1] / fit[3][0])
+        return fit
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     result = qbp_run(benchmark_style_chain(3, 2.0))
     assert result.converged
-    assert max(columns) == qbp.DEFAULT_MEMORY
+    assert max(columns) == qbp.MEMORY
+    assert min(conditions) > qbp.FIT_RCOND
     assert any(b < a for a, b in zip(columns, columns[1:]))  # the history was emptied
 
 
 def test_ill_conditioned_fits_take_the_damped_step(monkeypatch):
     # with FIT_RCOND = 1 no fit is accepted, so every sweep restarts
     model = benchmark_style_chain(1, 1.0)
-    plain = qbp_run(model, max_iters=40, memory=0)
     monkeypatch.setattr(qbp, "FIT_RCOND", 1.0)
     mixed = qbp_run(model, max_iters=40)
+    monkeypatch.setattr(qbp, "MEMORY", 0)
+    plain = qbp_run(model, max_iters=40)
     assert (mixed.iterations, mixed.residual) == (plain.iterations, plain.residual)
     for i in plain.beliefs_single:
         np.testing.assert_array_equal(mixed.beliefs_single[i], plain.beliefs_single[i])
     for e in plain.beliefs_pair:
         np.testing.assert_array_equal(mixed.beliefs_pair[e], plain.beliefs_pair[e])
-
-
-@pytest.mark.parametrize("memory", [-1, 2.5, 5.0, True])
-def test_memory_must_be_an_integer_at_least_zero(memory):
-    with pytest.raises(ValueError, match=re.escape(f"memory={memory}")):
-        check_options(DEFAULT_MAX_ITERS, DEFAULT_TOL, DEFAULT_DAMPING, memory)
 
 
 # --- operation count -----------------------------------------------------------
