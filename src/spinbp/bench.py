@@ -34,6 +34,12 @@ def _check_beta(beta: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {beta}")
 
 
+def _check_slices(slices: tuple, name: str) -> None:
+    """Reject a Trotter slice count below 1; ``name`` labels the list."""
+    if any(n < 1 for n in slices):
+        raise ValueError(f"{name} must all be >= 1, got {slices}")
+
+
 @dataclass
 class SweepConfig:
     """One sweep: a model family, a beta grid, engines to run, output options.
@@ -73,8 +79,7 @@ class SweepConfig:
             raise ValueError(f"unknown methods {bad}; choose from {list(KNOWN_METHODS)}")
         if not self.methods:
             raise ValueError("at least one method is required")
-        if any(n < 1 for n in self.st_slices):
-            raise ValueError(f"st-slices must all be >= 1, got {self.st_slices}")
+        _check_slices(self.st_slices, "st-slices")
         if "st" in self.methods and not self.st_slices:
             raise ValueError("method 'st' requires at least one slice count")
         keep = sorted(set(self.keep))
@@ -408,10 +413,10 @@ def main(argv=None) -> int:
             records = run_sweep(config)
         else:
             _check_beta(args.beta, "--beta")
-            rows = compare_complexity(
-                _parse_int_range(args.sites, "--sites"), _parse_int_range(args.slices, "--slices"),
-                beta=args.beta, time_repeats=args.time_repeats,
-            )
+            sites = _parse_int_range(args.sites, "--sites")
+            slices = _parse_int_range(args.slices, "--slices")
+            _check_slices(slices, "--slices")
+            rows = compare_complexity(sites, slices, beta=args.beta, time_repeats=args.time_repeats)
     except (ValueError, OSError) as exc:
         print(f"spinbp: config error: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,11 @@ still an exact contraction, so the normalized "beliefs" are then signed
 quasi-marginals rather than probabilities.  Every message is rescaled to
 unit absolute sum when it is produced, so arbitrarily long chains neither
 underflow nor overflow; the beliefs are normalized, so the scales are not
-kept.  ``chain_end_marginal`` carries its per-column scales in log form.
+kept.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -91,20 +90,20 @@ class FactorChain:
         self._check_tree()
 
     def _check_tree(self):
+        """Breadth-first walk from variable 0; keeps the visit order and parents."""
         n = len(self.cards)
         if len(self.edges) != n - 1:
             raise NotATreeError(
                 f"a tree on {n} variables needs {n - 1} edges, got {len(self.edges)}"
             )
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
+        self._order = [0]
+        self._parent: dict[int, int | None] = {0: None}
+        for v in self._order:
             for u in self._adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        if len(seen) != n:
+                if u not in self._parent:
+                    self._parent[u] = v
+                    self._order.append(u)
+        if len(self._order) != n:
             raise NotATreeError("edge set is disconnected")
 
     @property
@@ -174,12 +173,17 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
     return marg.transpose(perm) / total
 
 
+def _incoming(chain: FactorChain, table: MessageTable, i: int, skip: int | None) -> np.ndarray:
+    """phi_i times every message into i except the one from ``skip``."""
+    prod = chain.phis[i].copy()
+    for k in chain.neighbors(i):
+        if k != skip:
+            prod = prod * table.messages[(k, i)]
+    return prod
+
+
 def _send(chain: FactorChain, table: MessageTable, src: int, dst: int) -> None:
-    prod = chain.phis[src].copy()
-    for k in chain.neighbors(src):
-        if k != dst:
-            prod = prod * table.messages[(k, src)]
-    vec = chain.psi_between(src, dst).T @ prod
+    vec = chain.psi_between(src, dst).T @ _incoming(chain, table, src, dst)
     scale = float(np.abs(vec).sum())
     table.messages[(src, dst)] = vec / scale if scale > 0.0 else vec
 
@@ -189,14 +193,7 @@ def run_bp(chain: FactorChain) -> MessageTable:
 
     On a tree two passes converge exactly; no iteration or damping needed.
     """
-    order = [0]
-    parent = {0: None}
-    for v in order:
-        for u in chain.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-
+    order, parent = chain._order, chain._parent
     table = MessageTable()
     for v in reversed(order):
         if parent[v] is not None:
@@ -210,9 +207,7 @@ def run_bp(chain: FactorChain) -> MessageTable:
 
 def belief_single(chain: FactorChain, table: MessageTable, i: int) -> np.ndarray:
     """b_i proportional to phi_i times all incoming messages, unit sum."""
-    b = chain.phis[i].copy()
-    for k in chain.neighbors(i):
-        b = b * table.messages[(k, i)]
+    b = _incoming(chain, table, i, None)
     return b / b.sum()
 
 
@@ -224,28 +219,10 @@ def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.n
     """
     if not chain.has_edge(i, j):
         raise NotAnEdgeError(f"({i}, {j}) is not an edge")
-    left = chain.phis[i].copy()
-    for k in chain.neighbors(i):
-        if k != j:
-            left = left * table.messages[(k, i)]
-    right = chain.phis[j].copy()
-    for l in chain.neighbors(j):
-        if l != i:
-            right = right * table.messages[(l, j)]
+    left = _incoming(chain, table, i, j)
+    right = _incoming(chain, table, j, i)
     b = chain.psi_between(i, j) * np.outer(left, right)
     return b / b.sum()
-
-
-def _rescale_columns(block: np.ndarray, log_scales: np.ndarray) -> None:
-    """Scale each column of ``block`` to unit absolute sum, logging the scale.
-
-    In place; a column that sums to zero is left undivided and its log scale
-    is unchanged.
-    """
-    scales = np.abs(block).sum(axis=0)
-    scales[scales == 0.0] = 1.0
-    block /= scales
-    log_scales += np.log(scales)
 
 
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
@@ -255,11 +232,10 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     interior variables are summed out by the message recursion
     block <- psi @ block, starting from the last potential; column b of the
     block is the message for far-end state b, so one matrix product per
-    potential advances every far-end state at once.  Each column is
-    renormalized to unit absolute sum at every step, with its scale carried
-    in a per-column log; a column that sums to zero is left as it is.  The
-    returned matrix (axes: first variable, last variable) is normalized to
-    unit absolute sum.
+    potential advances every far-end state at once.  One running scale keeps
+    long chains in range: before each product the block is divided by its
+    largest absolute entry (unless that is zero).  The returned matrix (axes:
+    first variable, last variable) is normalized to unit absolute sum.
     """
     mats = [np.asarray(p, dtype=float) for p in potentials]
     if not mats:
@@ -274,12 +250,9 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
             )
 
     block = mats[-1].copy()
-    log_scales = np.zeros(block.shape[1])
-    _rescale_columns(block, log_scales)
     for m in reversed(mats[:-1]):
+        scale = np.abs(block).max()
+        if scale > 0.0:
+            block /= scale
         block = m @ block
-        _rescale_columns(block, log_scales)
-
-    # bring all columns to a common scale before the final normalization
-    out = block * np.exp(log_scales - log_scales.max())
-    return out / np.abs(out).sum()
+    return block / np.abs(block).sum()

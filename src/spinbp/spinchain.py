@@ -59,6 +59,10 @@ class SpinChainModel:
                 f"expected {self.n_sites - 1} bond terms for {self.n_sites} sites, "
                 f"got {len(self.terms)}"
             )
+        for k, t in enumerate(self.terms):
+            # before the Hermiticity check, whose comparisons are all false on NaN
+            if not np.isfinite(t).all():
+                raise ValueError(f"bond term {k} has non-finite entries")
         checked = tuple(linalg.require_hermitian(t) for t in self.terms)
         for k, t in enumerate(checked):
             if t.shape != (4, 4):
@@ -88,6 +92,10 @@ def xxz_chain(
         raise ValueError(
             f"expected {n_sites - 1} couplings for {n_sites} sites, got {len(couplings)}"
         )
+    for k, j in enumerate(couplings):
+        # checked before the product, where inf * 0 would warn
+        if not np.isfinite(j):
+            raise ValueError(f"bond {k}: coupling must be finite, got {j}")
     terms = [j * exchange for j in couplings]
     # adding a zero field would flip the sign of zeros under negative J_k
     if field:

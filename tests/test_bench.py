@@ -303,6 +303,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_coupling_exits_2(value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites=3\nJ_1={value}\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
+    assert "spinbp: config error: bond 0: coupling must be finite" in capsys.readouterr().err
+
+
 def test_cli_engine_failures_exit_3(capsys):
     code = main([
         "sweep", "--sites", "4", "--beta-min", "1", "--beta-max", "1",
@@ -349,6 +357,8 @@ def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
     assert "spinbp: config error" in err
     if flags[0] == "--beta":
         assert f"--beta must be finite and >= 0, got {float(flags[1])}" in err
+    if flags[0] == "--slices":
+        assert "--slices must all be >= 1, got (0,)" in err
     assert calls == []
 
 

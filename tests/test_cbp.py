@@ -252,6 +252,24 @@ def test_chain_end_marginal_scale_invariant_on_long_chains():
     np.testing.assert_allclose(big, tiny, atol=1e-13)
 
 
+def test_chain_end_marginal_keeps_small_sectors_relatively_precise():
+    # two decoupled 2x2 blocks whose leading eigenvalues differ by a factor 0.5:
+    # after 200 steps the small block sits near 1e-60 of the large one, and
+    # must still match the matrix power to relative, not absolute, precision
+    rng = np.random.default_rng(41)
+    big, small = rng.uniform(0.1, 1.0, size=(2, 2, 2))
+    w = np.zeros((4, 4))
+    w[:2, :2] = big / np.abs(np.linalg.eigvals(big)).max()
+    w[2:, 2:] = 0.5 * small / np.abs(np.linalg.eigvals(small)).max()
+    got = chain_end_marginal([w] * 200)
+    expected = np.linalg.matrix_power(w, 200)
+    expected /= np.abs(expected).sum()
+    assert 1e-70 < np.abs(got[2:, 2:]).max() < 1e-50
+    np.testing.assert_array_equal(got[:2, 2:], 0.0)
+    np.testing.assert_allclose(got[2:, 2:], expected[2:, 2:], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[:2, :2], expected[:2, :2], rtol=1e-12, atol=0)
+
+
 def test_chain_end_marginal_rectangular_matches_brute():
     # cardinalities 2, 3, 4, 5: every block product changes shape
     rng = np.random.default_rng(31)

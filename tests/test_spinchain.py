@@ -131,6 +131,18 @@ def test_model_rejects_non_finite_beta(beta):
         spinchain.model_from_keys({"sites": "3", "beta": str(beta)})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_model_rejects_non_finite_couplings_and_terms(value):
+    # the coupling is checked before inf * 0 could warn, and a NaN term before
+    # the Hermiticity check, which NaN would pass
+    with pytest.raises(ValueError, match="bond 1: coupling must be finite"):
+        heisenberg_chain(3, 1.0, [1.0, value])
+    term = heisenberg_term()
+    term[0, 0] = value
+    with pytest.raises(ValueError, match="bond term 1 has non-finite entries"):
+        SpinChainModel(3, (heisenberg_term(), term), 1.0)
+
+
 def test_per_bond_couplings_scale_terms():
     model = heisenberg_chain(3, 1.0, couplings=[2.0, 0.5])
     np.testing.assert_allclose(model.terms[0], 2.0 * heisenberg_term(), atol=1e-15)
