@@ -225,6 +225,14 @@ def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.n
     return b / b.sum()
 
 
+def _rescaled(a: np.ndarray) -> np.ndarray:
+    """Divide ``a`` in place by its largest absolute entry, unless that is zero."""
+    scale = np.abs(a).max()
+    if scale > 0.0:
+        a /= scale
+    return a
+
+
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     """Joint quasi-marginal of the two end variables of an open chain.
 
@@ -232,8 +240,14 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     interior variables are summed out by the message recursion
     block <- psi @ block, starting from the last potential; column b of the
     block is the message for far-end state b, so one matrix product per
-    potential advances every far-end state at once.  One running scale keeps
-    long chains in range: before each product the block is divided by its
+    potential advances every far-end state at once.  A run of c consecutive
+    potentials that are the same object contributes psi^c by binary powering:
+    psi is squared at each bit of c and the square multiplies the block where
+    the bit is set, so [W] * n costs floor(log2 n) squarings and popcount(n) - 1
+    block products, not n - 1 products.  A run of one is the plain step, so a
+    chain of distinct potentials takes exactly the recursion above.  One
+    running scale keeps long chains in range: before each product its
+    operand (the block, or the power about to be squared) is divided by its
     largest absolute entry (unless that is zero).  The returned matrix (axes:
     first variable, last variable) is normalized to unit absolute sum.
     """
@@ -249,10 +263,19 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
                 f"has {mats[k + 1].shape[0]} rows"
             )
 
-    block = mats[-1].copy()
-    for m in reversed(mats[:-1]):
-        scale = np.abs(block).max()
-        if scale > 0.0:
-            block /= scale
-        block = m @ block
+    block = None
+    end = len(mats)
+    while end:  # runs of one object, last run first
+        start = end - 1
+        while start and potentials[start - 1] is potentials[end - 1]:
+            start -= 1
+        power, count, end = mats[end - 1], end - start, start
+        while True:
+            if count & 1:
+                block = power.copy() if block is None else power @ _rescaled(block)
+            count >>= 1
+            if not count:
+                break
+            power = _rescaled(power.copy())
+            power = power @ power
     return block / np.abs(block).sum()

@@ -161,7 +161,9 @@ def qbp_run(
                                     dtype=np.intp).reshape(-1, 2).T
     stack = np.zeros((len(edges) + 1, 2, 2), dtype=np.complex128)
     messages = stack[:-1]  # a view; the last row stays zero
-    history, last = [], None  # (dx, df) column pairs; (x, f, residual) of the last sweep
+    # the last MEMORY differences of iterates and of f, one column each, oldest first
+    dx, df = np.empty((2, messages.size * 2, MEMORY))
+    count, last = 0, None  # columns in use; (x, f, residual) of the last sweep
     for iterations in range(1, max_iters + 1):  # check_options: at least one sweep
         update = _updates(neg_terms, stack[into_recv], stack[into_send])
         new = (1 - damping) * messages + damping * update
@@ -170,18 +172,20 @@ def qbp_run(
             x = messages.view(np.float64).ravel().copy()
             f = (update - messages).view(np.float64).ravel()
             if last is None or residual > last[2]:
-                history = []  # first sweep, or the residual grew: restart
+                count = 0  # first sweep, or the residual grew: restart
             else:
-                history = (history + [(x - last[0], f - last[1])])[-MEMORY:]
+                if count == MEMORY:  # drop the oldest column
+                    dx[:, :-1], df[:, :-1] = dx[:, 1:], df[:, 1:]
+                count = min(count + 1, MEMORY)
+                dx[:, count - 1], df[:, count - 1] = x - last[0], f - last[1]
             last = x, f, residual
-            if history:
-                dx, df = (np.stack(cols, axis=1) for cols in zip(*history))
-                gamma, _, _, sv = np.linalg.lstsq(df, f, rcond=None)
+            if count:
+                gamma, _, _, sv = np.linalg.lstsq(df[:, :count], f, rcond=None)
                 if sv[-1] > FIT_RCOND * sv[0]:
-                    step = (dx + damping * df) @ gamma
+                    step = (dx[:, :count] + damping * df[:, :count]) @ gamma
                     new = _gauge(new - step.view(np.complex128).reshape(new.shape))
                 else:
-                    history = []  # ill-conditioned fit: restart
+                    count = 0  # ill-conditioned fit: restart
         messages[...] = new
         if residual < tol:
             break

@@ -84,6 +84,10 @@ def xxz_chain(
     the field term is split evenly over the two sites of each bond and is
     not scaled by J_k.  Delta 1 and field 0 give the Heisenberg chain.
     """
+    for name, value in (("delta", delta), ("field", field)):
+        # checked before any product, where inf * 0 would warn
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     exchange = xxz_term(delta)
     if couplings is None:
         couplings = [1.0] * (n_sites - 1)
@@ -138,13 +142,46 @@ def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
     return h
 
 
-def exact_gibbs(model: SpinChainModel) -> np.ndarray:
-    """exp(-beta H) / tr exp(-beta H) by full diagonalization.
+def _sectors(h: np.ndarray, n_sites: int) -> list[np.ndarray]:
+    """Basis indices of the total-Sz sectors of H, stacked by sector size.
 
-    The spectrum is shifted by its minimum before exponentiating so large
+    A basis state's sector is its number of up spins (zero bits; site 0 is
+    the most significant bit).  H splits into these blocks when it has no
+    nonzero entry between states of different counts, which holds for every
+    bond term commuting with sz.1 + 1.sz (XXZ in a longitudinal field);
+    otherwise the whole space is one sector.  Each returned (k, d) array
+    holds the k sectors of d states, one per row: sectors c and N-c have
+    C(N, c) states each, so one stacked eigensolver call serves both.
+    """
+    states = np.arange(2**n_sites)
+    ups = n_sites - sum((states >> i) & 1 for i in range(n_sites))
+    rows, cols = np.nonzero(h)
+    if np.any(ups[rows] != ups[cols]):
+        return [states[None]]
+    by_size: dict[int, list] = {}
+    for c in range(n_sites + 1):
+        sector = np.flatnonzero(ups == c)
+        by_size.setdefault(len(sector), []).append(sector)
+    return [np.array(group) for group in by_size.values()]
+
+
+def exact_gibbs(model: SpinChainModel) -> np.ndarray:
+    """exp(-beta H) / tr exp(-beta H) by diagonalization, one sector at a time.
+
+    Each magnetization sector of H (see ``_sectors``) is diagonalized on its
+    own, sectors of equal size in one stacked call, so at N sites the
+    largest eigenproblem is C(N, N/2) wide, not 2^N.  Every sector's
+    spectrum is shifted by the global minimum before exponentiating so large
     beta cannot overflow; the shift cancels in the normalization.
     """
-    rho = linalg.mat_func(total_hamiltonian(model), lambda w: np.exp(-model.beta * (w - w.min())))
+    h = total_hamiltonian(model)
+    groups = [(s[:, :, None], s[:, None, :]) for s in _sectors(h, model.n_sites)]
+    eigs = [linalg.herm_eig(h[at]) for at in groups]
+    lowest = min(w.min() for w, _ in eigs)
+    rho = np.zeros_like(h)
+    for at, (w, v) in zip(groups, eigs):
+        block = (v * np.exp(-model.beta * (w - lowest))[..., None, :]) @ linalg.dagger(v)
+        rho[at] = (block + linalg.dagger(block)) / 2
     return rho / np.trace(rho).real
 
 
@@ -180,9 +217,12 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
         if not 1 <= bond <= sites - 1:
             raise ValueError(f"field {key!r}: bond index out of range 1..{sites - 1}")
         try:
-            couplings[bond - 1] = float(value)
+            coupling = float(value)
         except ValueError:
             raise ValueError(f"field {key!r}: not a number: {value!r}") from None
+        if not np.isfinite(coupling):
+            raise ValueError(f"field {key!r}: coupling must be finite, got {value!r}")
+        couplings[bond - 1] = coupling
     return couplings
 
 

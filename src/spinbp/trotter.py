@@ -6,9 +6,12 @@ bond order.  Matrix element (a, b) of the unnormalized density matrix is
 then the two-end contraction of an open chain of n identical pairwise
 weights W over 2^N-state slice variables; the chain is never materialized,
 only one 2^N x 2^N block of messages, one column per far-end state (see
-cbp.chain_end_marginal).  Each bond factor exp(-(beta/n) h_k) acts on two
-sites only, so it is exponentiated as a 4x4 matrix and applied to W in
-place of its 2^N x 2^N embedding.
+cbp.chain_end_marginal).  Since the n weights are one matrix, the
+contraction powers it by repeated squaring, so its cost grows as log n;
+``st_opcount`` keeps the paper's slice-by-slice count, linear in n.  Each
+bond factor exp(-(beta/n) h_k) acts on two sites only, so it is
+exponentiated as a 4x4 matrix and applied to W in place of its 2^N x 2^N
+embedding.
 
 W is a product of positive-definite factors but is not symmetric when the
 bond terms fail to commute, so the n-slice density matrix carries an
@@ -85,9 +88,11 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
 def st_density(plan: TrotterPlan) -> np.ndarray:
     """Density matrix from the two-end marginal of the n-slice weight chain.
 
-    Algebraically equal to W^n / tr(W^n); computed by the message recursion
-    of cbp.chain_end_marginal, which carries all 2^N far-end states at once
-    as the columns of one 2^N x 2^N block.
+    Algebraically equal to W^n / tr(W^n); computed by cbp.chain_end_marginal
+    on a chain that repeats the one matrix W n times.  It carries all 2^N
+    far-end states at once as the columns of one 2^N x 2^N block and powers
+    W by repeated squaring: floor(log2 n) squarings and popcount(n) - 1
+    block products.
     """
     w = build_weights(plan).matrix
     p = cbp.chain_end_marginal([w] * plan.n_slices)

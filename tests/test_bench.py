@@ -308,7 +308,7 @@ def test_cli_non_finite_coupling_exits_2(value, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"sites=3\nJ_1={value}\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
-    assert "spinbp: config error: bond 0: coupling must be finite" in capsys.readouterr().err
+    assert "spinbp: config error: field 'J_1': coupling must be finite" in capsys.readouterr().err
 
 
 def test_cli_engine_failures_exit_3(capsys):

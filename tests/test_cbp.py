@@ -236,6 +236,60 @@ def test_chain_end_marginal_is_the_matrix_product():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def sequential_marginal(potentials):
+    """The one-product-per-potential recursion with one running scale, as the
+    library ran it before repeated potentials were powered by squaring."""
+    block = np.asarray(potentials[-1], dtype=float).copy()
+    for m in reversed(potentials[:-1]):
+        scale = np.abs(block).max()
+        if scale > 0.0:
+            block /= scale
+        block = np.asarray(m, dtype=float) @ block
+    return block / np.abs(block).sum()
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_chain_end_marginal_powers_a_repeated_potential(n):
+    # every bit pattern of n up to 64: squarings and block products alike
+    rng = np.random.default_rng(43)
+    w = rng.uniform(-1.0, 1.0, size=(4, 4))
+    got = chain_end_marginal([w] * n)
+    expected = np.linalg.matrix_power(w, n)
+    np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
+
+
+def test_chain_end_marginal_mixed_runs_match_brute():
+    rng = np.random.default_rng(47)
+    a, b, c = rng.uniform(0.1, 2.0, size=(3, 3, 3))
+    psis = [a, a, a, b, c, c, c, c, c]
+    chain = FactorChain([3] * 10, [(k, k + 1, psi) for k, psi in enumerate(psis)])
+    got = chain_end_marginal(psis)
+    expected = brute_marginal(chain, [0, 9])
+    np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
+
+
+def test_chain_end_marginal_of_distinct_potentials_is_the_sequential_recursion():
+    # runs of one are the plain step, bit for bit; equal values in distinct
+    # objects are not a run
+    rng = np.random.default_rng(53)
+    cards = [3, 4, 4, 4, 2, 5]
+    psis = [rng.uniform(-1.0, 2.0, size=(cards[k], cards[k + 1])) for k in range(5)]
+    psis[2] = psis[1].copy()
+    for chain in (psis, [rng.uniform(0.1, 1.0, size=(3, 3)) for _ in range(40)]):
+        np.testing.assert_array_equal(chain_end_marginal(chain), sequential_marginal(chain))
+    same = rng.uniform(0.1, 1.0, size=(3, 3))
+    copies = [same.copy() for _ in range(7)]
+    np.testing.assert_array_equal(chain_end_marginal(copies), sequential_marginal(copies))
+
+
+def test_chain_end_marginal_leaves_its_inputs_alone():
+    rng = np.random.default_rng(59)
+    w = rng.uniform(0.1, 1.0, size=(3, 3))
+    kept = w.copy()
+    chain_end_marginal([w] * 13)
+    np.testing.assert_array_equal(w, kept)
+
+
 def test_chain_end_marginal_single_edge():
     psi = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(chain_end_marginal([psi]), psi / 10.0, atol=1e-15)

@@ -358,6 +358,27 @@ def test_history_restarts_when_the_residual_grows(monkeypatch):
     assert any(b < a for a, b in zip(columns, columns[1:]))  # the history was emptied
 
 
+def test_history_keeps_the_last_differences_oldest_first(monkeypatch):
+    # each fit's dF is the previous fit's, less its oldest column once
+    # MEMORY are held, plus the newest difference of f
+    fits, lstsq = [], np.linalg.lstsq
+
+    def recording_lstsq(a, b, rcond=None):
+        fits.append((np.array(a), np.array(b)))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    qbp_run(benchmark_style_chain(3, 2.0))
+    assert max(df.shape[1] for df, _ in fits) == qbp.MEMORY
+    checked = 0
+    for (old, old_f), (df, f) in zip(fits, fits[1:]):
+        if df.shape[1] > 1:  # no restart since the previous fit
+            np.testing.assert_array_equal(df[:, -1], f - old_f)
+            np.testing.assert_array_equal(df[:, :-1], old[:, old.shape[1] - df.shape[1] + 1:])
+            checked += old.shape[1] == qbp.MEMORY
+    assert checked  # fits with a full history, which drop a column
+
+
 def test_ill_conditioned_fits_take_the_damped_step(monkeypatch):
     # with FIT_RCOND = 1 no fit is accepted, so every sweep restarts
     model = benchmark_style_chain(1, 1.0)

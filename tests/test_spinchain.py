@@ -1,5 +1,7 @@
 """Model construction, Hamiltonian assembly, and the exact Gibbs reference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from spinbp.spinchain import (
     heisenberg_term,
     total_hamiltonian,
     xxz_chain,
+    xxz_term,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -114,6 +117,63 @@ def test_exact_gibbs_is_a_density_matrix():
         assert linalg.herm_eig(rho).eigenvalues.min() >= -1e-12
 
 
+def dense_gibbs(model):
+    """exp(-beta H) / Z from one eigendecomposition of the full Hamiltonian."""
+    rho = linalg.mat_func(total_hamiltonian(model),
+                          lambda w: np.exp(-model.beta * (w - w.min())))
+    return rho / np.trace(rho).real
+
+
+def left_field_chain(sites, beta):
+    """XXZ bonds plus 0.4 sz on the left site of each: not swap symmetric."""
+    left_field = 0.4 * np.kron(SIGMA_Z, I2)
+    return SpinChainModel(sites, tuple(xxz_term(0.5) + left_field
+                                       for _ in range(sites - 1)), beta)
+
+
+SECTOR_MODELS = {
+    "heisenberg": lambda sites, beta: heisenberg_chain(sites, beta),
+    "xxz-field": lambda sites, beta: xxz_chain(sites, beta, delta=0.5, field=0.3),
+    "left-field": left_field_chain,
+}
+
+
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    """Shapes of the matrices passed to linalg.herm_eig, in call order."""
+    shapes, herm_eig = [], linalg.herm_eig
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return herm_eig(a)
+
+    monkeypatch.setattr(linalg, "herm_eig", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
+def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_shapes):
+    for sites in range(2, 9):
+        for beta in (0.5, 2.0):
+            model = SECTOR_MODELS[kind](sites, beta)
+            eig_shapes.clear()
+            got = exact_gibbs(model)
+            # stacks of equal-size sectors: (sectors, states, states)
+            assert max(s[-1] for s in eig_shapes) <= math.comb(sites, sites // 2)
+            assert sum(s[0] * s[-1] for s in eig_shapes) == 2**sites
+            np.testing.assert_allclose(got, dense_gibbs(model), rtol=0, atol=1e-14)
+
+
+def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_shapes):
+    transverse = 0.3 * np.kron(SIGMA_X, I2)
+    model = SpinChainModel(4, tuple(heisenberg_term() + transverse for _ in range(3)), 1.0)
+    expected = dense_gibbs(model)
+    eig_shapes.clear()
+    got = exact_gibbs(model)
+    assert eig_shapes == [(1, 16, 16)]
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         SpinChainModel(3, (heisenberg_term(),), 1.0)  # wrong term count
@@ -141,6 +201,20 @@ def test_model_rejects_non_finite_couplings_and_terms(value):
     term[0, 0] = value
     with pytest.raises(ValueError, match="bond term 1 has non-finite entries"):
         SpinChainModel(3, (heisenberg_term(), term), 1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["delta", "field"])
+def test_xxz_chain_rejects_non_finite_delta_and_field(name, value):
+    # checked before inf * 0 in the exchange or Zeeman term could warn
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        xxz_chain(3, 1.0, **{name: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coupling_key_is_named(value):
+    with pytest.raises(ValueError, match="field 'J_2': coupling must be finite"):
+        spinchain.model_from_keys({"sites": "3", "J_2": value})
 
 
 def test_per_bond_couplings_scale_terms():
