@@ -15,8 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
+
 # Brute-force marginalization refuses joints larger than this.
 MAX_BRUTE_STATES = 2**24
+# A repeated potential narrower than this is powered whole: there a dense
+# product costs no more than finding the blocks and the extra calls per
+# block size (break-even near 64 states on one BLAS thread).
+BLOCK_POWER_MIN_DIM = 128
 
 
 class NotATreeError(ValueError):
@@ -225,12 +231,14 @@ def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.n
     return b / b.sum()
 
 
-def _rescaled(a: np.ndarray) -> np.ndarray:
-    """Divide ``a`` in place by its largest absolute entry, unless that is zero."""
-    scale = np.abs(a).max()
+def _rescaled(arrays: list) -> list:
+    """Divide every array in place by the largest absolute entry over all of
+    them, unless that is zero."""
+    scale = max(np.abs(a).max() for a in arrays)
     if scale > 0.0:
-        a /= scale
-    return a
+        for a in arrays:
+            a /= scale
+    return arrays
 
 
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
@@ -240,42 +248,70 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     interior variables are summed out by the message recursion
     block <- psi @ block, starting from the last potential; column b of the
     block is the message for far-end state b, so one matrix product per
-    potential advances every far-end state at once.  A run of c consecutive
-    potentials that are the same object contributes psi^c by binary powering:
-    psi is squared at each bit of c and the square multiplies the block where
-    the bit is set, so [W] * n costs floor(log2 n) squarings and popcount(n) - 1
-    block products, not n - 1 products.  A run of one is the plain step, so a
-    chain of distinct potentials takes exactly the recursion above.  One
-    running scale keeps long chains in range: before each product its
-    operand (the block, or the power about to be squared) is divided by its
-    largest absolute entry (unless that is zero).  The returned matrix (axes:
-    first variable, last variable) is normalized to unit absolute sum.
+    potential advances every far-end state at once.  A run of c > 1
+    consecutive potentials that are the same object contributes psi^c by
+    binary powering: psi is squared at each bit of c and the square
+    multiplies the block where the bit is set, so [W] * n costs
+    floor(log2 n) squarings and popcount(n) - 1 block products, not n - 1
+    products.  The powering works inside the diagonal blocks of psi
+    (``linalg.diagonal_blocks``): it gathers them once, stacked by size,
+    with the rows of the block that each acts on, and scatters the result
+    back once, so a psi that splits into sectors costs the sum of the
+    sectors' cubes.  A psi with no zero structure is one block, and one
+    narrower than ``BLOCK_POWER_MIN_DIM`` is powered whole.  A run of one
+    is the plain step, so a chain of distinct potentials takes exactly the
+    recursion above.  One running scale keeps long chains in range: before
+    each product its operand (the block, or the power about to be squared)
+    is divided by its largest absolute entry over all diagonal blocks, the
+    dense maximum (unless that is zero).  The returned matrix (axes: first
+    variable, last variable) is normalized to unit absolute sum.
     """
-    mats = [np.asarray(p, dtype=float) for p in potentials]
-    if not mats:
-        raise ValueError("need at least one potential")
-    for k, m in enumerate(mats):
-        if m.ndim != 2:
-            raise ValueError(f"potential {k} is not a matrix")
-        if k + 1 < len(mats) and m.shape[1] != mats[k + 1].shape[0]:
+    runs = []  # [count, matrix] for each run of one object, in chain order
+    for k, p in enumerate(potentials):
+        if runs and p is potentials[k - 1]:
+            runs[-1][0] += 1
+        else:
+            m = np.asarray(p, dtype=float)
+            if m.ndim != 2:
+                raise ValueError(f"potential {k} is not a matrix")
+            runs.append([1, m])
+        if k and before.shape[1] != m.shape[0]:
             raise ValueError(
-                f"potential {k} has {m.shape[1]} columns but potential {k + 1} "
-                f"has {mats[k + 1].shape[0]} rows"
+                f"potential {k - 1} has {before.shape[1]} columns but potential {k} "
+                f"has {m.shape[0]} rows"
             )
+        before = m
+    if not runs:
+        raise ValueError("need at least one potential")
 
     block = None
-    end = len(mats)
-    while end:  # runs of one object, last run first
-        start = end - 1
-        while start and potentials[start - 1] is potentials[end - 1]:
-            start -= 1
-        power, count, end = mats[end - 1], end - start, start
+    for count, psi in reversed(runs):  # last run first
+        if count == 1:
+            block = psi.copy() if block is None else psi @ _rescaled([block])[0]
+            continue
+        # psi's diagonal blocks, stacked by size, and the rows of the block
+        # each one acts on (none before the first run); a narrow psi is one
+        sets = linalg.diagonal_blocks(psi) if len(psi) >= BLOCK_POWER_MIN_DIM else None
+        if sets is None:
+            power, rows = [psi[None].copy()], None if block is None else [block[None]]
+        else:
+            power = [psi[s[:, :, None], s[:, None, :]] for s in sets]
+            rows = None if block is None else [block[s] for s in sets]
         while True:
             if count & 1:
-                block = power.copy() if block is None else power @ _rescaled(block)
+                rows = ([p.copy() for p in power] if rows is None
+                        else [p @ r for p, r in zip(power, _rescaled(rows))])
             count >>= 1
             if not count:
                 break
-            power = _rescaled(power.copy())
-            power = power @ power
+            power = [p @ p for p in _rescaled(power)]
+        if sets is None:
+            block = rows[0][0]
+        elif block is None:
+            block = np.zeros_like(psi)
+            for s, r in zip(sets, rows):
+                block[s[:, :, None], s[:, None, :]] = r
+        else:
+            for s, r in zip(sets, rows):
+                block[s] = r
     return block / np.abs(block).sum()

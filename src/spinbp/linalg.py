@@ -9,6 +9,11 @@ package's only eigensolver call: every spectrum, in ``mat_func``,
 ``abs_trace_norm``, the exact Gibbs state and the metrics, passes its
 Hermiticity check and its handler for solver failure.
 
+``diagonal_blocks`` reads the block structure off a matrix's exact zeros.
+The Hamiltonian and the Trotter slice of every magnetization-conserving
+chain split into one block per total-Sz sector, and both engines work block
+by block over the sets it returns.
+
 ``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
 ``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
 each matrix, so many small matrices cost one call.  Every check (Hermiticity,
@@ -193,6 +198,55 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     out = np.einsum(tensor, row_subs + col_subs, out_subs)
     d = int(np.prod([dims[i] for i in kept]))
     return out.reshape(d, d)
+
+
+def diagonal_blocks(a) -> list[np.ndarray]:
+    """Index sets of the diagonal blocks of a square matrix, stacked by size.
+
+    The blocks are the connected components of the graph that links i and j
+    when a[i, j] or a[j, i] is exactly nonzero, so every nonzero entry of a
+    lies inside one block a[s[:, None], s].  Each returned (k, d) integer
+    array holds the k sets of d indices, one set per row, ascending within a
+    set and ordered by their least index; the arrays come in ascending d.  A
+    matrix with no zero structure is one block.
+    """
+    arr = np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    dim = arr.shape[0]
+    if np.iscomplexobj(arr):
+        # a complex entry is nonzero where either of its two real parts is
+        parts = np.ascontiguousarray(arr).view(arr.real.dtype)
+        flat = np.flatnonzero(parts != 0) >> 1
+    else:
+        flat = np.flatnonzero(arr != 0)
+    rows, cols = np.divmod(flat, dim)
+    # each label points at a smaller index of its component; a root points
+    # at itself.  Hook the root of each link onto the smaller root, then
+    # follow the pointers to the roots, until every link joins one root:
+    # the component's least index.
+    labels = np.arange(dim)
+    left, right = rows, cols
+    while not np.array_equal(left, right):
+        np.minimum.at(labels, left, right)
+        np.minimum.at(labels, right, left)
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
+        left, right = labels[rows], labels[cols]
+    # order the indices by block size, then by block, then ascending
+    sizes = np.bincount(labels)
+    order = np.argsort(sizes[labels] * dim + labels, kind="stable")
+    counts = np.bincount(sizes, minlength=1)  # counts[d] blocks of d indices
+    counts[0] = 0
+    blocks, at = [], 0
+    for d in np.flatnonzero(counts).tolist():
+        k = int(counts[d])
+        blocks.append(order[at:at + k * d].reshape(k, d))
+        at += k * d
+    return blocks
 
 
 def abs_trace_norm(a) -> float:

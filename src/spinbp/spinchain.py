@@ -134,48 +134,37 @@ def embed_term(term, pair: tuple[int, int], n_sites: int) -> np.ndarray:
 
 
 def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """Sum of all embedded bond terms."""
-    dim = 2**model.n_sites
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    """Sum of all embedded bond terms, equal bit for bit to summing ``embed_term``.
+
+    Bond k's term is added, in bond order, into the entries where
+    I kron term kron I can be nonzero: viewing H's row and column indices as
+    (left sites, pair k, right sites), those with equal left and equal right
+    sites, a strided view of H.
+    """
+    n = model.n_sites
+    h = np.zeros((2**n, 2**n), dtype=np.complex128)
     for k, term in enumerate(model.terms):
-        h += embed_term(term, (k, k + 1), model.n_sites)
+        left, right = 2**k, 2 ** (n - k - 2)
+        diagonal = np.einsum("aibajb->abij", h.reshape(left, 4, right, left, 4, right))
+        diagonal += term
     return h
 
 
-def _sectors(h: np.ndarray, n_sites: int) -> list[np.ndarray]:
-    """Basis indices of the total-Sz sectors of H, stacked by sector size.
-
-    A basis state's sector is its number of up spins (zero bits; site 0 is
-    the most significant bit).  H splits into these blocks when it has no
-    nonzero entry between states of different counts, which holds for every
-    bond term commuting with sz.1 + 1.sz (XXZ in a longitudinal field);
-    otherwise the whole space is one sector.  Each returned (k, d) array
-    holds the k sectors of d states, one per row: sectors c and N-c have
-    C(N, c) states each, so one stacked eigensolver call serves both.
-    """
-    states = np.arange(2**n_sites)
-    ups = n_sites - sum((states >> i) & 1 for i in range(n_sites))
-    rows, cols = np.nonzero(h)
-    if np.any(ups[rows] != ups[cols]):
-        return [states[None]]
-    by_size: dict[int, list] = {}
-    for c in range(n_sites + 1):
-        sector = np.flatnonzero(ups == c)
-        by_size.setdefault(len(sector), []).append(sector)
-    return [np.array(group) for group in by_size.values()]
-
-
 def exact_gibbs(model: SpinChainModel) -> np.ndarray:
-    """exp(-beta H) / tr exp(-beta H) by diagonalization, one sector at a time.
+    """exp(-beta H) / tr exp(-beta H) by diagonalization, one block at a time.
 
-    Each magnetization sector of H (see ``_sectors``) is diagonalized on its
-    own, sectors of equal size in one stacked call, so at N sites the
-    largest eigenproblem is C(N, N/2) wide, not 2^N.  Every sector's
-    spectrum is shifted by the global minimum before exponentiating so large
-    beta cannot overflow; the shift cancels in the normalization.
+    H is split into the diagonal blocks ``linalg.diagonal_blocks`` reads off
+    its exact zeros, and each size's blocks are diagonalized in one stacked
+    call.  A chain whose bond terms commute with sz.1 + 1.sz (XXZ in a
+    longitudinal field) splits into its total-Sz sectors, sectors c and N-c
+    of C(N, c) states each, so at N sites the largest eigenproblem is
+    C(N, N/2) wide, not 2^N; a term that mixes sectors leaves one block.
+    Every block's spectrum is shifted by the global minimum before
+    exponentiating so large beta cannot overflow; the shift cancels in the
+    normalization.
     """
     h = total_hamiltonian(model)
-    groups = [(s[:, :, None], s[:, None, :]) for s in _sectors(h, model.n_sites)]
+    groups = [(s[:, :, None], s[:, None, :]) for s in linalg.diagonal_blocks(h)]
     eigs = [linalg.herm_eig(h[at]) for at in groups]
     lowest = min(w.min() for w, _ in eigs)
     rho = np.zeros_like(h)

@@ -11,7 +11,10 @@ contraction powers it by repeated squaring, so its cost grows as log n;
 ``st_opcount`` keeps the paper's slice-by-slice count, linear in n.  Each
 bond factor exp(-(beta/n) h_k) acts on two sites only, so it is
 exponentiated as a 4x4 matrix and applied to W in place of its 2^N x 2^N
-embedding.
+embedding.  A factor of a term that commutes with sz.1 + 1.sz keeps the
+total Sz and exact zeros between sectors, so W does too, and the
+contraction powers W within the diagonal blocks it reads off those zeros:
+N+1 sectors, the widest C(N, N/2) states, in place of 2^N.
 
 W is a product of positive-definite factors but is not symmetric when the
 bond terms fail to commute, so the n-slice density matrix carries an
@@ -50,7 +53,8 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
     if n_slices < 1:
         raise ValueError(f"n_slices must be positive, got {n_slices}")
     step = model.beta / n_slices
-    factors = tuple(linalg.herm_exp(-step * term) for term in model.terms)
+    # one stacked call, the same bits as one call per term; one site has none
+    factors = tuple(linalg.herm_exp(-step * np.stack(model.terms))) if model.terms else ()
     return TrotterPlan(model, n_slices, factors)
 
 
@@ -91,8 +95,8 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
     Algebraically equal to W^n / tr(W^n); computed by cbp.chain_end_marginal
     on a chain that repeats the one matrix W n times.  It carries all 2^N
     far-end states at once as the columns of one 2^N x 2^N block and powers
-    W by repeated squaring: floor(log2 n) squarings and popcount(n) - 1
-    block products.
+    W by repeated squaring, within W's diagonal blocks: floor(log2 n)
+    squarings and popcount(n) - 1 block products.
     """
     w = build_weights(plan).matrix
     p = cbp.chain_end_marginal([w] * plan.n_slices)

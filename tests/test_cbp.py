@@ -258,6 +258,48 @@ def test_chain_end_marginal_powers_a_repeated_potential(n):
     np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
 
 
+def permuted_block_diagonal(rng, sizes):
+    """Random blocks of the given sizes on indices scattered by a permutation;
+    returns the matrix and the mask of the entries between blocks."""
+    perm = rng.permutation(sum(sizes))
+    block_of = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(perm)]
+    between = block_of[:, None] != block_of[None, :]
+    a = rng.uniform(-1.0, 1.0, size=between.shape)
+    a[between] = 0.0
+    return a, between
+
+
+@pytest.fixture(params=["blocks", "whole"])
+def power_path(request, monkeypatch):
+    """Run the test with repeated potentials powered by blocks at every width,
+    and with the default width below which they are powered whole."""
+    if request.param == "blocks":
+        monkeypatch.setattr(cbp, "BLOCK_POWER_MIN_DIM", 1)
+    return request.param
+
+
+def test_chain_end_marginal_powers_block_diagonal_potentials(power_path):
+    # blocks of sizes 1, 2, 2 and 3, permuted, so not contiguous
+    w, between = permuted_block_diagonal(np.random.default_rng(67), (1, 2, 2, 3))
+    for n in range(1, 65):
+        got = chain_end_marginal([w] * n)
+        expected = np.linalg.matrix_power(w, n)
+        np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got[between], 0.0)
+
+
+def test_chain_end_marginal_powers_a_block_diagonal_run_inside_a_chain(power_path):
+    # a run after the first multiplies the block carried so far: the run's
+    # blocks act on its rows, and every column is kept
+    rng = np.random.default_rng(79)
+    w, _ = permuted_block_diagonal(rng, (3, 1, 2, 2))
+    first, last = rng.uniform(-1.0, 1.0, size=(5, 8)), rng.uniform(-1.0, 1.0, size=(8, 3))
+    for n in (2, 5, 13):
+        got = chain_end_marginal([first] + [w] * n + [last])
+        expected = first @ np.linalg.matrix_power(w, n) @ last
+        np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
+
+
 def test_chain_end_marginal_mixed_runs_match_brute():
     rng = np.random.default_rng(47)
     a, b, c = rng.uniform(0.1, 2.0, size=(3, 3, 3))

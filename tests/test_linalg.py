@@ -337,6 +337,65 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], keep=[2])
 
 
+# --- diagonal_blocks --------------------------------------------------------
+
+
+def permuted_block_diagonal(rng, sizes):
+    """Random real blocks of the given sizes, their indices scattered by a
+    random permutation; returns the matrix and each block's index set."""
+    perm = rng.permutation(sum(sizes))
+    a = np.zeros((len(perm), len(perm)))
+    sets, at = [], 0
+    for d in sizes:
+        s = np.sort(perm[at:at + d])
+        a[np.ix_(s, s)] = rng.uniform(0.1, 1.0, size=(d, d))
+        sets.append(s)
+        at += d
+    return a, sets
+
+
+def test_diagonal_blocks_recover_permuted_blocks():
+    rng = np.random.default_rng(71)
+    a, sets = permuted_block_diagonal(rng, (1, 2, 2, 3))
+    assert not all(np.array_equal(s, np.arange(s[0], s[0] + len(s))) for s in sets)
+    got = linalg.diagonal_blocks(a)
+    assert [g.shape for g in got] == [(1, 1), (2, 2), (1, 3)]
+    # ascending within a set, sets of one size ordered by their least index
+    expected = {d: sorted((s for s in sets if len(s) == d), key=lambda s: s[0]) for d in (1, 2, 3)}
+    for g in got:
+        np.testing.assert_array_equal(g, expected[g.shape[1]])
+    # the blocks hold every nonzero entry
+    inside = np.zeros(a.shape, bool)
+    for g in got:
+        for s in g:
+            inside[np.ix_(s, s)] = True
+    assert not a[~inside].any()
+
+
+def test_diagonal_blocks_link_either_direction_and_either_part():
+    # a[0, 2] alone joins 0 and 2; an imaginary entry alone joins 1 and 3
+    a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    a[0, 2] = 0.5
+    a[3, 1] = 1e-30j
+    for matrix in (a, a.T, a.astype(np.complex64)):
+        np.testing.assert_array_equal(linalg.diagonal_blocks(matrix), [[[0, 2], [1, 3]]])
+    # zeros on the diagonal: each index is still its own block
+    [single] = linalg.diagonal_blocks(np.zeros((3, 3)))
+    np.testing.assert_array_equal(single, [[0], [1], [2]])
+    # a chain of links in decreasing index order is one block
+    path = np.eye(6)
+    for i, j in [(5, 4), (4, 1), (1, 3), (3, 0), (0, 2)]:
+        path[i, j] = 1.0
+    np.testing.assert_array_equal(linalg.diagonal_blocks(path), [np.arange(6)[None]])
+
+
+def test_diagonal_blocks_of_a_full_matrix_are_one_block():
+    a = np.random.default_rng(73).uniform(0.1, 1.0, size=(5, 5))
+    np.testing.assert_array_equal(linalg.diagonal_blocks(a), [np.arange(5)[None]])
+    with pytest.raises(ValueError, match="square"):
+        linalg.diagonal_blocks(np.ones((2, 3)))
+
+
 # --- abs_trace_norm ---------------------------------------------------------
 
 

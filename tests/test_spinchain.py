@@ -83,6 +83,20 @@ def test_total_hamiltonian_two_sites_is_the_term():
     )
 
 
+def test_total_hamiltonian_is_the_sum_of_embedded_terms_bit_for_bit():
+    # embed_term is the kron oracle; a complex term checks both parts
+    rng = np.random.default_rng(61)
+    complex_term = heisenberg_term() + 0.3 * np.kron(SIGMA_X, SIGMA_Y)
+    for sites in range(1, 9):
+        couplings = rng.uniform(0.5, 1.5, sites - 1)
+        for model in (xxz_chain(sites, 1.0, couplings, delta=0.5, field=0.3),
+                      SpinChainModel(sites, (complex_term,) * (sites - 1), 1.0)):
+            expected = np.zeros((2**sites, 2**sites), dtype=complex)
+            for k, term in enumerate(model.terms):
+                expected += embed_term(term, (k, k + 1), sites)
+            np.testing.assert_array_equal(total_hamiltonian(model), expected)
+
+
 def test_exact_gibbs_infinite_temperature():
     for sites in (2, 3, 4):
         rho = exact_gibbs(heisenberg_chain(sites, 0.0))

@@ -9,7 +9,7 @@ n -> infinity limit against full diagonalization.
 import numpy as np
 import pytest
 
-from spinbp import linalg, metrics
+from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
     SIGMA_Y,
@@ -19,6 +19,7 @@ from spinbp.spinchain import (
     heisenberg_chain,
     total_hamiltonian,
     xxz_chain,
+    xxz_term,
 )
 from spinbp.trotter import (
     ComplexResidueError,
@@ -57,9 +58,10 @@ def exact_rho12(beta):
 def test_plan_factors_are_the_slice_exponentials():
     model = heisenberg_chain(3, 1.2)
     plan = trotter_plan(model, 16)
+    assert len(plan.slice_factors) == len(model.terms)
     for k, term in enumerate(model.terms):
-        expected = linalg.herm_exp(-(1.2 / 16) * term)
-        np.testing.assert_allclose(plan.slice_factors[k], expected, atol=1e-12)
+        # one stacked exponential gives the bits of one call per term
+        np.testing.assert_array_equal(plan.slice_factors[k], linalg.herm_exp(-(1.2 / 16) * term))
     np.testing.assert_allclose(build_weights(plan).matrix, embedded_product(plan), atol=1e-12)
     with pytest.raises(ValueError):
         trotter_plan(model, 0)
@@ -116,6 +118,60 @@ def test_slice_power_converges_to_exact_exponential():
         errors[n] = np.linalg.norm(np.linalg.matrix_power(w, n) - target)
     for n in (10, 20, 40):
         assert 1.8 < errors[n] / errors[2 * n] < 2.2
+
+
+@pytest.mark.parametrize("sites", [3, 8])
+@pytest.mark.parametrize("build", [
+    lambda sites, beta: heisenberg_chain(sites, beta),
+    lambda sites, beta: xxz_chain(sites, beta, delta=0.5, field=0.3),
+], ids=["heisenberg", "xxz-field"])
+def test_st_reduced_is_its_public_stages_bit_for_bit(build, sites):
+    # the stages a caller can run one by one: a plan, the slice weights, the
+    # chain contraction of n copies, the normalization and the partial trace
+    for n in (20, 100):
+        plan = trotter_plan(build(sites, 1.5), n)
+        p = cbp.chain_end_marginal([build_weights(plan).matrix] * n)
+        staged = linalg.partial_trace(p.astype(np.complex128) / np.trace(p), [2] * sites, (0, 1))
+        np.testing.assert_array_equal(staged, st_reduced(plan, (0, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sites: heisenberg_chain(sites, 1.0),
+    lambda sites: xxz_chain(sites, 2.0, delta=0.5, field=0.3),
+], ids=["heisenberg", "xxz-field"])
+def test_weights_and_hamiltonian_split_into_the_sz_sectors(build):
+    # every bond factor keeps exact zeros between sectors, so the blocks read
+    # off W and H are the N+1 total-Sz sectors and nothing coarser
+    for sites in range(2, 9):
+        model = build(sites)
+        ups = [sites - bin(state).count("1") for state in range(2**sites)]
+        sectors = sorted(tuple(s for s in range(2**sites) if ups[s] == c) for c in range(sites + 1))
+        for matrix in (total_hamiltonian(model), build_weights(trotter_plan(model, 20)).matrix):
+            blocks = linalg.diagonal_blocks(matrix)
+            assert sorted(tuple(s) for b in blocks for s in b.tolist()) == sectors
+            assert [b.shape[1] for b in blocks] == sorted({len(s) for s in sectors})
+
+
+def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
+    # W of 256 states is powered by blocks; W of 8 is powered whole
+    widths, finder = [], linalg.diagonal_blocks
+
+    def recording(a):
+        widths.append(len(a))
+        return finder(a)
+
+    monkeypatch.setattr(linalg, "diagonal_blocks", recording)
+    for sites in (8, 3):
+        st_density(trotter_plan(heisenberg_chain(sites, 1.0), 20))
+    assert widths == [256]
+
+
+def test_a_transverse_field_leaves_one_block():
+    transverse = 0.3 * np.kron(SIGMA_X, np.eye(2))
+    model = SpinChainModel(4, tuple(xxz_term(0.5) + transverse for _ in range(3)), 1.0)
+    for matrix in (total_hamiltonian(model), build_weights(trotter_plan(model, 20)).matrix):
+        [block] = linalg.diagonal_blocks(matrix)
+        np.testing.assert_array_equal(block, [np.arange(16)])
 
 
 def test_st_density_beta_zero():
