@@ -257,8 +257,8 @@ def compare_complexity(
     and wall times of its qbp record and one st record: both tables time the
     same calls, and the rows are scored against the exact state as sweep rows
     are.  Every site count's config is validated before any sweep runs.  The
-    belief-propagation total budgets one sweep per site (the tree-depth
-    heuristic that makes the overall cost quadratic in the chain length).
+    belief-propagation total is the qbp row's sweep count times its
+    per-sweep opcount.
     """
     configs = [
         SweepConfig(sites=sites, beta_min=beta, beta_steps=1, methods=("st", "qbp"),
@@ -275,7 +275,7 @@ def compare_complexity(
         for s in (st[n] for n in config.st_slices):
             status = "; ".join(f"{r.method}: {r.status}" for r in (q, s) if r.status != "ok")
             rows.append(ComplexityRow(
-                config.sites, s.n_slices, q.opcount, config.sites * q.opcount, s.opcount,
+                config.sites, s.n_slices, q.opcount, q.iterations * q.opcount, s.opcount,
                 q.wall_time_ms, s.wall_time_ms, status or "ok",
             ))
     return rows
@@ -353,6 +353,7 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
                     raise ValueError(f"config file, key {key!r}: {exc}") from None
     config = SweepConfig(**values)
     if model_keys:
+        config.validate()  # the keys are read against a valid site count
         model = spinchain.model_from_keys({**model_keys, "sites": str(config.sites)})
         config.couplings = tuple(spinchain.couplings_from_keys(model_keys, config.sites))
         if "beta" in model_keys and not values.keys() & {"beta_min", "beta_max", "beta_steps"}:

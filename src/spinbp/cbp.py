@@ -19,10 +19,6 @@ from . import linalg
 
 # Brute-force marginalization refuses joints larger than this.
 MAX_BRUTE_STATES = 2**24
-# A repeated potential narrower than this is powered whole: there a dense
-# product costs no more than finding the blocks and the extra calls per
-# block size (break-even near 64 states on one BLAS thread).
-BLOCK_POWER_MIN_DIM = 128
 
 
 class NotATreeError(ValueError):
@@ -241,30 +237,34 @@ def _rescaled(arrays: list) -> list:
     return arrays
 
 
+def _power(stacks: list, count: int) -> list:
+    """Each stack to the power ``count`` >= 1: the power is squared at each bit
+    of count and multiplies the result where the bit is set.  Before each
+    product its operand is rescaled over all stacks (``_rescaled``), in place."""
+    result = None
+    while True:
+        if count & 1:
+            result = ([p.copy() for p in stacks] if result is None
+                      else [p @ r for p, r in zip(stacks, _rescaled(result))])
+        count >>= 1
+        if not count:
+            return result
+        stacks = [p @ p for p in _rescaled(stacks)]
+
+
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     """Joint quasi-marginal of the two end variables of an open chain.
 
     ``potentials[k]`` couples chain variable k to k+1 (locals flat).  The
     interior variables are summed out by the message recursion
     block <- psi @ block, starting from the last potential; column b of the
-    block is the message for far-end state b, so one matrix product per
-    potential advances every far-end state at once.  A run of c > 1
-    consecutive potentials that are the same object contributes psi^c by
-    binary powering: psi is squared at each bit of c and the square
-    multiplies the block where the bit is set, so [W] * n costs
-    floor(log2 n) squarings and popcount(n) - 1 block products, not n - 1
-    products.  The powering works inside the diagonal blocks of psi
-    (``linalg.diagonal_blocks``): it gathers them once, stacked by size,
-    with the rows of the block that each acts on, and scatters the result
-    back once, so a psi that splits into sectors costs the sum of the
-    sectors' cubes.  A psi with no zero structure is one block, and one
-    narrower than ``BLOCK_POWER_MIN_DIM`` is powered whole.  A run of one
-    is the plain step, so a chain of distinct potentials takes exactly the
-    recursion above.  One running scale keeps long chains in range: before
-    each product its operand (the block, or the power about to be squared)
-    is divided by its largest absolute entry over all diagonal blocks, the
-    dense maximum (unless that is zero).  The returned matrix (axes: first
-    variable, last variable) is normalized to unit absolute sum.
+    block is the message for far-end state b.  A run of c > 1 consecutive
+    potentials that are the same object contributes psi^c, powered within
+    psi's diagonal blocks (``linalg.by_blocks``): floor(log2 c) squarings and
+    popcount(c) - 1 products, not c - 1.  Before each product its operand is
+    divided by its largest absolute entry (unless that is zero), so long
+    chains stay in range.  The returned matrix (axes: first variable, last
+    variable) is normalized to unit absolute sum.
     """
     runs = []  # [count, matrix] for each run of one object, in chain order
     for k, p in enumerate(potentials):
@@ -286,32 +286,9 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
 
     block = None
     for count, psi in reversed(runs):  # last run first
-        if count == 1:
-            block = psi.copy() if block is None else psi @ _rescaled([block])[0]
-            continue
-        # psi's diagonal blocks, stacked by size, and the rows of the block
-        # each one acts on (none before the first run); a narrow psi is one
-        sets = linalg.diagonal_blocks(psi) if len(psi) >= BLOCK_POWER_MIN_DIM else None
-        if sets is None:
-            power, rows = [psi[None].copy()], None if block is None else [block[None]]
-        else:
-            power = [psi[s[:, :, None], s[:, None, :]] for s in sets]
-            rows = None if block is None else [block[s] for s in sets]
-        while True:
-            if count & 1:
-                rows = ([p.copy() for p in power] if rows is None
-                        else [p @ r for p, r in zip(power, _rescaled(rows))])
-            count >>= 1
-            if not count:
-                break
-            power = [p @ p for p in _rescaled(power)]
-        if sets is None:
-            block = rows[0][0]
+        if count > 1:
+            psi = linalg.by_blocks(psi, lambda stacks: _power(stacks, count))
         elif block is None:
-            block = np.zeros_like(psi)
-            for s, r in zip(sets, rows):
-                block[s[:, :, None], s[:, None, :]] = r
-        else:
-            for s, r in zip(sets, rows):
-                block[s] = r
+            psi = psi.copy()  # the block is rescaled in place
+        block = psi if block is None else psi @ _rescaled([block])[0]
     return block / np.abs(block).sum()

@@ -9,10 +9,11 @@ package's only eigensolver call: every spectrum, in ``mat_func``,
 ``abs_trace_norm``, the exact Gibbs state and the metrics, passes its
 Hermiticity check and its handler for solver failure.
 
-``diagonal_blocks`` reads the block structure off a matrix's exact zeros.
-The Hamiltonian and the Trotter slice of every magnetization-conserving
-chain split into one block per total-Sz sector, and both engines work block
-by block over the sets it returns.
+``by_blocks`` is the one block kernel: it applies a function to the diagonal
+blocks that ``diagonal_blocks`` reads off a matrix's exact zeros, one stack
+per block size, so a Hamiltonian or Trotter slice that splits into total-Sz
+sectors costs the sum of the sectors' cubes.  A matrix narrower than
+``BLOCK_MIN_DIM`` is one block and is never scanned.
 
 ``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
 ``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
@@ -31,6 +32,10 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 # ``mat_func(..., positive=True)`` raises clamped eigenvalues to this, so log stays finite.
 POSITIVE_FLOOR = 1e-300
+# ``by_blocks`` takes a narrower matrix whole: there a dense product costs no
+# more than finding the blocks and the extra calls per block size (break-even
+# near 64 states on one BLAS thread).
+BLOCK_MIN_DIM = 128
 
 
 class NotHermitianError(ValueError):
@@ -136,7 +141,12 @@ def mat_func(a, f: Callable[[np.ndarray], np.ndarray], *, positive: bool = False
                 f"{-tol[at]:.3e}; input is not positive semidefinite"
             )
         w = np.maximum(w, POSITIVE_FLOOR)
-    fw = np.asarray(f(w))
+    return spectral(v, np.asarray(f(w)))
+
+
+def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """V diag(fw) V^dag from eigenvectors ``v`` and function values ``fw``,
+    for one matrix or a stack; a real ``fw`` gives a Hermitian result."""
     out = (v * fw[..., None, :]) @ dagger(v)
     if not np.iscomplexobj(fw):
         # real-valued f on a Hermitian argument: repair roundoff skew
@@ -247,6 +257,23 @@ def diagonal_blocks(a) -> list[np.ndarray]:
         blocks.append(order[at:at + k * d].reshape(k, d))
         at += k * d
     return blocks
+
+
+def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
+    """The square matrix ``a`` with ``fn`` applied to its diagonal blocks.
+
+    ``fn`` takes the blocks of ``diagonal_blocks`` as a list of (k, d, d)
+    stacks in ascending d, which it may overwrite, and returns stacks of the
+    same shapes; entries between blocks stay zero.  A matrix narrower than
+    ``BLOCK_MIN_DIM`` is one block, never scanned, and ``fn`` gets a copy.
+    """
+    if len(a) < BLOCK_MIN_DIM:
+        return fn([a[None].copy()])[0][0]
+    at = [(s[:, :, None], s[:, None, :]) for s in diagonal_blocks(a)]
+    out = np.zeros_like(a)
+    for i, stack in zip(at, fn([a[i] for i in at])):
+        out[i] = stack
+    return out
 
 
 def abs_trace_norm(a) -> float:

@@ -84,6 +84,8 @@ def xxz_chain(
     the field term is split evenly over the two sites of each bond and is
     not scaled by J_k.  Delta 1 and field 0 give the Heisenberg chain.
     """
+    if n_sites < 1:  # before the couplings are sized
+        raise ValueError(f"n_sites must be positive, got {n_sites}")
     for name, value in (("delta", delta), ("field", field)):
         # checked before any product, where inf * 0 would warn
         if not np.isfinite(value):
@@ -151,26 +153,19 @@ def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
 
 
 def exact_gibbs(model: SpinChainModel) -> np.ndarray:
-    """exp(-beta H) / tr exp(-beta H) by diagonalization, one block at a time.
+    """exp(-beta H) / tr exp(-beta H), diagonalized by blocks (``linalg.by_blocks``).
 
-    H is split into the diagonal blocks ``linalg.diagonal_blocks`` reads off
-    its exact zeros, and each size's blocks are diagonalized in one stacked
-    call.  A chain whose bond terms commute with sz.1 + 1.sz (XXZ in a
-    longitudinal field) splits into its total-Sz sectors, sectors c and N-c
-    of C(N, c) states each, so at N sites the largest eigenproblem is
-    C(N, N/2) wide, not 2^N; a term that mixes sectors leaves one block.
-    Every block's spectrum is shifted by the global minimum before
-    exponentiating so large beta cannot overflow; the shift cancels in the
+    A chain whose bond terms commute with sz.1 + 1.sz splits into its total-Sz
+    sectors, the widest C(N, N/2) states.  Every spectrum is shifted by the
+    global minimum so large beta cannot overflow; the shift cancels in the
     normalization.
     """
-    h = total_hamiltonian(model)
-    groups = [(s[:, :, None], s[:, None, :]) for s in linalg.diagonal_blocks(h)]
-    eigs = [linalg.herm_eig(h[at]) for at in groups]
-    lowest = min(w.min() for w, _ in eigs)
-    rho = np.zeros_like(h)
-    for at, (w, v) in zip(groups, eigs):
-        block = (v * np.exp(-model.beta * (w - lowest))[..., None, :]) @ linalg.dagger(v)
-        rho[at] = (block + linalg.dagger(block)) / 2
+    def gibbs(stacks):
+        eigs = [linalg.herm_eig(s) for s in stacks]
+        lowest = min(w.min() for w, _ in eigs)
+        return [linalg.spectral(v, np.exp(-model.beta * (w - lowest))) for w, v in eigs]
+
+    rho = linalg.by_blocks(total_hamiltonian(model), gibbs)
     return rho / np.trace(rho).real
 
 

@@ -148,7 +148,7 @@ def test_complexity_totals():
     assert len(rows) == 1
     row = rows[0]
     assert row.qbp_ops_per_sweep == 112
-    assert row.qbp_ops_total == 3 * 112  # one sweep per site
+    assert row.qbp_ops_total == 112  # qbp stops after one sweep on the Heisenberg chain
     assert row.st_ops == 2584
     assert row.st_ops > row.qbp_ops_per_sweep
 
@@ -186,10 +186,10 @@ def test_complexity_rows_are_read_off_sweep_records():
             for r in run_sweep(SweepConfig(sites=sites, beta_min=1.0, beta_steps=1,
                                            st_slices=(2, 20), time_repeats=0))
         }
-        qbp_ops = records[("qbp", None)].opcount
+        q = records[("qbp", None)]
         for row in (r for r in rows if r.sites == sites):
             st = records[("st", row.slices)]
-            assert (row.qbp_ops_per_sweep, row.qbp_ops_total) == (qbp_ops, sites * qbp_ops)
+            assert (row.qbp_ops_per_sweep, row.qbp_ops_total) == (q.opcount, q.iterations * q.opcount)
             assert (row.slices, row.st_ops) == (st.n_slices, st.opcount)
             assert row.status == "ok"
 
@@ -301,6 +301,13 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--sites", "1"]) == 2
     assert main(["sweep", "--methods", "exact,magic"]) == 2
     capsys.readouterr()
+
+
+def test_cli_sweep_checks_sites_before_the_model_keys(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("J_1 = 0.5\n", encoding="utf-8")
+    assert main(["sweep", "--sites", "0", "--config", str(cfg)]) == 2
+    assert "spinbp: config error: sites must be >= 2, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spinbp import cbp
+from spinbp import cbp, linalg
 from spinbp.cbp import (
     FactorChain,
     NotAnEdgeError,
@@ -274,7 +274,7 @@ def power_path(request, monkeypatch):
     """Run the test with repeated potentials powered by blocks at every width,
     and with the default width below which they are powered whole."""
     if request.param == "blocks":
-        monkeypatch.setattr(cbp, "BLOCK_POWER_MIN_DIM", 1)
+        monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     return request.param
 
 

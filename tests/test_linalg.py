@@ -396,6 +396,23 @@ def test_diagonal_blocks_of_a_full_matrix_are_one_block():
         linalg.diagonal_blocks(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("min_dim", [None, 1])
+def test_by_blocks_of_the_identity_returns_the_matrix(min_dim, monkeypatch):
+    # at the default width the matrix is one block; at width 1 it is split
+    if min_dim is not None:
+        monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", min_dim)
+    a, _ = permuted_block_diagonal(np.random.default_rng(79), (3, 1, 2, 2))
+    seen = []
+
+    def identity(stacks):
+        seen.extend(s.shape for s in stacks)
+        return stacks
+
+    got = linalg.by_blocks(a, identity)
+    assert seen == ([(1, 8, 8)] if min_dim is None else [(1, 1, 1), (2, 2, 2), (1, 3, 3)])
+    np.testing.assert_array_equal(got, a)  # so exactly zero between the blocks
+
+
 # --- abs_trace_norm ---------------------------------------------------------
 
 
@@ -440,4 +457,29 @@ def test_herm_eig_is_the_only_hermitian_eigensolver_call():
             if name in solver_names:
                 (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
     assert inside, "linalg.herm_eig no longer calls the eigensolver"
+    assert outside == []
+
+
+def test_by_blocks_is_the_only_block_kernel():
+    """diagonal_blocks is called, and the block index s[:, :, None],
+    s[:, None, :] is built, in src/spinbp only inside linalg.by_blocks."""
+    inside, outside = [], []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "linalg.py":
+            (kernel,) = [n for n in tree.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "by_blocks"]
+            allowed = {id(n) for n in ast.walk(kernel)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                hit = name == "diagonal_blocks"
+            elif isinstance(node, ast.Subscript):
+                hit = ast.unparse(node.slice) in {"(:, :, None)", "(:, None, :)"}
+            else:
+                continue
+            if hit:
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 3, "linalg.by_blocks no longer finds and indexes the blocks"
     assert outside == []

@@ -166,7 +166,8 @@ def eig_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
-def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_shapes):
+def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_shapes, monkeypatch):
+    monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)  # split H at every width
     for sites in range(2, 9):
         for beta in (0.5, 2.0):
             model = SECTOR_MODELS[kind](sites, beta)
@@ -176,6 +177,18 @@ def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_shape
             assert max(s[-1] for s in eig_shapes) <= math.comb(sites, sites // 2)
             assert sum(s[0] * s[-1] for s in eig_shapes) == 2**sites
             np.testing.assert_allclose(got, dense_gibbs(model), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
+def test_exact_gibbs_below_the_block_width_is_the_dense_diagonalization(kind, eig_shapes):
+    # H narrower than linalg.BLOCK_MIN_DIM is one block, diagonalized whole
+    for sites in range(1, 7):
+        for beta in (0.0, 0.5, 2.0):
+            model = SECTOR_MODELS[kind](sites, beta)
+            eig_shapes.clear()
+            got = exact_gibbs(model)
+            assert eig_shapes == [(1, 2**sites, 2**sites)]
+            np.testing.assert_array_equal(got, dense_gibbs(model))
 
 
 def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_shapes):
@@ -264,6 +277,13 @@ def test_parse_key_values():
         spinchain.parse_key_values("not a key value pair")
     with pytest.raises(ValueError, match="duplicate"):
         spinchain.parse_key_values("a=1\na=2")
+
+
+def test_zero_sites_are_rejected_before_the_couplings_are_counted():
+    for build in (lambda: heisenberg_chain(0, 1.0), lambda: xxz_chain(-1, 1.0),
+                  lambda: spinchain.model_from_keys({"sites": "0"})):
+        with pytest.raises(ValueError, match="n_sites must be positive, got"):
+            build()
 
 
 def test_model_from_keys():

@@ -153,7 +153,7 @@ def test_weights_and_hamiltonian_split_into_the_sz_sectors(build):
 
 
 def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
-    # W of 256 states is powered by blocks; W of 8 is powered whole
+    # W and H of 256 states are split into blocks; those of 8 are taken whole
     widths, finder = [], linalg.diagonal_blocks
 
     def recording(a):
@@ -163,7 +163,8 @@ def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
     monkeypatch.setattr(linalg, "diagonal_blocks", recording)
     for sites in (8, 3):
         st_density(trotter_plan(heisenberg_chain(sites, 1.0), 20))
-    assert widths == [256]
+        exact_gibbs(heisenberg_chain(sites, 1.0))
+    assert widths == [256, 256]
 
 
 def test_a_transverse_field_leaves_one_block():
