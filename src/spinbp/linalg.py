@@ -1,13 +1,14 @@
 """Dense Hermitian linear algebra kernel.
 
-All operators in this package are plain complex numpy matrices; this module
-provides the validated operations the engines share: spectral decomposition,
-matrix functions of Hermitian matrices, Kronecker products, partial traces
-and the absolute trace norm.  Matrices stay dense; the sizes of interest
-(8x8 up to 4096x4096) never justify sparse storage.  ``herm_eig`` is the
-package's only eigensolver call: every spectrum, in ``mat_func``,
-``abs_trace_norm``, the exact Gibbs state and the metrics, passes its
-Hermiticity check and its handler for solver failure.
+All operators in this package are plain numpy matrices, float64 when real
+and complex128 otherwise, and keep their dtype through every operation.
+This module provides the validated operations the engines share: spectral
+decomposition, matrix functions of Hermitian matrices, Kronecker products,
+partial traces and the absolute trace norm.  Matrices stay dense; the sizes
+of interest (8x8 up to 4096x4096) never justify sparse storage.
+``herm_eig`` is the package's only eigensolver call: every spectrum, in
+``mat_func``, ``abs_trace_norm``, the exact Gibbs state and the metrics,
+passes its Hermiticity check and its handler for solver failure.
 
 ``by_blocks`` is the one block kernel: it applies a function to the diagonal
 blocks that ``diagonal_blocks`` reads off a matrix's exact zeros, one stack
@@ -57,18 +58,20 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_complex_stack(a) -> np.ndarray:
-    """Coerce to complex128 of shape (..., d, d): one square matrix or a stack."""
-    arr = np.asarray(a, dtype=np.complex128)
+def as_stack(a) -> np.ndarray:
+    """Coerce to a square matrix or stack (..., d, d), promoted to at least float64."""
+    arr = np.asarray(a)
+    if arr.dtype != np.float64 and arr.dtype != np.complex128:  # before result_type
+        arr = arr.astype(np.result_type(arr.dtype, np.float64))
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     return arr
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def as_matrix(a) -> np.ndarray:
+    """Coerce to one square matrix, in the dtype ``as_stack`` gives."""
+    arr = as_stack(a)
+    if arr.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
@@ -89,12 +92,12 @@ def _first_flagged(flags: np.ndarray) -> tuple[tuple, str]:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Return ``a`` as a complex matrix or stack, rejecting non-Hermitian input.
+    """Return ``a`` as a matrix or stack (see ``as_stack``), rejecting non-Hermitian input.
 
     The check is relative and applies to each matrix of a stack on its own
     scale: max |A - A^dag| must not exceed HERMITIAN_RTOL * max |A|.
     """
-    arr = as_complex_stack(a)
+    arr = as_stack(a)
     residue = np.abs(arr - dagger(arr)).max(axis=(-2, -1), initial=0.0)
     tol = HERMITIAN_RTOL * np.abs(arr).max(axis=(-2, -1), initial=0.0)
     bad = residue > tol
@@ -170,7 +173,7 @@ def kron(a, b) -> np.ndarray:
 
     Either factor may be a stack of square matrices; leading axes broadcast.
     """
-    a, b = as_complex_stack(a), as_complex_stack(b)
+    a, b = as_stack(a), as_stack(b)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     dim = a.shape[-1] * b.shape[-1]
     return out.reshape(out.shape[:-4] + (dim, dim))
@@ -184,7 +187,7 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     stay in their original relative order.  Trace and Hermiticity of the
     input are preserved.
     """
-    arr = as_complex_matrix(a)
+    arr = as_matrix(a)
     dims = [int(d) for d in site_dims]
     if any(d <= 0 for d in dims):
         raise ValueError(f"site dimensions must be positive, got {dims}")
@@ -278,4 +281,4 @@ def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
 
 def abs_trace_norm(a) -> float:
     """tr|A| = sum of |eigenvalues| for Hermitian A."""
-    return float(np.abs(herm_eig(as_complex_matrix(a)).eigenvalues).sum())
+    return float(np.abs(herm_eig(as_matrix(a)).eigenvalues).sum())

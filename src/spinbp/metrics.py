@@ -24,7 +24,7 @@ class NotDensityMatrixError(ValueError):
 
 def _check_density(a, name: str) -> tuple[np.ndarray, linalg.HermitianEigen]:
     """The symmetrized density matrix and its spectral decomposition."""
-    arr = linalg.as_complex_matrix(a)
+    arr = linalg.as_matrix(a)
     residue = np.abs(arr - arr.conj().T).max()
     if residue > PSD_SLACK:
         raise NotDensityMatrixError(f"{name}: Hermiticity residue {residue:.3e} > {PSD_SLACK:g}")

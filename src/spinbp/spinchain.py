@@ -24,12 +24,12 @@ IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
 def xxz_term(delta: float) -> np.ndarray:
-    """Two-site XXZ exchange sx.sx + sy.sy + delta sz.sz (4x4, real symmetric)."""
+    """Two-site XXZ exchange sx.sx + sy.sy + delta sz.sz (4x4, real symmetric, float64)."""
     return (
         linalg.kron(SIGMA_X, SIGMA_X)
         + linalg.kron(SIGMA_Y, SIGMA_Y)
         + float(delta) * linalg.kron(SIGMA_Z, SIGMA_Z)
-    )
+    ).real.copy()
 
 
 def heisenberg_term() -> np.ndarray:
@@ -42,7 +42,8 @@ class SpinChainModel:
     """Open qubit chain with nearest-neighbour bond terms and a temperature.
 
     ``terms[k]`` is the Hermitian 4x4 operator on sites (k, k+1); ``beta``
-    is the inverse temperature of the Gibbs state exp(-beta H) / Z.
+    is the inverse temperature of the Gibbs state exp(-beta H) / Z.  Terms
+    are stored as float64 when none has an imaginary part, else complex128.
     """
 
     n_sites: int
@@ -67,6 +68,8 @@ class SpinChainModel:
         for k, t in enumerate(checked):
             if t.shape != (4, 4):
                 raise ValueError(f"bond term {k} must be 4x4, got {t.shape}")
+        if not any(t.imag.any() for t in checked):  # real symmetric: real arithmetic
+            checked = tuple(t.real.copy() for t in checked)
         object.__setattr__(self, "terms", checked)
         object.__setattr__(self, "beta", float(self.beta))
 
@@ -127,11 +130,10 @@ def embed_term(term, pair: tuple[int, int], n_sites: int) -> np.ndarray:
     i, j = pair
     if j != i + 1 or i < 0 or j >= n_sites:
         raise ValueError(f"pair {pair} is not a nearest-neighbour bond of {n_sites} sites")
-    t = linalg.as_complex_matrix(term)
+    t = linalg.as_matrix(term)
     if t.shape != (4, 4):
         raise ValueError(f"bond term must be 4x4, got {t.shape}")
-    left = np.eye(2**i, dtype=np.complex128)
-    right = np.eye(2 ** (n_sites - i - 2), dtype=np.complex128)
+    left, right = np.eye(2**i), np.eye(2 ** (n_sites - i - 2))
     return linalg.kron(linalg.kron(left, t), right)
 
 
@@ -141,10 +143,10 @@ def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
     Bond k's term is added, in bond order, into the entries where
     I kron term kron I can be nonzero: viewing H's row and column indices as
     (left sites, pair k, right sites), those with equal left and equal right
-    sites, a strided view of H.
+    sites, a strided view of H.  H has the terms' dtype.
     """
     n = model.n_sites
-    h = np.zeros((2**n, 2**n), dtype=np.complex128)
+    h = np.zeros((2**n, 2**n), dtype=np.result_type(np.float64, *model.terms))
     for k, term in enumerate(model.terms):
         left, right = 2**k, 2 ** (n - k - 2)
         diagonal = np.einsum("aibajb->abij", h.reshape(left, 4, right, left, 4, right))
@@ -158,7 +160,7 @@ def exact_gibbs(model: SpinChainModel) -> np.ndarray:
     A chain whose bond terms commute with sz.1 + 1.sz splits into its total-Sz
     sectors, the widest C(N, N/2) states.  Every spectrum is shifted by the
     global minimum so large beta cannot overflow; the shift cancels in the
-    normalization.
+    normalization.  A real model's state is float64, computed in real arithmetic.
     """
     def gibbs(stacks):
         eigs = [linalg.herm_eig(s) for s in stacks]
@@ -166,7 +168,8 @@ def exact_gibbs(model: SpinChainModel) -> np.ndarray:
         return [linalg.spectral(v, np.exp(-model.beta * (w - lowest))) for w, v in eigs]
 
     rho = linalg.by_blocks(total_hamiltonian(model), gibbs)
-    return rho / np.trace(rho).real
+    rho /= np.trace(rho).real
+    return rho
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -190,6 +193,8 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
     """Per-bond couplings from ``J_<i>`` keys, 1-based bond index, default 1."""
+    if sites < 1:  # before the couplings are sized, as in xxz_chain
+        raise ValueError(f"n_sites must be positive, got {sites}")
     couplings = [1.0] * (sites - 1)
     for key, value in keys.items():
         if not key.startswith("J_"):
@@ -199,7 +204,9 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
         except ValueError:
             raise ValueError(f"field {key!r}: bond index is not an integer") from None
         if not 1 <= bond <= sites - 1:
-            raise ValueError(f"field {key!r}: bond index out of range 1..{sites - 1}")
+            why = (f"bond index out of range 1..{sites - 1}" if sites > 1
+                   else "a 1-site chain has no bonds")
+            raise ValueError(f"field {key!r}: {why}")
         try:
             coupling = float(value)
         except ValueError:

@@ -21,8 +21,8 @@ from spinbp.bench import (
 GOLDEN_BETA_ZERO = """\
 beta,method,n_slices,fidelity,trace_distance,iterations,wall_time_ms,opcount,status
 0,exact,,1,0,0,0,0,ok
-0,qbp,,1,6.73472176676e-17,1,0,112,ok
-0,st,20,1,6.73472176676e-17,20,0,2584,ok
+0,qbp,,1,7.40727117932e-17,1,0,112,ok
+0,st,20,1,7.40727117932e-17,20,0,2584,ok
 """
 
 

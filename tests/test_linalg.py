@@ -223,6 +223,55 @@ def test_stacked_positivity_check_is_per_matrix():
     np.testing.assert_array_equal(got[1], linalg.herm_log(np.diag([-1e-15, 1.0])))
 
 
+# --- dtypes -----------------------------------------------------------------
+
+
+def random_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return (a + a.T) / 2
+
+
+def test_coercion_keeps_float64_and_complex128_and_promotes_the_rest():
+    for given, kept in ((np.float64, np.float64), (np.complex128, np.complex128),
+                        (np.int64, np.float64), (np.float32, np.float64), (bool, np.float64),
+                        (np.complex64, np.complex128)):
+        a = np.eye(2, dtype=given)
+        assert linalg.as_stack(a).dtype == linalg.as_matrix(a).dtype == kept
+    a = np.eye(2)
+    assert linalg.as_stack(a) is a  # no copy on the common path
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_the_kernel_returns_its_input_dtype(dtype, monkeypatch):
+    rng = np.random.default_rng(83)
+    make = random_symmetric if dtype == np.float64 else random_hermitian
+    a = make(rng, 8).astype(dtype)
+    w, v = linalg.herm_eig(a)
+    assert w.dtype == np.float64 and v.dtype == dtype
+    assert linalg.mat_func(a, np.exp).dtype == dtype
+    assert linalg.spectral(v, np.exp(w)).dtype == dtype
+    assert linalg.kron(a[:2, :2], a[:2, :2]).dtype == dtype
+    assert linalg.partial_trace(a, [2, 2, 2], [0]).dtype == dtype
+    monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
+    blocky, _ = permuted_block_diagonal(rng, (3, 1, 2, 2))
+    assert linalg.by_blocks(blocky.astype(dtype), lambda stacks: stacks).dtype == dtype
+
+
+def test_a_real_stack_is_checked_and_decomposed_per_matrix():
+    rng = np.random.default_rng(89)
+    stack = np.array([random_symmetric(rng, 4) for _ in range(5)])
+    w, v = linalg.herm_eig(stack)
+    exps = linalg.herm_exp(stack)
+    for k in range(len(stack)):
+        wk, vk = linalg.herm_eig(stack[k])
+        np.testing.assert_array_equal(w[k], wk)
+        np.testing.assert_array_equal(v[k], vk)
+        np.testing.assert_array_equal(exps[k], linalg.herm_exp(stack[k]))
+    stack[3, 0, 1] += 1e-6  # real, not symmetric
+    with pytest.raises(linalg.NotHermitianError, match=r"stack index \(3,\)"):
+        linalg.herm_eig(stack)
+
+
 # --- kron -------------------------------------------------------------------
 
 

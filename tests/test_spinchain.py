@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinbp import linalg, spinchain
+from spinbp import linalg, spinchain, trotter
+from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
     SIGMA_X,
     SIGMA_Y,
@@ -153,52 +154,104 @@ SECTOR_MODELS = {
 
 
 @pytest.fixture
-def eig_shapes(monkeypatch):
-    """Shapes of the matrices passed to linalg.herm_eig, in call order."""
-    shapes, herm_eig = [], linalg.herm_eig
+def eig_calls(monkeypatch):
+    """(shape, dtype) of each matrix or stack passed to linalg.herm_eig, in call order."""
+    calls, herm_eig = [], linalg.herm_eig
 
     def recording(a):
-        shapes.append(np.shape(a))
+        calls.append((np.shape(a), np.asarray(a).dtype))
         return herm_eig(a)
 
     monkeypatch.setattr(linalg, "herm_eig", recording)
-    return shapes
+    return calls
+
+
+def shapes(calls):
+    return [shape for shape, _ in calls]
 
 
 @pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
-def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_shapes, monkeypatch):
+def test_exact_gibbs_by_sector_matches_the_dense_diagonalization(kind, eig_calls, monkeypatch):
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)  # split H at every width
     for sites in range(2, 9):
         for beta in (0.5, 2.0):
             model = SECTOR_MODELS[kind](sites, beta)
-            eig_shapes.clear()
+            eig_calls.clear()
             got = exact_gibbs(model)
             # stacks of equal-size sectors: (sectors, states, states)
-            assert max(s[-1] for s in eig_shapes) <= math.comb(sites, sites // 2)
-            assert sum(s[0] * s[-1] for s in eig_shapes) == 2**sites
+            assert max(s[-1] for s in shapes(eig_calls)) <= math.comb(sites, sites // 2)
+            assert sum(s[0] * s[-1] for s in shapes(eig_calls)) == 2**sites
             np.testing.assert_allclose(got, dense_gibbs(model), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
-def test_exact_gibbs_below_the_block_width_is_the_dense_diagonalization(kind, eig_shapes):
+def test_exact_gibbs_below_the_block_width_is_the_dense_diagonalization(kind, eig_calls):
     # H narrower than linalg.BLOCK_MIN_DIM is one block, diagonalized whole
     for sites in range(1, 7):
         for beta in (0.0, 0.5, 2.0):
             model = SECTOR_MODELS[kind](sites, beta)
-            eig_shapes.clear()
+            eig_calls.clear()
             got = exact_gibbs(model)
-            assert eig_shapes == [(1, 2**sites, 2**sites)]
+            assert shapes(eig_calls) == [(1, 2**sites, 2**sites)]
             np.testing.assert_array_equal(got, dense_gibbs(model))
 
 
-def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_shapes):
+def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_calls):
     transverse = 0.3 * np.kron(SIGMA_X, I2)
     model = SpinChainModel(4, tuple(heisenberg_term() + transverse for _ in range(3)), 1.0)
     expected = dense_gibbs(model)
-    eig_shapes.clear()
+    eig_calls.clear()
     got = exact_gibbs(model)
-    assert eig_shapes == [(1, 16, 16)]
+    assert shapes(eig_calls) == [(1, 16, 16)]
     np.testing.assert_array_equal(got, expected)
+
+
+def test_real_models_keep_float64_through_the_engines():
+    for model in (heisenberg_chain(4, 1.0), xxz_chain(4, 1.0, [1.0, -0.9, 1.1], 0.5, 0.3),
+                  SpinChainModel(3, (np.kron(SIGMA_X, SIGMA_X).astype(complex),) * 2, 1.0)):
+        assert all(t.dtype == np.float64 for t in model.terms)
+        assert total_hamiltonian(model).dtype == np.float64
+        assert exact_gibbs(model).dtype == np.float64
+        assert all(f.dtype == np.float64 for f in trotter.trotter_plan(model, 5).slice_factors)
+    assert heisenberg_term().dtype == xxz_term(0.5).dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "xxz-field"])
+def test_exact_gibbs_diagonalizes_real_models_in_real_arithmetic(kind, eig_calls):
+    # a stray complex constant would bring back the complex solver
+    exact_gibbs(SECTOR_MODELS[kind](8, 1.0))
+    assert len(eig_calls) > 1  # split into sectors
+    assert {dtype for _, dtype in eig_calls} == {np.dtype(np.float64)}
+
+
+def dm_chain(sites, beta):
+    """XXZ(0.5) plus a Dzyaloshinskii-Moriya term along z: Sz-conserving, complex."""
+    dm = 0.4 * (np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X))
+    return SpinChainModel(sites, (xxz_term(0.5) + dm,) * (sites - 1), beta)
+
+
+def test_a_complex_chain_takes_the_same_path_in_complex128(eig_calls):
+    model = dm_chain(8, 1.0)
+    assert all(t.dtype == np.complex128 and t.imag.any() for t in model.terms)
+    expected = dense_gibbs(model)
+    eig_calls.clear()
+    got = exact_gibbs(model)
+    assert got.dtype == np.complex128
+    # the N+1 total-Sz sectors, stacked by size
+    assert shapes(eig_calls) == [(2, 1, 1), (2, 8, 8), (2, 28, 28), (2, 56, 56), (1, 70, 70)]
+    assert {dtype for _, dtype in eig_calls} == {np.dtype(np.complex128)}
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def test_a_complex_chain_runs_qbp_but_not_st():
+    model = dm_chain(8, 1.0)
+    result = qbp_run(model)
+    for q in list(result.beliefs_single.values()) + list(result.beliefs_pair.values()):
+        assert abs(np.trace(q) - 1) < 1e-12
+        np.testing.assert_allclose(q, q.conj().T, atol=1e-12)
+        assert linalg.herm_eig(q).eigenvalues.min() >= -1e-12
+    with pytest.raises(trotter.ComplexResidueError):
+        trotter.st_reduced(trotter.trotter_plan(model, 20), (0, 1))
 
 
 def test_model_validation():
@@ -281,9 +334,15 @@ def test_parse_key_values():
 
 def test_zero_sites_are_rejected_before_the_couplings_are_counted():
     for build in (lambda: heisenberg_chain(0, 1.0), lambda: xxz_chain(-1, 1.0),
-                  lambda: spinchain.model_from_keys({"sites": "0"})):
+                  lambda: spinchain.model_from_keys({"sites": "0"}),
+                  lambda: spinchain.model_from_keys({"sites": "0", "J_1": "0.5"})):
         with pytest.raises(ValueError, match="n_sites must be positive, got"):
             build()
+
+
+def test_a_bond_key_on_one_site_says_there_are_no_bonds():
+    with pytest.raises(ValueError, match="field 'J_1': a 1-site chain has no bonds"):
+        spinchain.model_from_keys({"sites": "1", "J_1": "0.5"})
 
 
 def test_model_from_keys():
