@@ -126,25 +126,26 @@ def mat_func(a, f: Callable[[np.ndarray], np.ndarray], *, positive: bool = False
 
     Returns V diag(f(w)) V^dag.  ``f`` must act elementwise on a real numpy
     array (np.exp, np.log, ...).  With ``positive=True`` the spectrum is
-    required to be nonnegative up to a clamp tolerance of 1e-12 * max|w|,
-    taken per matrix: eigenvalues within it below zero are raised to
-    ``POSITIVE_FLOOR`` before ``f`` is applied, anything more negative
-    raises DomainError.  The tiny positive floor keeps log finite on spectra
-    that are positive in exact arithmetic but graze zero in floats.
+    clamped by ``positive_spectrum`` before ``f`` is applied.
     """
     w, v = herm_eig(a)
-    if positive:
-        tol = HERMITIAN_RTOL * np.abs(w).max(axis=-1, initial=0.0)
-        lowest = w.min(axis=-1, initial=np.inf)
-        bad = lowest < -tol
-        if bad.any():
-            at, where = _first_flagged(bad)
-            raise DomainError(
-                f"{where}eigenvalue {lowest[at]:.6e} below the clamp tolerance "
-                f"{-tol[at]:.3e}; input is not positive semidefinite"
-            )
-        w = np.maximum(w, POSITIVE_FLOOR)
-    return spectral(v, np.asarray(f(w)))
+    return spectral(v, np.asarray(f(positive_spectrum(w) if positive else w)))
+
+
+def positive_spectrum(w: np.ndarray) -> np.ndarray:
+    """Spectra w (..., d) of positive semidefinite matrices, each clamped on its
+    own scale: eigenvalues down to -1e-12 * max|w| are raised to ``POSITIVE_FLOOR``,
+    which keeps log finite on roundoff; anything lower raises DomainError."""
+    tol = HERMITIAN_RTOL * np.abs(w).max(axis=-1, initial=0.0)
+    lowest = w.min(axis=-1, initial=np.inf)
+    bad = lowest < -tol
+    if bad.any():
+        at, where = _first_flagged(bad)
+        raise DomainError(
+            f"{where}eigenvalue {lowest[at]:.6e} below the clamp tolerance "
+            f"{-tol[at]:.3e}; input is not positive semidefinite"
+        )
+    return np.maximum(w, POSITIVE_FLOOR)
 
 
 def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:

@@ -1,37 +1,35 @@
 """Operator-valued belief propagation on spin chains.
 
-Messages are Hermitian 2x2 matrices living in the log domain: a message
-enters the beliefs inside a matrix exponential, so adding any multiple of
-the identity only rescales the belief normalization.  That freedom is fixed
-by projecting every message to trace zero, which also absorbs the otherwise
-arbitrary normalization prefactor of the update rule.  The standard uniform
-start (identity messages) is therefore the zero matrix.
+Messages are Hermitian 2x2 matrices in the log domain: they enter the
+beliefs inside a matrix exponential, where a multiple of the identity only
+rescales the normalization.  So messages are kept traceless, which also
+absorbs the update rule's arbitrary prefactor, and stored as their real
+coordinates x_a = tr(P_a m) in the Hilbert-Schmidt-orthonormal basis
+P_a = sigma_a/sqrt(2), so |x| is the Frobenius norm.  A real model (float64
+terms) takes only (sigma_x, sigma_z)/sqrt(2) and loses nothing: exp, partial
+trace and log keep real symmetric operators real symmetric, so from the zero
+start (identity messages) no sigma_y part arises.  A complex model takes all.
 
-The update for the message flowing j -> i exponentiates the bond operator
--beta*E_ij dressed with the other messages entering i and j, traces out
-site j, takes the matrix log, and removes the contribution that the other
-messages already deliver to i.  On a two-site chain this makes the pair
-belief the exact Gibbs state.
-
-A sweep updates all 2(n-1) directed edges at once as stacks: the dressed
-exponents form one (E,4,4) array (receiving site first), exponentiated by
-one stacked ``linalg.herm_exp``; one einsum traces out the senders and one
-stacked ``linalg.herm_log`` takes the (E,2,2) logs.  The stacked calls keep
-the per-matrix Hermiticity and positivity checks of the 2-D ones, and give
-the same bits as exponentiating edge by edge.  The pair belief of bond k is
-the normalized exponential of edge (k+1, k)'s dressed exponent.
+The message j -> i exponentiates the bond operator -beta*E_ij dressed with
+the other messages into i and j, traces out j, takes the log and removes
+what the other messages already deliver to i; on a two-site chain the pair
+belief is then exact.  A sweep updates all 2(n-1) directed edges at once:
+the dressed exponents -beta*T + [r, s] @ D (receiving site first; D holds
+P_a (x) 1 and 1 (x) P_a) form one (E,4,4) stack for one checked
+``linalg.herm_exp``.  One product reads off the trace t and c_a =
+tr((P_a (x) 1) exp), so the reduced state t/2 + c.P has eigenvalues
+t/2 -+ |c|/sqrt(2) and its log's traceless part (log l+ - log l-)/sqrt(2)
+c/|c| (0 at c = 0), clamped and checked as in ``herm_log``.
 
 The plain damped iteration converges only linearly, so ``qbp_run`` mixes
 the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
-and Ni 2011, SIAM J. Numer. Anal. 49:1715) on the flattened real view x of
-the message stack.  With f = update - x and the damping d as the mixing
-step, the next iterate is x + d*f - (dX + d*dF) gamma.  The columns of dX
-and dF are the differences between successive iterates, and between their
-f, over the last ``MEMORY`` sweeps; gamma is the least-squares fit of f on
-dF.  The result is projected back onto traceless Hermitian messages.  The
-history restarts when the residual grows or the fit is ill-conditioned, and
-an empty history (or ``MEMORY = 0``) gives the plain damped step.  Each sweep
-makes one stacked update call.
+and Ni 2011, SIAM J. Numer. Anal. 49:1715) on the flattened coordinates x.
+With f = update - x and the damping d as the mixing step, the next iterate
+is x + d*f - (dX + d*dF) gamma.  The columns of dX and dF are the
+differences between successive iterates, and between their f, over the
+last ``MEMORY`` sweeps; gamma is the least-squares fit of f on dF.  The
+history restarts when the residual grows or the fit is ill-conditioned,
+and an empty history (or ``MEMORY = 0``) gives the plain damped step.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .spinchain import IDENTITY_2, SpinChainModel
+from .spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 500
@@ -51,8 +49,18 @@ MEMORY = 5
 # A fit whose smallest singular value is at most this fraction of its largest
 # is ill-conditioned; on the benchmark's XXZ chains the ratio stays above 1e-4.
 FIT_RCOND = 1e-8
-
 Edge = tuple  # directed (source, destination) site pair
+
+
+def _frame(basis: list) -> tuple:
+    """Basis P_a = basis/sqrt(2) flat (k,4); D (2k,16), rows P_a (x) 1 then 1 (x) P_a;
+    and R (16,k+1), whose columns read tr(A) and tr((P_a (x) 1) A) off a flat 4x4 A."""
+    basis, eye = np.array(basis) / np.sqrt(2), np.eye(2)
+    lift = np.vstack([linalg.kron(basis, eye), linalg.kron(eye, basis)]).reshape(-1, 16)
+    return basis.reshape(-1, 4), lift, np.vstack([np.eye(4).ravel(), *lift[:len(basis)].conj()]).T
+
+
+REAL, COMPLEX = _frame([SIGMA_X.real, SIGMA_Z.real]), _frame([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass
@@ -61,8 +69,8 @@ class QbpResult:
 
     ``beliefs_single[i]`` is the 2x2 belief for site i; ``beliefs_pair[(i, i+1)]``
     the 4x4 belief for a bond.  ``converged`` reports whether the final sweep
-    changed any message by less than the tolerance; callers decide whether a
-    truncated run is acceptable.
+    changed any message by less than the tolerance (callers decide whether a
+    truncated run is acceptable); ``residuals`` holds every sweep's residual.
     """
 
     beliefs_single: dict
@@ -70,6 +78,7 @@ class QbpResult:
     iterations: int
     converged: bool
     residual: float
+    residuals: tuple
 
 
 def directed_edges(model: SpinChainModel) -> list[Edge]:
@@ -78,42 +87,43 @@ def directed_edges(model: SpinChainModel) -> list[Edge]:
 
 
 def qbp_init(model: SpinChainModel) -> dict:
-    """Identity starting messages, which gauge-fix to zero matrices."""
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    return {edge: zero.copy() for edge in directed_edges(model)}
+    """Identity starting messages, which are zero once traceless."""
+    return {edge: np.zeros((2, 2)) for edge in directed_edges(model)}
 
 
 def _edge_plan(model: SpinChainModel, edges: list):
     """Per-edge constants for directed edges (j, i): -beta times the bond term
     with the receiving site i first, and the pair of edges that carry the
     messages into i and into j from their other neighbours 2i-j and 2j-i."""
-    terms = np.array([model.terms[min(e)] for e in edges], dtype=np.complex128)
-    terms = terms.reshape(-1, 2, 2, 2, 2)
+    terms = np.array([model.terms[min(e)] for e in edges]).reshape(-1, 2, 2, 2, 2)
     # edge (k, k+1) receives at k+1, so its sites are swapped; (k+1, k) is as stored
     swap = np.array([j < i for j, i in edges]).reshape(-1, 1, 1, 1, 1)
     oriented = np.where(swap, terms.transpose(0, 2, 1, 4, 3), terms).reshape(-1, 4, 4)
     return -model.beta * oriented, [((2 * i - j, i), (2 * j - i, j)) for j, i in edges]
 
 
-def _dressed(neg_terms, into_recv, into_send) -> np.ndarray:
-    """Dressed bond exponents -beta*T + m_i (x) 1 + 1 (x) m_j, one per stack row."""
-    return neg_terms + linalg.kron(into_recv, IDENTITY_2) + linalg.kron(IDENTITY_2, into_send)
+def _dressed(neg_terms, incoming, lift) -> np.ndarray:
+    """Dressed bond exponents -beta*T + m_i (x) 1 + 1 (x) m_j, from (E,2,k) coordinates."""
+    return neg_terms + (incoming.reshape(-1, len(lift)) @ lift).reshape(-1, 4, 4)
 
 
-def _gauge(m: np.ndarray) -> np.ndarray:
-    """Project a stack of messages onto traceless Hermitian matrices."""
-    m = (m + linalg.dagger(m)) / 2
-    return m - (np.trace(m, axis1=-2, axis2=-1).real / 2)[..., None, None] * IDENTITY_2
+def _log_coordinates(trace, c) -> np.ndarray:
+    """Coordinates of the traceless part of log(trace/2 + c.P), one per row; 0 at c = 0."""
+    radius = np.sqrt((c * c).sum(axis=1, keepdims=True) / 2)  # |c|/sqrt(2)
+    logs = np.log(linalg.positive_spectrum(trace[:, None] / 2 + radius * np.array([-1.0, 1.0])))
+    return (logs[:, 1:] - logs[:, :1]) / np.maximum(2 * radius, linalg.POSITIVE_FLOOR) * c
 
 
-def _updates(neg_terms, into_recv, into_send) -> np.ndarray:
-    """New messages for a stack of directed edges, gauge-fixed to traceless Hermitian."""
-    expo = linalg.herm_exp(_dressed(neg_terms, into_recv, into_send))
-    traced = np.einsum("eakbk->eab", expo.reshape(-1, 2, 2, 2, 2))  # trace out the sender
-    return _gauge(linalg.herm_log(traced) - into_recv)
+def _updates(neg_terms, incoming, frame) -> np.ndarray:
+    """New message coordinates for a stack of directed edges."""
+    _, lift, read = frame
+    expo = linalg.herm_exp(_dressed(neg_terms, incoming, lift))
+    moments = (expo.reshape(-1, 16) @ read).real  # tr, and tr((P_a (x) 1) expo)
+    return _log_coordinates(moments[:, 0], moments[:, 1:]) - incoming[:, 0]
 
 
-def _normalized(q: np.ndarray) -> np.ndarray:
+def _gibbs(a: np.ndarray) -> np.ndarray:
+    q = linalg.herm_exp(a)
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 
@@ -125,15 +135,16 @@ def check_options(max_iters: int, tol: float, damping: float) -> None:
 
 
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
-    """Recompute the message for the directed edge (j, i), gauge-fixed."""
+    """Recompute the message for the directed edge (j, i), traceless: float64 when
+    the model and the two messages it reads are real, else complex128."""
     edge, edges = tuple(edge), directed_edges(model)
     if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")
     neg_term, (into,) = _edge_plan(model, [edge])
-    zero = np.zeros((2, 2))
-    recv, send = (np.array([messages[e] if e in edges else zero], dtype=np.complex128)
-                  for e in into)
-    return _updates(neg_term, recv, send)[0]
+    m = linalg.require_hermitian([messages[e] if e in edges else np.zeros((2, 2)) for e in into])
+    frame = COMPLEX if np.iscomplexobj(neg_term) or m.imag.any() else REAL
+    coordinates = (m.reshape(2, 4) @ frame[0].conj().T).real  # tr(P_a m)
+    return (_updates(neg_term, coordinates[None], frame) @ frame[0]).reshape(2, 2)
 
 
 def qbp_run(
@@ -148,29 +159,28 @@ def qbp_run(
     The residual is the largest Frobenius-norm change of any message under
     the plain damped step (1-damping)*old + damping*update; the run has
     converged when it falls below ``tol``, and that last step is the damped
-    one.  Otherwise the step is mixed over the last ``MEMORY`` sweeps (see
-    the module docstring); the history restarts when the residual grows or
-    the fit's singular values span more than 1/FIT_RCOND.  ``MEMORY = 0``
-    is the plain damped iteration.
+    one.  Otherwise the step is mixed (see the module docstring); a fit is
+    ill-conditioned when its singular values span more than 1/FIT_RCOND.
     """
     check_options(max_iters, tol, damping)
     edges = directed_edges(model)
     neg_terms, into = _edge_plan(model, edges)
+    frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
     row = {e: k for k, e in enumerate(edges)}  # row E, one past the last edge, is a zero message
-    into_recv, into_send = np.array([[row.get(e, len(edges)) for e in pair] for pair in into],
-                                    dtype=np.intp).reshape(-1, 2).T
-    stack = np.zeros((len(edges) + 1, 2, 2), dtype=np.complex128)
+    into = np.array([[row.get(e, len(edges)) for e in p] for p in into], np.intp).reshape(-1, 2)
+    stack = np.zeros((len(edges) + 1, len(frame[0])))
     messages = stack[:-1]  # a view; the last row stays zero
     # the last MEMORY differences of iterates and of f, one column each, oldest first
-    dx, df = np.empty((2, messages.size * 2, MEMORY))
-    count, last = 0, None  # columns in use; (x, f, residual) of the last sweep
+    dx, df = np.empty((2, messages.size, MEMORY))
+    count, last, residuals = 0, None, []  # columns in use; (x, f, residual) of the last sweep
     for iterations in range(1, max_iters + 1):  # check_options: at least one sweep
-        update = _updates(neg_terms, stack[into_recv], stack[into_send])
-        new = (1 - damping) * messages + damping * update
-        residual = float(np.linalg.norm(new - messages, axis=(1, 2)).max(initial=0.0))
+        update = _updates(neg_terms, stack[into], frame)
+        f = update - messages
+        new = messages + damping * f
+        residual = damping * float(np.sqrt((f * f).sum(axis=1).max(initial=0.0)))
+        residuals.append(residual)
         if MEMORY and residual >= tol:
-            x = messages.view(np.float64).ravel().copy()
-            f = (update - messages).view(np.float64).ravel()
+            x, f = messages.ravel().copy(), f.ravel()
             if last is None or residual > last[2]:
                 count = 0  # first sweep, or the residual grew: restart
             else:
@@ -183,7 +193,7 @@ def qbp_run(
                 gamma, _, _, sv = np.linalg.lstsq(df[:, :count], f, rcond=None)
                 if sv[-1] > FIT_RCOND * sv[0]:
                     step = (dx[:, :count] + damping * df[:, :count]) @ gamma
-                    new = _gauge(new - step.view(np.complex128).reshape(new.shape))
+                    new = new - step.reshape(new.shape)
                 else:
                     count = 0  # ill-conditioned fit: restart
         messages[...] = new
@@ -194,12 +204,11 @@ def qbp_run(
     # rows of the messages into site i from i-1 and from i+1
     left = [2 * i - 2 if i > 0 else zero_row for i in range(n)]
     right = [2 * i + 1 if i < n - 1 else zero_row for i in range(n)]
-    singles = _normalized(linalg.herm_exp(stack[left] + stack[right]))
+    singles = _gibbs(((stack[left] + stack[right]) @ frame[0]).reshape(-1, 2, 2))
     bond = slice(1, None, 2)  # bond k's pair belief dresses edge (k+1, k)
-    expo = _dressed(neg_terms[bond], stack[into_recv[bond]], stack[into_send[bond]])
-    pairs = _normalized(linalg.herm_exp(expo))
-    beliefs_pair = {(k, k + 1): q for k, q in enumerate(pairs)}
-    return QbpResult(dict(enumerate(singles)), beliefs_pair, iterations, residual < tol, residual)
+    pairs = _gibbs(_dressed(neg_terms[bond], stack[into[bond]], frame[1]))
+    return QbpResult(dict(enumerate(singles)), {(k, k + 1): q for k, q in enumerate(pairs)},
+                     iterations, residual < tol, residual, tuple(residuals))
 
 
 def qbp_opcount(n_sites: int) -> int:

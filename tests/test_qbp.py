@@ -5,10 +5,12 @@ the gauge-fixed log of the traced bond exponential directly.  The Heisenberg
 chain gives zero messages after one sweep, so the tests of the damped
 iteration use an XXZ chain in a longitudinal field, whose messages are not
 multiples of the identity.  The orientation of reversed edges is checked on
-a chain whose bond terms are not symmetric under site swap.
+a chain whose bond terms are not symmetric under site swap, and the complex
+(three-coordinate) iteration on a chain with complex terms that iterates.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from spinbp.qbp import (
     qbp_update_edge,
 )
 from spinbp.spinchain import (
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SpinChainModel,
     exact_gibbs,
@@ -83,6 +87,15 @@ def swap_asymmetric_chain(beta):
     return SpinChainModel(4, tuple(c * xxz_term(0.5) + left_field for c in (1.0, 0.6, 0.3)), beta)
 
 
+def iterating_complex_chain(sites=5, beta=1.0):
+    """XXZ(0.5) with a Dzyaloshinskii-Moriya term and a transverse field on the
+    left site of each bond: complex terms whose messages iterate and need all
+    three Pauli coordinates."""
+    dm = 0.4 * (np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X))
+    term = xxz_term(0.5) + dm + 0.3 * np.kron(SIGMA_X, I2)
+    return SpinChainModel(sites, (term,) * (sites - 1), beta)
+
+
 def random_traceless_hermitian(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     a = (a + a.conj().T) / 2
@@ -138,6 +151,14 @@ def test_update_rejects_non_edges():
     model = heisenberg_chain(3, 1.0)
     with pytest.raises(ValueError):
         qbp_update_edge(model, qbp_init(model), (0, 2))
+
+
+def test_update_rejects_non_hermitian_messages():
+    model = xxz_chain(3, 1.0, delta=0.5, field=0.3)
+    messages = qbp_init(model)
+    messages[(0, 1)] = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(linalg.NotHermitianError):
+        qbp_update_edge(model, messages, (1, 2))
 
 
 def test_update_on_swap_asymmetric_chain_matches_oracle_on_every_edge():
@@ -303,6 +324,149 @@ def test_run_options_are_checked(option):
     ((key, value),) = option.items()
     with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
         qbp_run(heisenberg_chain(2, 1.0), **option)
+
+
+def test_residual_history():
+    iterating = qbp_run(xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3))
+    assert len(iterating.residuals) == iterating.iterations > 1
+    assert iterating.residuals[-1] == iterating.residual
+    assert iterating.residuals[0] > iterating.residual
+    heisenberg = qbp_run(heisenberg_chain(4, 1.0))
+    assert heisenberg.residuals == (heisenberg.residual,)
+
+
+def test_real_models_give_real_messages_and_beliefs():
+    model = xxz_chain(4, 1.0, delta=0.5, field=0.3)
+    messages = qbp_init(model)
+    assert qbp_update_edge(model, messages, (1, 2)).dtype == np.float64
+    messages[(0, 1)] = random_traceless_hermitian(np.random.default_rng(2))
+    assert qbp_update_edge(model, messages, (1, 2)).dtype == np.complex128
+    result = qbp_run(model)
+    for q in list(result.beliefs_single.values()) + list(result.beliefs_pair.values()):
+        assert q.dtype == np.float64
+
+
+# --- a complex chain that iterates ----------------------------------------------
+
+
+def test_update_on_an_iterating_complex_chain_matches_oracle_on_every_edge():
+    model = iterating_complex_chain()
+    rng = np.random.default_rng(5)
+    messages = {e: random_traceless_hermitian(rng) for e in directed_edges(model)}
+    for edge in directed_edges(model):
+        expected = two_site_message_oracle(
+            model.beta, *oracle_edge_inputs(model, messages, edge)
+        )
+        got = qbp_update_edge(model, messages, edge)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_sweeps_on_an_iterating_complex_chain_match_per_edge_oracle(monkeypatch):
+    monkeypatch.setattr(qbp, "MEMORY", 0)  # the oracle takes plain damped steps
+    model = iterating_complex_chain()
+    edges = directed_edges(model)
+    messages = {e: np.zeros((2, 2)) for e in edges}
+    for _ in range(3):
+        updates = {
+            e: two_site_message_oracle(model.beta, *oracle_edge_inputs(model, messages, e))
+            for e in edges
+        }
+        messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
+    assert any(abs(m[0, 1].imag) > 1e-3 for m in messages.values())  # sigma_y parts
+    result = qbp_run(model, max_iters=3)
+    assert (result.iterations, result.converged) == (3, False)
+    for k in range(model.n_sites - 1):
+        term, into_k, into_next = oracle_edge_inputs(model, messages, (k + 1, k))
+        expected = oracle_gibbs(
+            -model.beta * term + np.kron(into_k, I2) + np.kron(I2, into_next)
+        )
+        np.testing.assert_allclose(result.beliefs_pair[(k, k + 1)], expected, rtol=0, atol=1e-12)
+    for i in range(model.n_sites):
+        incoming = sum(messages[(n, i)] for n in (i - 1, i + 1) if 0 <= n < model.n_sites)
+        np.testing.assert_allclose(
+            result.beliefs_single[i], oracle_gibbs(incoming), rtol=0, atol=1e-12
+        )
+
+
+def test_an_iterating_complex_chain_converges_with_complex_beliefs():
+    result = qbp_run(iterating_complex_chain())
+    assert result.converged
+    assert result.iterations > 1
+    beliefs = list(result.beliefs_single.values()) + list(result.beliefs_pair.values())
+    for q in beliefs:
+        assert q.dtype == np.complex128
+        assert abs(np.trace(q) - 1) < 1e-12
+        np.testing.assert_allclose(q, q.conj().T, atol=1e-12)
+    assert any(abs(q[0, 1].imag) > 1e-3 for q in result.beliefs_single.values())
+
+
+# --- one eigensolve per sweep -----------------------------------------------------
+
+
+def test_each_sweep_makes_one_real_eigensolve(eig_calls):
+    # the (E,4,4) exponentials of a sweep, then the single and the pair beliefs;
+    # a stray complex constant, or a 2x2 eigensolve inside the sweep, fails here
+    result = qbp_run(xxz_chain(8, 1.0, delta=0.5, field=0.3))
+    assert result.iterations > 1
+    assert len(eig_calls) == result.iterations + 2
+    assert [shape for shape, _ in eig_calls] == (
+        [(14, 4, 4)] * result.iterations + [(8, 2, 2), (7, 4, 4)]
+    )
+    assert {dtype for _, dtype in eig_calls} == {np.dtype(np.float64)}
+
+
+def test_a_complex_chain_sweeps_in_complex128(eig_calls):
+    result = qbp_run(iterating_complex_chain())
+    assert [shape for shape, _ in eig_calls] == (
+        [(8, 4, 4)] * result.iterations + [(5, 2, 2), (4, 4, 4)]
+    )
+    assert {dtype for _, dtype in eig_calls} == {np.dtype(np.complex128)}
+
+
+# --- closed-form log -------------------------------------------------------------
+
+
+def coordinates(a):
+    """tr(P_a A) in the complex basis sigma_a/sqrt(2), for one 2x2 matrix."""
+    return np.array([np.trace(s @ a).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) / np.sqrt(2)
+
+
+def closed_form_log(trace, c):
+    return qbp._log_coordinates(np.array([float(trace)]), np.array([c], dtype=float))[0]
+
+
+def test_closed_form_log_matches_herm_log():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        state = g @ g.conj().T + rng.uniform(0, 1) * I2
+        expected = coordinates(linalg.herm_log(state))  # its traceless part
+        got = closed_form_log(np.trace(state).real, coordinates(state))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_closed_form_log_of_a_zero_bloch_vector_is_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = closed_form_log(2.0, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(got, np.zeros(3))
+
+
+def test_closed_form_log_clamps_a_near_pure_state():
+    # trace 1 and |c| = 1/sqrt(2) give the eigenvalues 0 and 1; a Bloch vector
+    # 1e-14 longer puts the lowest 5e-15 below zero, within the clamp tolerance
+    floor_log = -np.log(linalg.POSITIVE_FLOOR) / 2  # per coordinate, along (1, 1, 0)/sqrt(2)
+    for scale in (1.0, 1 + 1e-14):
+        got = closed_form_log(1.0, [0.5 * scale, 0.5 * scale, 0.0])
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, [floor_log, floor_log, 0.0], rtol=1e-12)
+
+
+def test_closed_form_log_rejects_a_negative_state():
+    # the lowest eigenvalue is -1e-11, beyond the clamp tolerance 1e-12 * max|w|
+    with pytest.raises(linalg.DomainError):
+        closed_form_log(1.0, [0.5 * (1 + 2e-11), 0.5 * (1 + 2e-11), 0.0])
 
 
 # --- Anderson mixing ------------------------------------------------------------
