@@ -149,16 +149,26 @@ def _timed(fn, repeats: int):
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Produce one record per (beta, method[, slices]), sorted for stable CSV."""
+    """Produce one record per (beta, method[, slices]), sorted for stable CSV.
+
+    The exact row runs first, and the other rows of its beta are scored against
+    its state; without an exact row, an untimed exact call gives the reference.
+    """
     config.validate()
     keep = tuple(sorted(set(config.keep)))
+    methods = sorted(config.methods, key=lambda m: m != "exact")
     records = []
     for beta in config.beta_grid():
         model = spinchain.heisenberg_chain(config.sites, beta, config.couplings)
-        reference, _, _ = _engine_call(config, model, keep, "exact", None)()
-        for method in config.methods:
+        reference = None
+        if methods[0] != "exact":
+            reference, _, _ = _engine_call(config, model, keep, "exact", None)()
+        for method in methods:
             for n in config.st_slices if method == "st" else (None,):
-                records.append(_run_row(config, model, reference, keep, method, n))
+                record, state = _run_row(config, model, reference, keep, method, n)
+                if method == "exact":
+                    reference = state
+                records.append(record)
     records.sort(key=lambda r: (r.beta, r.method, r.n_slices or 0))
     return records
 
@@ -187,24 +197,30 @@ def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices)
     raise ValueError(f"unknown method {method!r}")  # pragma: no cover - validate() rejects this
 
 
-def _run_row(config, model, reference, keep, method, n_slices) -> SweepRecord:
+def _run_row(config, model, reference, keep, method, n_slices) -> tuple:
+    """The row's SweepRecord and its reduced state (None if the row failed).
+
+    The exact row is scored against its own state, any other against ``reference``.
+    """
     iterations = opcount = 0
     try:
         if method == "st" and n_slices >= 3:
             opcount = trotter.st_opcount(n_slices, config.sites)
         elif method == "qbp":
             opcount = qbp.qbp_opcount(config.sites)
+        if method != "exact" and reference is None:
+            raise ValueError("no exact reference state: the exact row failed")
         compute = _engine_call(config, model, keep, method, n_slices)
         (state, iterations, status), wall_ms = _timed(compute, config.time_repeats)
-        fid, dist = metrics.scores(state, reference)
-        return SweepRecord(
-            model.beta, method, n_slices, fid, dist, iterations, wall_ms, opcount, status
-        )
+        fid, dist = metrics.scores(state, state if method == "exact" else reference)
     except Exception as exc:
         status = f"error: {exc}".replace(",", ";").replace("\n", " ")
-        return SweepRecord(
-            model.beta, method, n_slices, None, None, iterations, 0.0, opcount, status
-        )
+        state = fid = dist = None
+        wall_ms = 0.0
+    record = SweepRecord(
+        model.beta, method, n_slices, fid, dist, iterations, wall_ms, opcount, status
+    )
+    return record, state
 
 
 def _fmt(value) -> str:

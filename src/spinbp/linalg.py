@@ -8,7 +8,11 @@ partial traces and the absolute trace norm.  Matrices stay dense; the sizes
 of interest (8x8 up to 4096x4096) never justify sparse storage.
 ``herm_eig`` is the package's only eigensolver call: every spectrum, in
 ``mat_func``, ``abs_trace_norm``, the exact Gibbs state and the metrics,
-passes its Hermiticity check and its handler for solver failure.
+passes its Hermiticity check and its handler for solver failure.  The check
+makes one pass, A - A^dag: an exactly Hermitian input (the symmetrized states,
+spectral outputs and differences the package builds) skips the relative test
+and the symmetrization, which would return it bit for bit; a NaN or inf entry
+is always rejected.
 
 ``by_blocks`` is the one block kernel: it applies a function to the diagonal
 blocks that ``diagonal_blocks`` reads off a matrix's exact zeros, one stack
@@ -95,10 +99,29 @@ def require_hermitian(a) -> np.ndarray:
     """Return ``a`` as a matrix or stack (see ``as_stack``), rejecting non-Hermitian input.
 
     The check is relative and applies to each matrix of a stack on its own
-    scale: max |A - A^dag| must not exceed HERMITIAN_RTOL * max |A|.
+    scale: max |A - A^dag| must not exceed HERMITIAN_RTOL * max |A|.  A NaN or
+    infinite entry fails it.
     """
+    return _checked(a)[0]
+
+
+@np.errstate(invalid="ignore")  # inf - inf gives the NaN skew that rejects an inf entry
+def _checked(a) -> tuple[np.ndarray, bool]:
+    """``require_hermitian(a)`` and whether it is exactly Hermitian, from one A - A^dag;
+    a zero skew passes every relative check, and a NaN or inf entry never gives one."""
     arr = as_stack(a)
-    residue = np.abs(arr - dagger(arr)).max(axis=(-2, -1), initial=0.0)
+    skew = arr - dagger(arr)
+    if not np.count_nonzero(skew):  # a NaN counts as nonzero
+        return arr, True
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    if not finite.all():
+        at, where = _first_flagged(~finite)
+        entries = np.argwhere(~np.isfinite(arr[at]))
+        raise NotHermitianError(
+            f"{where}matrix has {len(entries)} non-finite entries, the first "
+            f"{arr[at][tuple(entries[0])]} at {tuple(int(i) for i in entries[0])}"
+        )
+    residue = np.abs(skew).max(axis=(-2, -1), initial=0.0)
     tol = HERMITIAN_RTOL * np.abs(arr).max(axis=(-2, -1), initial=0.0)
     bad = residue > tol
     if bad.any():
@@ -107,13 +130,18 @@ def require_hermitian(a) -> np.ndarray:
             f"{where}matrix is not Hermitian: residue {residue[at]:.3e} exceeds "
             f"{HERMITIAN_RTOL:g} * max|A| = {tol[at]:.3e}"
         )
-    return arr
+    return arr, False
 
 
 def herm_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending."""
-    arr = require_hermitian(a)
-    arr = (arr + dagger(arr)) / 2
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending.
+
+    The checked input is symmetrized as (A + A^dag) / 2 first, unless it is
+    exactly Hermitian, where that would return A bit for bit.
+    """
+    arr, exact = _checked(a)
+    if not exact:
+        arr = (arr + dagger(arr)) / 2
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological

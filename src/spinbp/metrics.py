@@ -4,9 +4,10 @@ Both metrics validate their inputs as density matrices with an absolute
 slack of 1e-8 on Hermiticity, unit trace and positive semidefiniteness,
 so engine outputs whose eigenvalues dip slightly below zero from roundoff
 are accepted; such eigenvalues are clamped to zero inside the metrics.
-Each input is decomposed once, for its check and for the fidelity, which is
-the nuclear norm of sqrt(rho) sqrt(sigma) taken from the two decompositions.
-``scores`` gives both metrics from one check of the pair.
+A NaN or inf entry fails the Hermiticity check.  The pair is checked and
+decomposed as one (2, d, d) stack in its common dtype, with one eigensolve;
+the fidelity is the nuclear norm of sqrt(rho) sqrt(sigma) taken from the two
+decompositions.  ``scores`` gives both metrics from one check of the pair.
 """
 
 from __future__ import annotations
@@ -22,28 +23,37 @@ class NotDensityMatrixError(ValueError):
     """Input is not a density matrix within the accepted slack."""
 
 
-def _check_density(a, name: str) -> tuple[np.ndarray, linalg.HermitianEigen]:
-    """The symmetrized density matrix and its spectral decomposition."""
-    arr = linalg.as_matrix(a)
-    residue = np.abs(arr - arr.conj().T).max()
-    if residue > PSD_SLACK:
-        raise NotDensityMatrixError(f"{name}: Hermiticity residue {residue:.3e} > {PSD_SLACK:g}")
-    arr = (arr + arr.conj().T) / 2
-    tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > PSD_SLACK:
-        raise NotDensityMatrixError(f"{name}: trace {tr!r} differs from 1 beyond {PSD_SLACK:g}")
-    eig = linalg.herm_eig(arr)
-    lowest = float(eig.eigenvalues[0])
-    if lowest < -PSD_SLACK:
-        raise NotDensityMatrixError(f"{name}: eigenvalue {lowest:.3e} below -{PSD_SLACK:g}")
-    return arr, eig
-
-
+@np.errstate(invalid="ignore")  # inf - inf gives the NaN residue that rejects an inf entry
 def _check_pair(rho, sigma):
-    (r, r_eig), (s, s_eig) = _check_density(rho, "rho"), _check_density(sigma, "sigma")
+    """The symmetrized pair and its decompositions, from one stacked eigensolve.
+
+    After the shapes, each state is checked for Hermiticity, trace and lowest
+    eigenvalue, in that order, rho before sigma.
+    """
+    r, s = linalg.as_matrix(rho), linalg.as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return r, r_eig, s, s_eig
+    pair = np.array((r, s))  # in the pair's common dtype
+    residues = np.abs(pair - linalg.dagger(pair)).max(axis=(1, 2)).tolist()
+    pair = (pair + linalg.dagger(pair)) / 2
+    traces = np.trace(pair, axis1=1, axis2=2).real.tolist()
+    valid = [res <= PSD_SLACK and abs(tr - 1.0) <= PSD_SLACK for res, tr in zip(residues, traces)]
+    # only the states before the first invalid one are decomposed: its check
+    # fails first, and eigh needs the finite input a NaN or inf entry rules out
+    w, v = linalg.herm_eig(pair[: valid.index(False) if False in valid else 2])
+    lowest = w[:, 0].tolist()
+    for i, name in enumerate(("rho", "sigma")):
+        if not residues[i] <= PSD_SLACK:  # a NaN or inf entry reads as residue nan or inf
+            raise NotDensityMatrixError(
+                f"{name}: Hermiticity residue {residues[i]:.3e} > {PSD_SLACK:g}"
+            )
+        if not valid[i]:
+            raise NotDensityMatrixError(
+                f"{name}: trace {traces[i]!r} differs from 1 beyond {PSD_SLACK:g}"
+            )
+        if lowest[i] < -PSD_SLACK:
+            raise NotDensityMatrixError(f"{name}: eigenvalue {lowest[i]:.3e} below -{PSD_SLACK:g}")
+    return pair[0], linalg.HermitianEigen(w[0], v[0]), pair[1], linalg.HermitianEigen(w[1], v[1])
 
 
 def _trace_distance(r, s) -> float:

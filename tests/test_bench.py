@@ -514,3 +514,47 @@ def test_cli_bad_grid_and_qbp_options_exit_2(flags, capsys):
     # each used to pass validation, then fail or mislabel every row
     assert main(["sweep", *flags, "--time-repeats", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def count_exact_calls(monkeypatch):
+    calls, exact_gibbs = [], spinchain.exact_gibbs
+
+    def counting(model):
+        calls.append(model.beta)
+        return exact_gibbs(model)
+
+    monkeypatch.setattr(spinchain, "exact_gibbs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("methods", [("st", "exact", "qbp"), ("st", "qbp")])
+def test_each_beta_computes_the_exact_state_once(methods, monkeypatch):
+    # the exact row's own state is the reference; without an exact row, one untimed call
+    calls = count_exact_calls(monkeypatch)
+    config = SweepConfig(beta_steps=4, methods=methods, time_repeats=0)
+    records = run_sweep(config)
+    assert calls == config.beta_grid()
+    assert all(r.status == "ok" for r in records)
+
+
+def test_exact_row_state_scores_the_sweep_as_a_separate_reference_call():
+    with_exact = {(r.beta, r.method, r.n_slices): r for r in run_sweep(SweepConfig(time_repeats=0))}
+    without = run_sweep(SweepConfig(methods=("st", "qbp"), time_repeats=0))
+    assert without
+    for r in without:
+        assert r == with_exact[(r.beta, r.method, r.n_slices)]
+
+
+def test_cli_exact_failure_fails_every_row_and_exits_3(monkeypatch, capsys):
+    def failing_exact(model):
+        raise RuntimeError("exact broke")
+
+    monkeypatch.setattr(spinchain, "exact_gibbs", failing_exact)
+    argv = ["sweep", "--beta-steps", "2", "--methods", "qbp,exact", "--time-repeats", "0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(",error: exact broke" in r for r in rows if ",exact," in r)
+    assert all("error: no exact reference state" in r for r in rows if ",qbp," in r)
+    assert captured.err.count("spinbp: row") == 4

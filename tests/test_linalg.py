@@ -272,6 +272,71 @@ def test_a_real_stack_is_checked_and_decomposed_per_matrix():
         linalg.herm_eig(stack)
 
 
+# --- exactly Hermitian input and non-finite entries ---------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_exactly_hermitian_input_is_decomposed_as_given(dtype):
+    rng = np.random.default_rng(97)
+    make = random_symmetric if dtype == np.float64 else random_hermitian
+    for dim in (2, 4, 8):
+        a = make(rng, dim).astype(dtype)
+        assert np.array_equal(a, linalg.dagger(a))
+        w, v = linalg.herm_eig(a)
+        ew, ev = np.linalg.eigh(a)
+        np.testing.assert_array_equal(w, ew)
+        np.testing.assert_array_equal(v, ev)
+
+
+def near_hermitian(rng, dim, dtype):
+    """A Hermitian matrix plus a skew of 1e-14 relative: inside HERMITIAN_RTOL."""
+    make = random_symmetric if dtype == np.float64 else random_hermitian
+    a = make(rng, dim).astype(dtype)
+    a[0, 1] += 1e-14 * np.abs(a).max()
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_near_hermitian_input_is_decomposed_symmetrized(dtype):
+    rng = np.random.default_rng(101)
+    for dim in (2, 4, 8):
+        a = near_hermitian(rng, dim, dtype)
+        w, v = linalg.herm_eig(a)
+        ew, ev = np.linalg.eigh((a + linalg.dagger(a)) / 2)
+        np.testing.assert_array_equal(w, ew)
+        np.testing.assert_array_equal(v, ev)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_stack_mixing_exact_and_near_hermitian_members_gives_the_per_matrix_bits(dtype):
+    rng = np.random.default_rng(103)
+    make = random_symmetric if dtype == np.float64 else random_hermitian
+    stack = np.array([make(rng, 4).astype(dtype) if k % 2 else near_hermitian(rng, 4, dtype)
+                      for k in range(6)])
+    w, v = linalg.herm_eig(stack)
+    for k in range(len(stack)):
+        wk, vk = linalg.herm_eig(stack[k])
+        np.testing.assert_array_equal(w[k], wk)
+        np.testing.assert_array_equal(v[k], vk)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_non_finite_entries_are_rejected(value, at, dtype):
+    a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=dtype)
+    a[at] = value
+    for check in (linalg.require_hermitian, linalg.herm_eig):
+        with pytest.raises(linalg.NotHermitianError,
+                           match=rf"matrix has 1 non-finite entries, the first .*{at}"):
+            check(a)
+    stack = np.array([np.eye(2, dtype=dtype), a])
+    with pytest.raises(linalg.NotHermitianError, match=r"stack index \(1,\): .*non-finite"):
+        linalg.herm_eig(stack)
+    with pytest.raises(linalg.NotHermitianError, match="non-finite"):
+        linalg.abs_trace_norm(a)
+
+
 # --- kron -------------------------------------------------------------------
 
 

@@ -173,3 +173,76 @@ def test_fidelity_clamps_roundoff_negative_eigenvalues_to_zero():
     # sqrt(rho) takes 0, not sqrt|-5e-9| ~ 7e-5, on the negative eigenvalue
     nearly = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
     assert abs(fidelity(nearly, MIXED) - np.sqrt((1.0 + 5e-9) / 2)) < 1e-12
+
+
+# --- error precedence and non-finite input ----------------------------------------
+
+NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+# each bad state and the message the check gives it
+BAD_STATES = {
+    "residue": (NON_HERMITIAN, "Hermiticity residue 3.000e-01 > 1e-08"),
+    "trace": (2 * MIXED, "trace 2.0 differs from 1 beyond 1e-08"),
+    "eigenvalue": (np.diag([1.1, -0.1]), "eigenvalue -1.000e-01 below -1e-08"),
+}
+
+
+def first_error(metric, rho, sigma) -> str:
+    with pytest.raises(NotDensityMatrixError) as info:
+        metric(rho, sigma)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("metric", [fidelity, trace_distance, scores])
+@pytest.mark.parametrize("rho_bad", [None, *BAD_STATES])
+@pytest.mark.parametrize("sigma_bad", [None, *BAD_STATES])
+def test_errors_name_the_first_bad_state_and_check(metric, rho_bad, sigma_bad):
+    # rho's Hermiticity, trace and eigenvalue checks come before sigma's
+    if rho_bad is None and sigma_bad is None:
+        return
+    rho, rho_message = BAD_STATES[rho_bad] if rho_bad else (MIXED, None)
+    sigma, sigma_message = BAD_STATES[sigma_bad] if sigma_bad else (KET0, None)
+    expected = f"rho: {rho_message}" if rho_bad else f"sigma: {sigma_message}"
+    assert first_error(metric, rho, sigma) == expected
+
+
+def test_dimension_mismatch_comes_before_a_bad_state():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelity(NON_HERMITIAN, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("metric", [fidelity, trace_distance, scores])
+def test_non_finite_entries_are_rejected_as_rho_and_as_sigma(value, at, metric):
+    bad = MIXED.copy()
+    bad[at] = value
+    assert first_error(metric, bad, KET0).startswith("rho: Hermiticity residue")
+    assert "sigma: Hermiticity residue" in first_error(metric, KET0, bad)
+    # a bad rho is still reported first, and a bad sigma does not hide it
+    assert first_error(metric, BAD_STATES["eigenvalue"][0], bad).startswith("rho: eigenvalue")
+    assert first_error(metric, bad, bad).startswith("rho:")
+
+
+def test_a_pair_is_decomposed_in_one_stacked_call(eig_calls):
+    rng = np.random.default_rng(7)
+    for dim in (2, 4, 8):
+        rho, sigma = random_density(rng, dim), random_density(rng, dim).real.astype(float)
+        sigma = (sigma + sigma.T) / 2
+        sigma /= np.trace(sigma)
+        eig_calls.clear()
+        scores(rho, sigma)
+        # one (2, d, d) check of the pair, one (d, d) trace norm of the difference
+        assert eig_calls == [((2, dim, dim), np.complex128), ((dim, dim), np.complex128)]
+        eig_calls.clear()
+        scores(sigma, sigma)
+        assert eig_calls == [((2, dim, dim), np.float64), ((dim, dim), np.float64)]
+
+
+def test_only_the_states_before_the_first_failing_one_are_decomposed(eig_calls):
+    # a failing rho raises with no spectrum taken; a failing sigma after rho's
+    for rho, sigma, decomposed in ((NON_HERMITIAN, MIXED, 0), (2 * MIXED, MIXED, 0),
+                                   (MIXED, NON_HERMITIAN, 1), (MIXED, 2 * MIXED, 1)):
+        eig_calls.clear()
+        with pytest.raises(NotDensityMatrixError):
+            scores(rho, sigma)
+        assert [shape for shape, _ in eig_calls] == [(decomposed, 2, 2)]
