@@ -264,7 +264,7 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     popcount(c) - 1 products, not c - 1.  Before each product its operand is
     divided by its largest absolute entry (unless that is zero), so long
     chains stay in range.  The returned matrix (axes: first variable, last
-    variable) is normalized to unit absolute sum.
+    variable) is fresh and normalized to unit absolute sum in place.
     """
     runs = []  # [count, matrix] for each run of one object, in chain order
     for k, p in enumerate(potentials):
@@ -291,4 +291,4 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
         elif block is None:
             psi = psi.copy()  # the block is rescaled in place
         block = psi if block is None else psi @ _rescaled([block])[0]
-    return block / np.abs(block).sum()
+    return np.divide(block, np.abs(block).sum(), out=block)

@@ -69,9 +69,9 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
     """Check that each slice factor is real, then multiply them in bond order.
 
     W = F_0 F_1 ... F_{N-2} with F_k = 1 kron f_k kron 1 is built right to
-    left in float64: viewing W's row index as (left sites, pair k, right
-    sites), f_k acts on the middle axis only, a batch of 4x4 by
-    4x(2^(N-k-2) 2^N) products.
+    left in float64 by the recursion P <- f_k (1 kron P) from P = f_{N-2}:
+    with the rows of 1 kron P viewed as (pair k, the rest), f_k acts on the
+    leading axis only, one 4x4 by 4x(2^(N-k-2) 2^(N-k)) product.
     """
     real_factors = []
     for k, f in enumerate(plan.slice_factors):
@@ -82,25 +82,26 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
                 "transfer weights are only real for real-symmetric bond terms"
             )
         real_factors.append(f.real)
-    dim = 2**plan.model.n_sites
-    w = np.eye(dim)
-    for k in range(len(real_factors) - 1, -1, -1):
-        w = np.matmul(real_factors[k], w.reshape(2**k, 4, -1)).reshape(dim, dim)
+    w = real_factors[-1] if real_factors else np.eye(2)
+    for f in reversed(real_factors[:-1]):
+        lifted = np.zeros((2, len(w), 2, len(w)))  # 1 kron w
+        lifted[0, :, 0] = lifted[1, :, 1] = w
+        w = np.matmul(f, lifted.reshape(4, -1)).reshape(2 * len(w), -1)
     return TransferWeights(w)
 
 
 def st_density(plan: TrotterPlan) -> np.ndarray:
-    """Density matrix from the two-end marginal of the n-slice weight chain.
+    """Density matrix W^n / tr(W^n) from the two-end marginal of the n-slice chain.
 
-    Algebraically equal to W^n / tr(W^n); computed by cbp.chain_end_marginal
-    on a chain that repeats the one matrix W n times.  It carries all 2^N
-    far-end states at once as the columns of one 2^N x 2^N block and powers
-    W by repeated squaring, within W's diagonal blocks: floor(log2 n)
-    squarings and popcount(n) - 1 block products.
+    cbp.chain_end_marginal contracts a chain that repeats the one matrix W n
+    times: it powers W by repeated squaring within W's diagonal blocks,
+    floor(log2 n) squarings and popcount(n) - 1 block products.  The result
+    is fresh and normalized in place, and W dies first, so the call peaks at
+    the marginal and its complex copy: three 2^N x 2^N float64 arrays' worth.
     """
-    w = build_weights(plan).matrix
-    p = cbp.chain_end_marginal([w] * plan.n_slices)
-    return p.astype(np.complex128) / np.trace(p)
+    p = cbp.chain_end_marginal([build_weights(plan).matrix] * plan.n_slices)
+    rho = p.astype(np.complex128)
+    return np.divide(rho, np.trace(p), out=rho)
 
 
 def st_reduced(plan: TrotterPlan, keep) -> np.ndarray:

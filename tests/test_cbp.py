@@ -300,6 +300,20 @@ def test_chain_end_marginal_powers_a_block_diagonal_run_inside_a_chain(power_pat
         np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
 
 
+def test_chain_end_marginal_never_writes_a_potential(power_path):
+    # the result is normalized in place, so it must be a fresh array for a
+    # single potential, a run of one object, and runs mixed with others
+    rng = np.random.default_rng(83)
+    w, _ = permuted_block_diagonal(rng, (1, 2, 2, 3))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, 8, 8))
+    for potentials in ([a], [w], [w] * 2, [w] * 7, [a, w, w, w, b], [w, w, a], [a, b, b]):
+        before = [p.copy() for p in potentials]
+        got = chain_end_marginal(potentials)
+        for p, q in zip(potentials, before):
+            assert p.tobytes() == q.tobytes()
+            assert not np.shares_memory(got, p)
+
+
 def test_chain_end_marginal_mixed_runs_match_brute():
     rng = np.random.default_rng(47)
     a, b, c = rng.uniform(0.1, 2.0, size=(3, 3, 3))

@@ -469,6 +469,22 @@ def test_closed_form_log_rejects_a_negative_state():
         closed_form_log(1.0, [0.5 * (1 + 2e-11), 0.5 * (1 + 2e-11), 0.0])
 
 
+@pytest.mark.parametrize("model", [
+    heisenberg_chain(3, 300.0),
+    heisenberg_chain(3, 1000.0),
+    xxz_chain(4, 5.0, [50.0] * 3, delta=0.5, field=0.3),
+], ids=["heisenberg-beta300", "heisenberg-beta1000", "xxz-j50-beta5"])
+def test_large_beta_h_gives_valid_pair_beliefs(model):
+    # each dressed exponent is shifted by its largest eigenvalue, so nothing
+    # overflows (warnings are errors) and every pair belief scores
+    result = qbp_run(model)
+    assert result.converged
+    rho = exact_gibbs(model)
+    for k in range(model.n_sites - 1):
+        reference = linalg.partial_trace(rho, [2] * model.n_sites, (k, k + 1))
+        metrics.scores(result.beliefs_pair[(k, k + 1)], reference)
+
+
 # --- Anderson mixing ------------------------------------------------------------
 
 

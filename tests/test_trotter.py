@@ -6,6 +6,8 @@ against the product of embedded 2^N x 2^N exponentials, and the
 n -> infinity limit against full diagonalization.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,35 @@ def test_st_reduced_is_its_public_stages_bit_for_bit(build, sites):
         p = cbp.chain_end_marginal([build_weights(plan).matrix] * n)
         staged = linalg.partial_trace(p.astype(np.complex128) / np.trace(p), [2] * sites, (0, 1))
         np.testing.assert_array_equal(staged, st_reduced(plan, (0, 1)))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees during ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda sites, beta: heisenberg_chain(sites, beta),
+    lambda sites, beta: xxz_chain(sites, beta, delta=0.5, field=0.3),
+], ids=["heisenberg", "xxz-field"])
+def test_st_density_peaks_at_three_full_size_arrays(build):
+    # in units of one 2^N x 2^N float64 array: W dies with the contraction,
+    # which normalizes its fresh block in place, so the peak is the marginal
+    # and its complex copy (3.005).  The exact state's sector eigensolves
+    # peak at 2.761.
+    sites = 8
+    unit = 8 * 4**sites
+    model = build(sites, 1.0)
+    for n in (20, 100):
+        plan = trotter_plan(model, n)
+        assert traced_peak(lambda: st_density(plan)) <= 3.01 * unit
+    assert traced_peak(lambda: exact_gibbs(model)) <= 2.80 * unit
 
 
 @pytest.mark.parametrize("build", [
