@@ -34,10 +34,18 @@ def _check_beta(beta: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {beta}")
 
 
+def _check_distinct(values: tuple, name: str) -> None:
+    """Reject a list that names a value twice, which would repeat its rows."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} must not repeat a value, got {repeated} more than once")
+
+
 def _check_slices(slices: tuple, name: str) -> None:
-    """Reject a Trotter slice count below 1; ``name`` labels the list."""
+    """Reject a Trotter slice count below 1 or given twice; ``name`` labels the list."""
     if any(n < 1 for n in slices):
         raise ValueError(f"{name} must all be >= 1, got {slices}")
+    _check_distinct(slices, name)
 
 
 @dataclass
@@ -79,12 +87,14 @@ class SweepConfig:
             raise ValueError(f"unknown methods {bad}; choose from {list(KNOWN_METHODS)}")
         if not self.methods:
             raise ValueError("at least one method is required")
+        _check_distinct(self.methods, "methods")
         _check_slices(self.st_slices, "st-slices")
         if "st" in self.methods and not self.st_slices:
             raise ValueError("method 'st' requires at least one slice count")
         keep = sorted(set(self.keep))
         if not keep or keep[0] < 0 or keep[-1] >= self.sites:
             raise ValueError(f"keep sites {self.keep} out of range for {self.sites} sites")
+        _check_distinct(tuple(k + 1 for k in self.keep), "keep (1-based site labels)")
         if self.time_repeats < 0:
             raise ValueError(f"time-repeats must be >= 0, got {self.time_repeats}")
         qbp.check_options(self.qbp_max_iters, self.qbp_tol, self.qbp_damping)
@@ -431,6 +441,7 @@ def main(argv=None) -> int:
         else:
             _check_beta(args.beta, "--beta")
             sites = _parse_int_range(args.sites, "--sites")
+            _check_distinct(sites, "--sites")
             slices = _parse_int_range(args.slices, "--slices")
             _check_slices(slices, "--slices")
             rows = compare_complexity(sites, slices, beta=args.beta, time_repeats=args.time_repeats)

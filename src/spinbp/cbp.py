@@ -260,10 +260,11 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     block <- psi @ block, starting from the last potential; column b of the
     block is the message for far-end state b.  A run of c > 1 consecutive
     potentials that are the same object contributes psi^c, powered within
-    psi's diagonal blocks (``linalg.by_blocks``): floor(log2 c) squarings and
-    popcount(c) - 1 products, not c - 1.  Before each product its operand is
-    divided by its largest absolute entry (unless that is zero), so long
-    chains stay in range.  The returned matrix (axes: first variable, last
+    the total-Sz sectors of its 2^N states when they hold every nonzero
+    entry (``linalg.by_blocks``): floor(log2 c) squarings and popcount(c) - 1
+    products, not c - 1.  Before each product its operand is divided by its
+    largest absolute entry (unless that is zero), so long chains stay in
+    range.  The returned matrix (axes: first variable, last
     variable) is fresh and normalized to unit absolute sum in place.
     """
     runs = []  # [count, matrix] for each run of one object, in chain order

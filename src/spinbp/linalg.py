@@ -14,11 +14,12 @@ spectral outputs and differences the package builds) skips the relative test
 and the symmetrization, which would return it bit for bit; a NaN or inf entry
 is always rejected.
 
-``by_blocks`` is the one block kernel: it applies a function to the diagonal
-blocks that ``diagonal_blocks`` reads off a matrix's exact zeros, one stack
-per block size, so a Hamiltonian or Trotter slice that splits into total-Sz
-sectors costs the sum of the sectors' cubes.  A matrix narrower than
-``BLOCK_MIN_DIM`` is one block and is never scanned.
+``by_blocks`` is the one block kernel: it applies a function to the total-Sz
+sectors of a 2^N x 2^N matrix (``sz_sectors``: the basis states with equal
+set-bit counts), one stack per sector size, when the sectors hold every
+nonzero entry.  So a Hamiltonian or Trotter slice that conserves total Sz
+costs the sum of the sectors' cubes; any other matrix, and one narrower than
+``BLOCK_MIN_DIM``, is one block.
 
 ``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
 ``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
@@ -38,8 +39,8 @@ HERMITIAN_RTOL = 1e-12
 # ``mat_func(..., positive=True)`` raises clamped eigenvalues to this, so log stays finite.
 POSITIVE_FLOOR = 1e-300
 # ``by_blocks`` takes a narrower matrix whole: there a dense product costs no
-# more than finding the blocks and the extra calls per block size (break-even
-# near 64 states on one BLAS thread).
+# more than gathering the sectors and the extra calls per sector size
+# (break-even near 64 states on one BLAS thread).
 BLOCK_MIN_DIM = 128
 
 
@@ -242,70 +243,41 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def diagonal_blocks(a) -> list[np.ndarray]:
-    """Index sets of the diagonal blocks of a square matrix, stacked by size.
+def sz_sectors(n_sites: int) -> list[np.ndarray]:
+    """Index sets of the total-Sz sectors of ``n_sites`` qubits, stacked by size.
 
-    The blocks are the connected components of the graph that links i and j
-    when a[i, j] or a[j, i] is exactly nonzero, so every nonzero entry of a
-    lies inside one block a[s[:, None], s].  Each returned (k, d) integer
-    array holds the k sets of d indices, one set per row, ascending within a
-    set and ordered by their least index; the arrays come in ascending d.  A
-    matrix with no zero structure is one block.
+    Basis state i lies in sector c when c bits of i are set.  Each returned
+    (k, d) integer array holds the k sectors of d = C(n_sites, c) states, one
+    per row, ascending within a row and ordered by c; the arrays come in
+    ascending d.
     """
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    dim = arr.shape[0]
-    if np.iscomplexobj(arr):
-        # a complex entry is nonzero where either of its two real parts is
-        parts = np.ascontiguousarray(arr).view(arr.real.dtype)
-        flat = np.flatnonzero(parts != 0) >> 1
-    else:
-        flat = np.flatnonzero(arr != 0)
-    rows, cols = np.divmod(flat, dim)
-    # each label points at a smaller index of its component; a root points
-    # at itself.  Hook the root of each link onto the smaller root, then
-    # follow the pointers to the roots, until every link joins one root:
-    # the component's least index.
-    labels = np.arange(dim)
-    left, right = rows, cols
-    while not np.array_equal(left, right):
-        np.minimum.at(labels, left, right)
-        np.minimum.at(labels, right, left)
-        while True:
-            up = labels[labels]
-            if np.array_equal(up, labels):
-                break
-            labels = up
-        left, right = labels[rows], labels[cols]
-    # order the indices by block size, then by block, then ascending
-    sizes = np.bincount(labels)
-    order = np.argsort(sizes[labels] * dim + labels, kind="stable")
-    counts = np.bincount(sizes, minlength=1)  # counts[d] blocks of d indices
-    counts[0] = 0
-    blocks, at = [], 0
-    for d in np.flatnonzero(counts).tolist():
-        k = int(counts[d])
-        blocks.append(order[at:at + k * d].reshape(k, d))
-        at += k * d
-    return blocks
+    states = np.arange(2**n_sites)
+    counts = sum((states >> bit) & 1 for bit in range(n_sites))
+    sectors = [np.flatnonzero(counts == c) for c in range(n_sites + 1)]
+    return [np.array([s for s in sectors if len(s) == d])
+            for d in sorted({len(s) for s in sectors})]
 
 
 def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
-    """The square matrix ``a`` with ``fn`` applied to its diagonal blocks.
+    """The square matrix ``a`` with ``fn`` applied to its total-Sz sector blocks.
 
-    ``fn`` takes the blocks of ``diagonal_blocks`` as a list of (k, d, d)
-    stacks in ascending d, which it may overwrite, and returns stacks of the
-    same shapes; entries between blocks stay zero.  A matrix narrower than
-    ``BLOCK_MIN_DIM`` is one block, never scanned, and ``fn`` gets a copy.
+    ``fn`` takes the blocks of ``sz_sectors`` as a list of (k, d, d) stacks
+    in ascending d, which it may overwrite, and returns stacks of the same
+    shapes; entries between blocks stay zero.  The sectors are used only when
+    they hold every nonzero entry of ``a`` (a NaN counts as nonzero).  Otherwise,
+    and for a matrix narrower than ``BLOCK_MIN_DIM`` or whose width is not a
+    power of two, ``a`` is one block and ``fn`` gets a copy of it.
     """
-    if len(a) < BLOCK_MIN_DIM:
-        return fn([a[None].copy()])[0][0]
-    at = [(s[:, :, None], s[:, None, :]) for s in diagonal_blocks(a)]
-    out = np.zeros_like(a)
-    for i, stack in zip(at, fn([a[i] for i in at])):
-        out[i] = stack
-    return out
+    dim = len(a)
+    if dim >= BLOCK_MIN_DIM and not dim & (dim - 1):
+        at = [(s[:, :, None], s[:, None, :]) for s in sz_sectors(dim.bit_length() - 1)]
+        stacks = [a[i] for i in at]
+        if sum(np.count_nonzero(s) for s in stacks) == np.count_nonzero(a):
+            out = np.zeros_like(a)
+            for i, stack in zip(at, fn(stacks)):
+                out[i] = stack
+            return out
+    return fn([a[None].copy()])[0][0]
 
 
 def abs_trace_norm(a) -> float:

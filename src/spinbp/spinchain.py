@@ -155,12 +155,13 @@ def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
 
 
 def exact_gibbs(model: SpinChainModel) -> np.ndarray:
-    """exp(-beta H) / tr exp(-beta H), diagonalized by blocks (``linalg.by_blocks``).
+    """exp(-beta H) / tr exp(-beta H), diagonalized by sectors (``linalg.by_blocks``).
 
-    A chain whose bond terms commute with sz.1 + 1.sz splits into its total-Sz
-    sectors, the widest C(N, N/2) states.  Every spectrum is shifted by the
-    global minimum so large beta cannot overflow; the shift cancels in the
-    normalization.  A real model's state is float64, computed in real arithmetic.
+    A chain whose bond terms commute with sz.1 + 1.sz is diagonalized in its
+    N+1 total-Sz sectors, the widest C(N, N/2) states; any other H is one
+    block.  Every spectrum is shifted by the global minimum so large beta
+    cannot overflow; the shift cancels in the normalization.  A real model's
+    state is float64, computed in real arithmetic.
     """
     def gibbs(stacks):
         eigs = [linalg.herm_eig(s) for s in stacks]

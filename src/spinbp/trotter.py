@@ -13,7 +13,7 @@ bond factor exp(-(beta/n) h_k) acts on two sites only, so it is
 exponentiated as a 4x4 matrix and applied to W in place of its 2^N x 2^N
 embedding.  A factor of a term that commutes with sz.1 + 1.sz keeps the
 total Sz and exact zeros between sectors, so W does too, and the
-contraction powers W within the diagonal blocks it reads off those zeros:
+contraction powers W within its total-Sz sectors (``linalg.by_blocks``):
 N+1 sectors, the widest C(N, N/2) states, in place of 2^N.
 
 W is a product of positive-definite factors but is not symmetric when the
@@ -94,7 +94,7 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
     """Density matrix W^n / tr(W^n) from the two-end marginal of the n-slice chain.
 
     cbp.chain_end_marginal contracts a chain that repeats the one matrix W n
-    times: it powers W by repeated squaring within W's diagonal blocks,
+    times: it powers W by repeated squaring within W's total-Sz sectors,
     floor(log2 n) squarings and popcount(n) - 1 block products.  The result
     is fresh and normalized in place, and W dies first, so the call peaks at
     the marginal and its complex copy: three 2^N x 2^N float64 arrays' worth.

@@ -369,6 +369,21 @@ def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--methods", "exact,st,st"], "methods must not repeat a value, got ['st']"),
+    (["sweep", "--st-slices", "20,20"], "st-slices must not repeat a value, got [20]"),
+    (["sweep", "--keep", "1,1"], "keep (1-based site labels) must not repeat a value, got [1]"),
+    (["complexity", "--slices", "20,20"], "--slices must not repeat a value, got [20]"),
+    (["complexity", "--sites", "3,4,3"], "--sites must not repeat a value, got [3]"),
+])
+def test_cli_repeated_values_exit_2_before_any_row(argv, message, capsys, monkeypatch):
+    # a repeated value would run and write its rows once per repeat
+    calls = count_timed_calls(monkeypatch)
+    assert main([*argv, "--time-repeats", "0"]) == 2
+    assert f"spinbp: config error: {message} more than once" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "."])
 def test_cli_unwritable_out_exits_2_before_any_row(out, tmp_path, capsys, monkeypatch):
     calls = count_timed_calls(monkeypatch)

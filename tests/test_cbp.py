@@ -258,12 +258,12 @@ def test_chain_end_marginal_powers_a_repeated_potential(n):
     np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
 
 
-def permuted_block_diagonal(rng, sizes):
-    """Random blocks of the given sizes on indices scattered by a permutation;
-    returns the matrix and the mask of the entries between blocks."""
-    perm = rng.permutation(sum(sizes))
-    block_of = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(perm)]
-    between = block_of[:, None] != block_of[None, :]
+def sector_diagonal(rng, n_sites):
+    """Random entries of a 2^n_sites matrix inside its total-Sz sectors (equal
+    set-bit counts), which are not contiguous; returns the matrix and the
+    mask of the entries between sectors."""
+    counts = np.array([bin(i).count("1") for i in range(2**n_sites)])
+    between = counts[:, None] != counts[None, :]
     a = rng.uniform(-1.0, 1.0, size=between.shape)
     a[between] = 0.0
     return a, between
@@ -278,21 +278,30 @@ def power_path(request, monkeypatch):
     return request.param
 
 
-def test_chain_end_marginal_powers_block_diagonal_potentials(power_path):
-    # blocks of sizes 1, 2, 2 and 3, permuted, so not contiguous
-    w, between = permuted_block_diagonal(np.random.default_rng(67), (1, 2, 2, 3))
+def test_chain_end_marginal_powers_block_diagonal_potentials(power_path, monkeypatch):
+    # sectors of sizes 1, 3, 3 and 1: two stacks of two blocks each
+    w, between = sector_diagonal(np.random.default_rng(67), 3)
+    powered, power = [], cbp._power
+
+    def recording(stacks, count):
+        powered.append([s.shape for s in stacks])
+        return power(stacks, count)
+
+    monkeypatch.setattr(cbp, "_power", recording)
     for n in range(1, 65):
         got = chain_end_marginal([w] * n)
         expected = np.linalg.matrix_power(w, n)
         np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(got[between], 0.0)
+    shapes = [(2, 1, 1), (2, 3, 3)] if power_path == "blocks" else [(1, 8, 8)]
+    assert powered == [shapes] * 63
 
 
 def test_chain_end_marginal_powers_a_block_diagonal_run_inside_a_chain(power_path):
     # a run after the first multiplies the block carried so far: the run's
     # blocks act on its rows, and every column is kept
     rng = np.random.default_rng(79)
-    w, _ = permuted_block_diagonal(rng, (3, 1, 2, 2))
+    w, _ = sector_diagonal(rng, 3)
     first, last = rng.uniform(-1.0, 1.0, size=(5, 8)), rng.uniform(-1.0, 1.0, size=(8, 3))
     for n in (2, 5, 13):
         got = chain_end_marginal([first] + [w] * n + [last])
@@ -304,7 +313,7 @@ def test_chain_end_marginal_never_writes_a_potential(power_path):
     # the result is normalized in place, so it must be a fresh array for a
     # single potential, a run of one object, and runs mixed with others
     rng = np.random.default_rng(83)
-    w, _ = permuted_block_diagonal(rng, (1, 2, 2, 3))
+    w, _ = sector_diagonal(rng, 3)
     a, b = rng.uniform(-1.0, 1.0, size=(2, 8, 8))
     for potentials in ([a], [w], [w] * 2, [w] * 7, [a, w, w, w, b], [w, w, a], [a, b, b]):
         before = [p.copy() for p in potentials]

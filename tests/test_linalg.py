@@ -253,7 +253,7 @@ def test_the_kernel_returns_its_input_dtype(dtype, monkeypatch):
     assert linalg.kron(a[:2, :2], a[:2, :2]).dtype == dtype
     assert linalg.partial_trace(a, [2, 2, 2], [0]).dtype == dtype
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
-    blocky, _ = permuted_block_diagonal(rng, (3, 1, 2, 2))
+    blocky, _ = sector_diagonal(rng, 3)
     assert linalg.by_blocks(blocky.astype(dtype), lambda stacks: stacks).dtype == dtype
 
 
@@ -451,63 +451,72 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], keep=[2])
 
 
-# --- diagonal_blocks --------------------------------------------------------
+# --- sz_sectors and by_blocks -------------------------------------------------
 
 
-def permuted_block_diagonal(rng, sizes):
-    """Random real blocks of the given sizes, their indices scattered by a
-    random permutation; returns the matrix and each block's index set."""
-    perm = rng.permutation(sum(sizes))
-    a = np.zeros((len(perm), len(perm)))
-    sets, at = [], 0
-    for d in sizes:
-        s = np.sort(perm[at:at + d])
-        a[np.ix_(s, s)] = rng.uniform(0.1, 1.0, size=(d, d))
-        sets.append(s)
-        at += d
-    return a, sets
+def popcount(i):
+    return bin(i).count("1")
 
 
-def test_diagonal_blocks_recover_permuted_blocks():
-    rng = np.random.default_rng(71)
-    a, sets = permuted_block_diagonal(rng, (1, 2, 2, 3))
-    assert not all(np.array_equal(s, np.arange(s[0], s[0] + len(s))) for s in sets)
-    got = linalg.diagonal_blocks(a)
-    assert [g.shape for g in got] == [(1, 1), (2, 2), (1, 3)]
-    # ascending within a set, sets of one size ordered by their least index
-    expected = {d: sorted((s for s in sets if len(s) == d), key=lambda s: s[0]) for d in (1, 2, 3)}
-    for g in got:
-        np.testing.assert_array_equal(g, expected[g.shape[1]])
-    # the blocks hold every nonzero entry
-    inside = np.zeros(a.shape, bool)
-    for g in got:
-        for s in g:
-            inside[np.ix_(s, s)] = True
-    assert not a[~inside].any()
+def sector_diagonal(rng, n_sites):
+    """Random real entries of a 2^n_sites matrix inside its popcount sectors
+    only; returns the matrix and the mask of the entries between sectors."""
+    counts = np.array([popcount(i) for i in range(2**n_sites)])
+    between = counts[:, None] != counts[None, :]
+    a = rng.uniform(0.1, 1.0, size=between.shape)
+    a[between] = 0.0
+    return a, between
 
 
-def test_diagonal_blocks_link_either_direction_and_either_part():
-    # a[0, 2] alone joins 0 and 2; an imaginary entry alone joins 1 and 3
-    a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    a[0, 2] = 0.5
-    a[3, 1] = 1e-30j
-    for matrix in (a, a.T, a.astype(np.complex64)):
-        np.testing.assert_array_equal(linalg.diagonal_blocks(matrix), [[[0, 2], [1, 3]]])
-    # zeros on the diagonal: each index is still its own block
-    [single] = linalg.diagonal_blocks(np.zeros((3, 3)))
-    np.testing.assert_array_equal(single, [[0], [1], [2]])
-    # a chain of links in decreasing index order is one block
-    path = np.eye(6)
-    for i, j in [(5, 4), (4, 1), (1, 3), (3, 0), (0, 2)]:
-        path[i, j] = 1.0
-    np.testing.assert_array_equal(linalg.diagonal_blocks(path), [np.arange(6)[None]])
+def test_sz_sectors_list_the_popcount_classes():
+    # a loop oracle: sizes ascending, equal sizes by set-bit count, indices ascending
+    for n_sites in range(9):
+        sectors = {}
+        for i in range(2**n_sites):
+            sectors.setdefault(popcount(i), []).append(i)
+        expected = {}
+        for c in sorted(sectors):
+            expected.setdefault(len(sectors[c]), []).append(sectors[c])
+        got = linalg.sz_sectors(n_sites)
+        assert [g.shape for g in got] == [(len(expected[d]), d) for d in sorted(expected)]
+        for g, d in zip(got, sorted(expected)):
+            np.testing.assert_array_equal(g, expected[d])
+    assert [g.shape for g in linalg.sz_sectors(4)] == [(2, 1), (2, 4), (1, 6)]
 
 
-def test_diagonal_blocks_of_a_full_matrix_are_one_block():
-    a = np.random.default_rng(73).uniform(0.1, 1.0, size=(5, 5))
-    np.testing.assert_array_equal(linalg.diagonal_blocks(a), [np.arange(5)[None]])
-    with pytest.raises(ValueError, match="square"):
-        linalg.diagonal_blocks(np.ones((2, 3)))
+def test_by_blocks_takes_the_matrix_whole_when_an_entry_lies_between_sectors():
+    # one entry between sectors, in either triangle, in either part, or a NaN,
+    # and the 128-state matrix is one block, handed over and returned as it is
+    a, between = sector_diagonal(np.random.default_rng(71), 7)
+    seen = []
+
+    def identity(stacks):
+        seen.append([s.shape for s in stacks])
+        return stacks
+
+    np.testing.assert_array_equal(linalg.by_blocks(a, identity), a)
+    for at, value in (((0, 1), 0.5), ((1, 0), 0.5), ((3, 64), 1e-30j), ((5, 7), np.nan)):
+        assert between[at]
+        b = a.astype(type(value))
+        b[at] = value
+        np.testing.assert_array_equal(linalg.by_blocks(b, identity), b)
+    sectors = [(2, 1, 1), (2, 7, 7), (2, 21, 21), (2, 35, 35)]
+    assert seen == [sectors] + [[(1, 128, 128)]] * 4
+
+
+def test_by_blocks_takes_a_full_or_odd_width_matrix_whole():
+    # a full matrix, and widths that are no power of two, whatever their zeros
+    rng = np.random.default_rng(73)
+    for a in (rng.uniform(0.1, 1.0, size=(128, 128)), np.diag(rng.uniform(0.1, 1.0, 130)),
+              np.eye(192)):
+        seen = []
+
+        def identity(stacks):
+            seen.extend(s.shape for s in stacks)
+            return stacks
+
+        np.testing.assert_array_equal(linalg.by_blocks(a, identity), a)
+        assert seen == [(1,) + a.shape]
 
 
 @pytest.mark.parametrize("min_dim", [None, 1])
@@ -515,7 +524,7 @@ def test_by_blocks_of_the_identity_returns_the_matrix(min_dim, monkeypatch):
     # at the default width the matrix is one block; at width 1 it is split
     if min_dim is not None:
         monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", min_dim)
-    a, _ = permuted_block_diagonal(np.random.default_rng(79), (3, 1, 2, 2))
+    a, between = sector_diagonal(np.random.default_rng(79), 3)
     seen = []
 
     def identity(stacks):
@@ -523,8 +532,9 @@ def test_by_blocks_of_the_identity_returns_the_matrix(min_dim, monkeypatch):
         return stacks
 
     got = linalg.by_blocks(a, identity)
-    assert seen == ([(1, 8, 8)] if min_dim is None else [(1, 1, 1), (2, 2, 2), (1, 3, 3)])
-    np.testing.assert_array_equal(got, a)  # so exactly zero between the blocks
+    assert seen == ([(1, 8, 8)] if min_dim is None else [(2, 1, 1), (2, 3, 3)])
+    np.testing.assert_array_equal(got, a)
+    assert not got[between].any()  # exactly zero between the blocks
 
 
 # --- abs_trace_norm ---------------------------------------------------------
@@ -575,8 +585,9 @@ def test_herm_eig_is_the_only_hermitian_eigensolver_call():
 
 
 def test_by_blocks_is_the_only_block_kernel():
-    """diagonal_blocks is called, and the block index s[:, :, None],
-    s[:, None, :] is built, in src/spinbp only inside linalg.by_blocks."""
+    """sz_sectors is called, and the block index s[:, :, None], s[:, None, :]
+    that gathers and scatters the sector blocks is built, in src/spinbp only
+    inside linalg.by_blocks."""
     inside, outside = [], []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -588,12 +599,12 @@ def test_by_blocks_is_the_only_block_kernel():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                hit = name == "diagonal_blocks"
+                hit = name == "sz_sectors"
             elif isinstance(node, ast.Subscript):
                 hit = ast.unparse(node.slice) in {"(:, :, None)", "(:, None, :)"}
             else:
                 continue
             if hit:
                 (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
-    assert len(inside) == 3, "linalg.by_blocks no longer finds and indexes the blocks"
+    assert len(inside) == 3, "linalg.by_blocks no longer lists and indexes the sectors"
     assert outside == []

@@ -193,6 +193,25 @@ def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_ca
     np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("kind", ["heisenberg", "xxz-field"])
+def test_a_zero_coupling_chain_is_diagonalized_in_its_sz_sectors(kind, eig_calls):
+    # a cut bond splits each sector into finer blocks, but H is still handed
+    # over as its N+1 total-Sz sectors
+    field = 0.3 if kind == "xxz-field" else 0.0
+    for sites in (7, 8):
+        for cut in (0, sites // 2):
+            couplings = [1.0] * (sites - 1)
+            couplings[cut] = 0.0
+            model = xxz_chain(sites, 2.0, couplings, 0.5 if field else 1.0, field)
+            expected = dense_gibbs(model)
+            eig_calls.clear()
+            got = exact_gibbs(model)
+            sectors = [(len(s), s.shape[1], s.shape[1]) for s in linalg.sz_sectors(sites)]
+            assert shapes(eig_calls) == sectors
+            assert sum(k for k, _, _ in sectors) == sites + 1
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
 def test_real_models_keep_float64_through_the_engines():
     for model in (heisenberg_chain(4, 1.0), xxz_chain(4, 1.0, [1.0, -0.9, 1.1], 0.5, 0.3),
                   SpinChainModel(3, (np.kron(SIGMA_X, SIGMA_X).astype(complex),) * 2, 1.0)):

@@ -170,40 +170,52 @@ def test_st_density_peaks_at_three_full_size_arrays(build):
     lambda sites: heisenberg_chain(sites, 1.0),
     lambda sites: xxz_chain(sites, 2.0, delta=0.5, field=0.3),
 ], ids=["heisenberg", "xxz-field"])
-def test_weights_and_hamiltonian_split_into_the_sz_sectors(build):
-    # every bond factor keeps exact zeros between sectors, so the blocks read
-    # off W and H are the N+1 total-Sz sectors and nothing coarser
+def test_weights_and_hamiltonian_split_into_the_sz_sectors(build, monkeypatch):
+    # every bond factor keeps exact zeros between sectors, so by_blocks hands
+    # the N+1 total-Sz sectors of W and H over at every width
+    monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for sites in range(2, 9):
         model = build(sites)
-        ups = [sites - bin(state).count("1") for state in range(2**sites)]
-        sectors = sorted(tuple(s for s in range(2**sites) if ups[s] == c) for c in range(sites + 1))
+        sectors = [(len(s), s.shape[1], s.shape[1]) for s in linalg.sz_sectors(sites)]
+        assert sum(k for k, _, _ in sectors) == sites + 1
         for matrix in (total_hamiltonian(model), build_weights(trotter_plan(model, 20)).matrix):
-            blocks = linalg.diagonal_blocks(matrix)
-            assert sorted(tuple(s) for b in blocks for s in b.tolist()) == sectors
-            assert [b.shape[1] for b in blocks] == sorted({len(s) for s in sectors})
+            assert handed_over(matrix) == sectors
+
+
+def handed_over(matrix):
+    """Shapes of the stacks linalg.by_blocks hands over for ``matrix``, which
+    must come back unchanged: the stacks hold every nonzero entry."""
+    seen = []
+
+    def identity(stacks):
+        seen.extend(s.shape for s in stacks)
+        return stacks
+
+    np.testing.assert_array_equal(linalg.by_blocks(matrix, identity), matrix)
+    return seen
 
 
 def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
-    # W and H of 256 states are split into blocks; those of 8 are taken whole
-    widths, finder = [], linalg.diagonal_blocks
+    # W and H of 256 states are split into sectors; those of 8 are taken whole
+    widths, sectors = [], linalg.sz_sectors
 
-    def recording(a):
-        widths.append(len(a))
-        return finder(a)
+    def recording(n_sites):
+        widths.append(2**n_sites)
+        return sectors(n_sites)
 
-    monkeypatch.setattr(linalg, "diagonal_blocks", recording)
+    monkeypatch.setattr(linalg, "sz_sectors", recording)
     for sites in (8, 3):
         st_density(trotter_plan(heisenberg_chain(sites, 1.0), 20))
         exact_gibbs(heisenberg_chain(sites, 1.0))
     assert widths == [256, 256]
 
 
-def test_a_transverse_field_leaves_one_block():
+def test_a_transverse_field_leaves_one_block(monkeypatch):
+    monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     transverse = 0.3 * np.kron(SIGMA_X, np.eye(2))
     model = SpinChainModel(4, tuple(xxz_term(0.5) + transverse for _ in range(3)), 1.0)
     for matrix in (total_hamiltonian(model), build_weights(trotter_plan(model, 20)).matrix):
-        [block] = linalg.diagonal_blocks(matrix)
-        np.testing.assert_array_equal(block, [np.arange(16)])
+        assert handed_over(matrix) == [(1, 16, 16)]
 
 
 def test_st_density_beta_zero():
