@@ -12,15 +12,11 @@ from .linalg import (
     NotHermitianError,
     abs_trace_norm,
     herm_eig,
-    herm_exp,
-    herm_log,
     kron,
-    mat_func,
     partial_trace,
 )
 from .spinchain import (
     SpinChainModel,
-    embed_term,
     exact_gibbs,
     heisenberg_chain,
     heisenberg_term,
@@ -31,7 +27,6 @@ from .spinchain import (
 )
 from .cbp import (
     FactorChain,
-    MessageTable,
     NotAnEdgeError,
     NotATreeError,
     StateSpaceTooLargeError,

@@ -10,7 +10,7 @@ kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -127,14 +127,6 @@ class FactorChain:
         raise NotAnEdgeError(f"({i}, {j}) is not an edge")
 
 
-@dataclass
-class MessageTable:
-    """Directed messages (src, dst) -> vector over the states of dst, each of
-    unit absolute sum (or zero)."""
-
-    messages: dict = field(default_factory=dict)
-
-
 def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
     """Exact marginal of ``targets`` by summing the materialized joint.
 
@@ -175,45 +167,47 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
     return marg.transpose(perm) / total
 
 
-def _incoming(chain: FactorChain, table: MessageTable, i: int, skip: int | None) -> np.ndarray:
+def _incoming(chain: FactorChain, messages: dict, i: int, skip: int | None) -> np.ndarray:
     """phi_i times every message into i except the one from ``skip``."""
     prod = chain.phis[i].copy()
     for k in chain.neighbors(i):
         if k != skip:
-            prod = prod * table.messages[(k, i)]
+            prod = prod * messages[(k, i)]
     return prod
 
 
-def _send(chain: FactorChain, table: MessageTable, src: int, dst: int) -> None:
-    vec = chain.psi_between(src, dst).T @ _incoming(chain, table, src, dst)
+def _send(chain: FactorChain, messages: dict, src: int, dst: int) -> None:
+    vec = chain.psi_between(src, dst).T @ _incoming(chain, messages, src, dst)
     scale = float(np.abs(vec).sum())
-    table.messages[(src, dst)] = vec / scale if scale > 0.0 else vec
+    messages[(src, dst)] = vec / scale if scale > 0.0 else vec
 
 
-def run_bp(chain: FactorChain) -> MessageTable:
+def run_bp(chain: FactorChain) -> dict:
     """Two-pass sum-product: leaves to variable 0, then variable 0 back to leaves.
 
-    On a tree two passes converge exactly; no iteration or damping needed.
+    Returns the directed messages, (src, dst) -> vector over the states of
+    dst, each of unit absolute sum (or zero).  On a tree two passes converge
+    exactly; no iteration or damping needed.
     """
     order, parent = chain._order, chain._parent
-    table = MessageTable()
+    messages = {}
     for v in reversed(order):
         if parent[v] is not None:
-            _send(chain, table, v, parent[v])
+            _send(chain, messages, v, parent[v])
     for v in order:
         for u in chain.neighbors(v):
             if parent[u] == v:
-                _send(chain, table, v, u)
-    return table
+                _send(chain, messages, v, u)
+    return messages
 
 
-def belief_single(chain: FactorChain, table: MessageTable, i: int) -> np.ndarray:
+def belief_single(chain: FactorChain, messages: dict, i: int) -> np.ndarray:
     """b_i proportional to phi_i times all incoming messages, unit sum."""
-    b = _incoming(chain, table, i, None)
+    b = _incoming(chain, messages, i, None)
     return b / b.sum()
 
 
-def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.ndarray:
+def belief_pair(chain: FactorChain, messages: dict, i: int, j: int) -> np.ndarray:
     """Pairwise belief on edge (i, j), axes ordered (x_i, x_j), unit sum.
 
     Product of the pair potential, both locals, and the messages flowing
@@ -221,8 +215,8 @@ def belief_pair(chain: FactorChain, table: MessageTable, i: int, j: int) -> np.n
     """
     if not chain.has_edge(i, j):
         raise NotAnEdgeError(f"({i}, {j}) is not an edge")
-    left = _incoming(chain, table, i, j)
-    right = _incoming(chain, table, j, i)
+    left = _incoming(chain, messages, i, j)
+    right = _incoming(chain, messages, j, i)
     b = chain.psi_between(i, j) * np.outer(left, right)
     return b / b.sum()
 

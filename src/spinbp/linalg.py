@@ -3,11 +3,11 @@
 All operators in this package are plain numpy matrices, float64 when real
 and complex128 otherwise, and keep their dtype through every operation.
 This module provides the validated operations the engines share: spectral
-decomposition, matrix functions of Hermitian matrices, Kronecker products,
-partial traces and the absolute trace norm.  Matrices stay dense; the sizes
-of interest (8x8 up to 4096x4096) never justify sparse storage.
+decomposition, the shifted exponential of Hermitian matrices, Kronecker
+products, partial traces and the absolute trace norm.  Matrices stay dense;
+the sizes of interest (8x8 up to 4096x4096) never justify sparse storage.
 ``herm_eig`` is the package's only eigensolver call: every spectrum, in
-``mat_func``, ``abs_trace_norm``, the exact Gibbs state and the metrics,
+``shifted_exp``, ``abs_trace_norm``, the exact Gibbs state and the metrics,
 passes its Hermiticity check and its handler for solver failure.  The check
 makes one pass, A - A^dag: an exactly Hermitian input (the symmetrized states,
 spectral outputs and differences the package builds) skips the relative test
@@ -21,11 +21,12 @@ nonzero entry.  So a Hamiltonian or Trotter slice that conserves total Sz
 costs the sum of the sectors' cubes; any other matrix, and one narrower than
 ``BLOCK_MIN_DIM``, is one block.
 
-``require_hermitian``, ``herm_eig``, ``mat_func`` (so ``herm_exp`` and
-``herm_log``) and ``kron`` also take a stack of shape (..., d, d) and act on
-each matrix, so many small matrices cost one call.  Every check (Hermiticity,
-positivity) is made per matrix, on that matrix's own scale, and a stack gives
-the same bits as the per-matrix calls.
+``require_hermitian``, ``herm_eig``, ``shifted_exp``, ``spectral`` and
+``kron`` also take a stack of shape (..., d, d) and act on each matrix, and
+``positive_spectrum`` takes a stack of spectra (..., d), so many small
+matrices cost one call.  Every check (Hermiticity, positivity) and every
+shift is made per matrix, on that matrix's own scale, and a stack gives the
+same bits as the per-matrix calls.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 # Relative Hermiticity tolerance used by every construction check.
 HERMITIAN_RTOL = 1e-12
-# ``mat_func(..., positive=True)`` raises clamped eigenvalues to this, so log stays finite.
+# ``positive_spectrum`` raises clamped eigenvalues to this, so log stays finite.
 POSITIVE_FLOOR = 1e-300
 # ``by_blocks`` takes a narrower matrix whole: there a dense product costs no
 # more than gathering the sectors and the extra calls per sector size
@@ -150,15 +151,12 @@ def herm_eig(a) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
-def mat_func(a, f: Callable[[np.ndarray], np.ndarray], *, positive: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix, or to each of a stack, spectrally.
-
-    Returns V diag(f(w)) V^dag.  ``f`` must act elementwise on a real numpy
-    array (np.exp, np.log, ...).  With ``positive=True`` the spectrum is
-    clamped by ``positive_spectrum`` before ``f`` is applied.
-    """
+def shifted_exp(a) -> np.ndarray:
+    """exp(A - w_max) for Hermitian A, or for each matrix of a stack, with w_max
+    the matrix's own largest eigenvalue: every eigenvalue of the result lies in
+    [0, 1], so it stays in range at any scale of A."""
     w, v = herm_eig(a)
-    return spectral(v, np.asarray(f(positive_spectrum(w) if positive else w)))
+    return spectral(v, np.exp(w - w[..., -1:]))
 
 
 def positive_spectrum(w: np.ndarray) -> np.ndarray:
@@ -185,17 +183,6 @@ def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
         # real-valued f on a Hermitian argument: repair roundoff skew
         out = (out + dagger(out)) / 2
     return out
-
-
-def herm_exp(a) -> np.ndarray:
-    """exp(A) for Hermitian A, or for each matrix of a stack."""
-    return mat_func(a, np.exp)
-
-
-def herm_log(a) -> np.ndarray:
-    """log(A) for Hermitian positive-definite A, or for each matrix of a stack
-    (roundoff-negative eigenvalues clamped)."""
-    return mat_func(a, np.log, positive=True)
 
 
 def kron(a, b) -> np.ndarray:

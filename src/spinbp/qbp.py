@@ -16,10 +16,13 @@ what the other messages already deliver to i; on a two-site chain the pair
 belief is then exact.  A sweep updates all 2(n-1) directed edges at once:
 the dressed exponents -beta*T + [r, s] @ D (receiving site first; D holds
 P_a (x) 1 and 1 (x) P_a) form one (E,4,4) stack for one checked
-``_shifted_exp``.  One product reads off the trace t and c_a =
-tr((P_a (x) 1) exp), so the reduced state t/2 + c.P has eigenvalues
-t/2 -+ |c|/sqrt(2) and its log's traceless part (log l+ - log l-)/sqrt(2)
-c/|c| (0 at c = 0), clamped and checked as in ``herm_log``.
+``linalg.shifted_exp``, each exponent shifted by its largest eigenvalue, so
+any beta stays in range: the shift is a multiple of the identity, which the
+traceless log and the normalized beliefs drop.  One product reads off the
+trace t and c_a = tr((P_a (x) 1) exp), so the reduced state t/2 + c.P has
+eigenvalues t/2 -+ |c|/sqrt(2) and its log's traceless part
+(log l+ - log l-)/sqrt(2) c/|c| (0 at c = 0), with the eigenvalues clamped
+and checked by ``linalg.positive_spectrum``.
 
 The plain damped iteration converges only linearly, so ``qbp_run`` mixes
 the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
@@ -114,23 +117,16 @@ def _log_coordinates(trace, c) -> np.ndarray:
     return (logs[:, 1:] - logs[:, :1]) / np.maximum(2 * radius, linalg.POSITIVE_FLOOR) * c
 
 
-def _shifted_exp(a: np.ndarray) -> np.ndarray:
-    """exp(A - w_max) for each matrix of a stack, w_max its largest eigenvalue: in
-    range at any beta, and the shift drops out of the traceless log and the beliefs."""
-    w, v = linalg.herm_eig(a)
-    return linalg.spectral(v, np.exp(w - w[..., -1:]))
-
-
 def _updates(neg_terms, incoming, frame) -> np.ndarray:
     """New message coordinates for a stack of directed edges."""
     _, lift, read = frame
-    expo = _shifted_exp(_dressed(neg_terms, incoming, lift))
+    expo = linalg.shifted_exp(_dressed(neg_terms, incoming, lift))
     moments = (expo.reshape(-1, 16) @ read).real  # tr, and tr((P_a (x) 1) expo)
     return _log_coordinates(moments[:, 0], moments[:, 1:]) - incoming[:, 0]
 
 
 def _gibbs(a: np.ndarray) -> np.ndarray:
-    q = _shifted_exp(a)
+    q = linalg.shifted_exp(a)
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 

@@ -122,26 +122,11 @@ def heisenberg_chain(
     return xxz_chain(n_sites, beta, couplings)
 
 
-def embed_term(term, pair: tuple[int, int], n_sites: int) -> np.ndarray:
-    """Embed a 4x4 bond term on sites ``pair`` = (i, i+1) into the full chain.
-
-    Returns I^(i) kron term kron I^(n-i-2), a 2^n x 2^n matrix.
-    """
-    i, j = pair
-    if j != i + 1 or i < 0 or j >= n_sites:
-        raise ValueError(f"pair {pair} is not a nearest-neighbour bond of {n_sites} sites")
-    t = linalg.as_matrix(term)
-    if t.shape != (4, 4):
-        raise ValueError(f"bond term must be 4x4, got {t.shape}")
-    left, right = np.eye(2**i), np.eye(2 ** (n_sites - i - 2))
-    return linalg.kron(linalg.kron(left, t), right)
-
-
 def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """Sum of all embedded bond terms, equal bit for bit to summing ``embed_term``.
+    """H = sum_k I^(k) kron h_k kron I^(N-k-2), bit for bit.
 
     Bond k's term is added, in bond order, into the entries where
-    I kron term kron I can be nonzero: viewing H's row and column indices as
+    I kron h_k kron I can be nonzero: viewing H's row and column indices as
     (left sites, pair k, right sites), those with equal left and equal right
     sites, a strided view of H.  H has the terms' dtype.
     """
@@ -160,8 +145,10 @@ def exact_gibbs(model: SpinChainModel) -> np.ndarray:
     A chain whose bond terms commute with sz.1 + 1.sz is diagonalized in its
     N+1 total-Sz sectors, the widest C(N, N/2) states; any other H is one
     block.  Every spectrum is shifted by the global minimum so large beta
-    cannot overflow; the shift cancels in the normalization.  A real model's
-    state is float64, computed in real arithmetic.
+    cannot overflow; the shift cancels in the normalization.  The sector
+    blocks of one state must share that one scale, so the per-matrix shift of
+    ``linalg.shifted_exp`` does not serve here.  A real model's state is
+    float64, computed in real arithmetic.
     """
     def gibbs(stacks):
         eigs = [linalg.herm_eig(s) for s in stacks]
@@ -193,10 +180,12 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 
 def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
-    """Per-bond couplings from ``J_<i>`` keys, 1-based bond index, default 1."""
+    """Per-bond couplings from ``J_<i>`` keys, 1-based bond index, default 1.
+
+    Two keys that name one bond (``J_1`` and ``J_01``) are rejected."""
     if sites < 1:  # before the couplings are sized, as in xxz_chain
         raise ValueError(f"n_sites must be positive, got {sites}")
-    couplings = [1.0] * (sites - 1)
+    couplings, named = [1.0] * (sites - 1), {}
     for key, value in keys.items():
         if not key.startswith("J_"):
             continue
@@ -208,6 +197,9 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
             why = (f"bond index out of range 1..{sites - 1}" if sites > 1
                    else "a 1-site chain has no bonds")
             raise ValueError(f"field {key!r}: {why}")
+        if bond in named:
+            raise ValueError(f"field {key!r}: bond {bond} is already set by {named[bond]!r}")
+        named[bond] = key
         try:
             coupling = float(value)
         except ValueError:

@@ -11,10 +11,16 @@ contraction powers it by repeated squaring, so its cost grows as log n;
 ``st_opcount`` keeps the paper's slice-by-slice count, linear in n.  Each
 bond factor exp(-(beta/n) h_k) acts on two sites only, so it is
 exponentiated as a 4x4 matrix and applied to W in place of its 2^N x 2^N
-embedding.  A factor of a term that commutes with sz.1 + 1.sz keeps the
-total Sz and exact zeros between sectors, so W does too, and the
-contraction powers W within its total-Sz sectors (``linalg.by_blocks``):
-N+1 sectors, the widest C(N, N/2) states, in place of 2^N.
+embedding.  Each factor is shifted by its term's lowest eigenvalue,
+f_k = exp(-(beta/n) (h_k - lambda_min(h_k))) (``linalg.shifted_exp``), so its
+entries are at most 1 at any beta/n.  The built W is then the unshifted
+product times exp((beta/n) sum_k lambda_min(h_k)), and W^n the unshifted
+power times exp(beta sum_k lambda_min(h_k)): a positive factor, which the
+normalization by tr(W^n) cancels.
+A factor of a term that commutes with sz.1 + 1.sz keeps the total Sz and
+exact zeros between sectors, so W does too, and the contraction powers W
+within its total-Sz sectors (``linalg.by_blocks``): N+1 sectors, the widest
+C(N, N/2) states, in place of 2^N.
 
 W is a product of positive-definite factors but is not symmetric when the
 bond terms fail to commute, so the n-slice density matrix carries an
@@ -40,7 +46,9 @@ class ComplexResidueError(ValueError):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """A model, a slice count n, and the 4x4 bond factors exp(-(beta/n) h_k)."""
+    """A model, a slice count n, and the 4x4 bond factors
+    f_k = exp(-(beta/n) (h_k - lambda_min(h_k))), each shifted by its term's
+    lowest eigenvalue so that every entry is at most 1."""
 
     model: SpinChainModel
     n_slices: int
@@ -54,7 +62,7 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
         raise ValueError(f"n_slices must be positive, got {n_slices}")
     step = model.beta / n_slices
     # one stacked call, the same bits as one call per term; one site has none
-    factors = tuple(linalg.herm_exp(-step * np.stack(model.terms))) if model.terms else ()
+    factors = tuple(linalg.shifted_exp(-step * np.stack(model.terms))) if model.terms else ()
     return TrotterPlan(model, n_slices, factors)
 
 

@@ -318,6 +318,25 @@ def test_cli_non_finite_coupling_exits_2(value, tmp_path, capsys):
     assert "spinbp: config error: field 'J_1': coupling must be finite" in capsys.readouterr().err
 
 
+def test_cli_bond_named_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites=3\nJ_1=0.5\nJ_01=2.0\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "spinbp: config error: field 'J_01': bond 1 is already set by 'J_1'" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sweep_at_beta_5000_scores_every_row(capsys):
+    # beta/n * |h| = 750 on the n = 20 st row, past exp's range without a shift
+    assert main(["sweep", "--sites", "3", "--beta-min", "5000", "--beta-steps", "1",
+                 "--time-repeats", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows] == [["exact", ""], ["qbp", ""], ["st", "20"],
+                                                 ["st", "100"]]
+    assert all(r.endswith(",ok") for r in rows)
+
+
 def test_cli_engine_failures_exit_3(capsys):
     code = main([
         "sweep", "--sites", "4", "--beta-min", "1", "--beta-max", "1",

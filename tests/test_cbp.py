@@ -92,15 +92,15 @@ def test_brute_target_validation():
 def test_single_message_by_hand():
     # m_{0->1}(x1) = sum_x0 psi[x0, x1] with flat locals: (3, 3), normalized
     chain = FactorChain([2, 2], [(0, 1, np.array([[2.0, 1.0], [1.0, 2.0]]))])
-    table = run_bp(chain)
-    np.testing.assert_allclose(table.messages[(0, 1)], [0.5, 0.5], atol=1e-15)
+    messages = run_bp(chain)
+    np.testing.assert_allclose(messages[(0, 1)], [0.5, 0.5], atol=1e-15)
 
 
 def test_flat_potentials_give_uniform_messages():
     chain = FactorChain([2, 2, 2], [(0, 1, np.ones((2, 2))), (1, 2, np.ones((2, 2)))])
-    table = run_bp(chain)
-    assert len(table.messages) == 4  # both directions on both edges
-    for vec in table.messages.values():
+    messages = run_bp(chain)
+    assert len(messages) == 4  # both directions on both edges
+    for vec in messages.values():
         np.testing.assert_allclose(vec, [0.5, 0.5], atol=1e-15)
 
 
@@ -181,9 +181,9 @@ def test_potential_rescaling_leaves_beliefs_unchanged():
 def test_two_pass_schedule_message_count():
     rng = np.random.default_rng(1)
     chain = random_chain(rng, 8)
-    table = run_bp(chain)
-    assert len(table.messages) == 2 * 7
-    for vec in table.messages.values():
+    messages = run_bp(chain)
+    assert len(messages) == 2 * 7
+    for vec in messages.values():
         assert abs(np.abs(vec).sum() - 1.0) < 1e-12
 
 

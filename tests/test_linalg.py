@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, matrix functions, kron, partial trace.
+"""Kernel tests: eigendecomposition, the shifted exponential, kron, partial trace.
 
 Expected spectra are derived with a trace-based characteristic-polynomial
 oracle and partial traces are cross-checked against an explicit index-loop
@@ -8,10 +8,12 @@ under test.
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import herm_log
 from spinbp import linalg
 from spinbp.spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_chain, exact_gibbs
 
@@ -143,44 +145,64 @@ def test_reconstruction_and_unitarity_100_seeds():
         np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
 
 
-# --- mat_func ---------------------------------------------------------------
+# --- shifted_exp and positive_spectrum ----------------------------------------
 
 
-def test_mat_func_exp_of_zero():
-    np.testing.assert_allclose(linalg.mat_func(np.zeros((2, 2)), np.exp), I2, atol=1e-14)
+def test_shifted_exp_of_zero():
+    np.testing.assert_allclose(linalg.shifted_exp(np.zeros((2, 2))), I2, atol=1e-14)
 
 
-def test_mat_func_exp_pauli_x_analytic():
-    got = linalg.mat_func(SIGMA_X, np.exp)
+def test_shifted_exp_pauli_x_analytic():
+    got = linalg.shifted_exp(SIGMA_X)  # exp(sigma_x - 1)
     expected = np.cosh(1.0) * I2 + np.sinh(1.0) * SIGMA_X
-    np.testing.assert_allclose(got, expected, atol=1e-13)
+    np.testing.assert_allclose(np.e * got, expected, atol=1e-13)
 
 
-def test_mat_func_log_inverts_exp():
-    np.testing.assert_allclose(
-        linalg.herm_log(linalg.herm_exp(SIGMA_Z)), SIGMA_Z, atol=1e-10
-    )
+def test_log_inverts_shifted_exp():
+    np.testing.assert_allclose(herm_log(linalg.shifted_exp(SIGMA_Z)), SIGMA_Z - I2, atol=1e-10)
 
 
-def test_mat_func_exp_matches_taylor_series():
+def test_shifted_exp_matches_taylor_series():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         dim = int(rng.integers(2, 9))
         a = random_hermitian(rng, dim)
         a = a / np.linalg.norm(a, 2) * 2.0  # spectral norm 2
-        np.testing.assert_allclose(linalg.herm_exp(a), taylor_exp(a), atol=1e-8)
+        w_max = np.linalg.eigvalsh(a)[-1]
+        np.testing.assert_allclose(np.exp(w_max) * linalg.shifted_exp(a), taylor_exp(a),
+                                   atol=1e-8)
 
 
-def test_mat_func_domain_error_on_negative_spectrum():
+def test_shifted_exp_shifts_each_matrix_by_its_own_largest_eigenvalue():
+    # +-5000 times the exchange term, eigenvalues -3 (singlet) and 1 (triplet),
+    # where exp(A) itself overflows, beside unit-scale neighbours
+    rng = np.random.default_rng(31)
+    small = [scale * random_hermitian(rng, 4) for scale in (1e-3, 1.0)]
+    stack = np.array(small + [-5000 * heisenberg_4, 5000 * heisenberg_4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.shifted_exp(stack)
+    np.testing.assert_allclose(np.linalg.eigvalsh(got)[:, -1], 1.0, rtol=0, atol=1e-13)
+    for k, a in enumerate(small):  # exp(A) / exp(w_max)
+        w_max = np.linalg.eigvalsh(a)[-1]
+        np.testing.assert_allclose(got[k], taylor_exp(a - w_max * np.eye(4)), atol=1e-8)
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    projector = np.outer(singlet, singlet)
+    np.testing.assert_allclose(got[2], projector, atol=1e-13)  # exp(-20000) triplet weight
+    np.testing.assert_allclose(got[3], np.eye(4) - projector, atol=1e-13)
+
+
+def test_positive_spectrum_domain_error_on_negative_spectrum():
     with pytest.raises(linalg.DomainError):
-        linalg.herm_log(np.diag([-1.0, 1.0]))
+        linalg.positive_spectrum(np.array([-1.0, 1.0]))
 
 
-def test_mat_func_clamps_roundoff_negatives():
+def test_positive_spectrum_clamps_roundoff_negatives():
     # eigenvalue -1e-15 is within 1e-12 * max|w| of zero: clamped, no raise
-    got = linalg.herm_log(np.diag([-1e-15, 1.0]))
-    assert np.isfinite(got).all()
-    assert got[0, 0].real < -600  # log of the tiny positive floor
+    got = linalg.positive_spectrum(np.array([-1e-15, 1.0]))
+    np.testing.assert_array_equal(got, [linalg.POSITIVE_FLOOR, 1.0])
+    assert np.isfinite(np.log(got)).all()
+    assert np.log(got[0]) < -600  # log of the tiny positive floor
 
 
 # --- stacks -----------------------------------------------------------------
@@ -190,14 +212,15 @@ def test_stacked_exp_and_log_equal_per_matrix_calls_bit_for_bit():
     rng = np.random.default_rng(21)
     for dim in (2, 4):
         stack = np.array([random_hermitian(rng, dim) for _ in range(7)])
-        exps = linalg.herm_exp(stack)
-        logs = linalg.herm_log(exps)
+        exps = linalg.shifted_exp(stack)
+        logs = herm_log(exps)
         assert exps.shape == logs.shape == stack.shape
         for k in range(len(stack)):
-            np.testing.assert_array_equal(exps[k], linalg.herm_exp(stack[k]))
-            np.testing.assert_array_equal(logs[k], linalg.herm_log(exps[k]))
-        assert linalg.herm_exp(np.zeros((0, dim, dim))).shape == (0, dim, dim)
-        assert linalg.herm_log(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+            np.testing.assert_array_equal(exps[k], linalg.shifted_exp(stack[k]))
+            np.testing.assert_array_equal(logs[k], herm_log(exps[k]))
+        assert linalg.shifted_exp(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+        assert herm_log(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+        assert linalg.positive_spectrum(np.zeros((0, dim))).shape == (0, dim)
 
 
 # A 1e6-scale neighbour would hide a defect of a unit-scale matrix from a
@@ -208,19 +231,19 @@ BIG = 1e6 * np.eye(2)
 def test_stacked_hermiticity_check_is_per_matrix():
     skewed = np.array([[1.0, 1e-9j], [0.0, 1.0]])  # residue 1e-9 > 1e-12 * 1
     with pytest.raises(linalg.NotHermitianError, match=r"stack index \(1,\)"):
-        linalg.herm_exp(np.array([BIG, skewed]))
+        linalg.shifted_exp(np.array([BIG, skewed]))
     with pytest.raises(linalg.NotHermitianError):
         linalg.require_hermitian(np.array([[BIG, BIG], [BIG, skewed]]))
     linalg.require_hermitian(np.array([BIG, np.eye(2)]))
 
 
 def test_stacked_positivity_check_is_per_matrix():
-    negative = np.diag([-1e-9, 1.0])  # below -1e-12 * 1, so not clamped
+    big, negative = np.diag(BIG), np.array([-1e-9, 1.0])  # below -1e-12 * 1, so not clamped
     with pytest.raises(linalg.DomainError, match=r"stack index \(1,\)"):
-        linalg.herm_log(np.array([BIG, negative]))
+        linalg.positive_spectrum(np.array([big, negative]))
     # roundoff negatives are still clamped per matrix
-    got = linalg.herm_log(np.array([BIG, np.diag([-1e-15, 1.0])]))
-    np.testing.assert_array_equal(got[1], linalg.herm_log(np.diag([-1e-15, 1.0])))
+    got = linalg.positive_spectrum(np.array([big, [-1e-15, 1.0]]))
+    np.testing.assert_array_equal(got[1], linalg.positive_spectrum(np.array([-1e-15, 1.0])))
 
 
 # --- dtypes -----------------------------------------------------------------
@@ -248,7 +271,7 @@ def test_the_kernel_returns_its_input_dtype(dtype, monkeypatch):
     a = make(rng, 8).astype(dtype)
     w, v = linalg.herm_eig(a)
     assert w.dtype == np.float64 and v.dtype == dtype
-    assert linalg.mat_func(a, np.exp).dtype == dtype
+    assert linalg.shifted_exp(a).dtype == dtype
     assert linalg.spectral(v, np.exp(w)).dtype == dtype
     assert linalg.kron(a[:2, :2], a[:2, :2]).dtype == dtype
     assert linalg.partial_trace(a, [2, 2, 2], [0]).dtype == dtype
@@ -261,12 +284,12 @@ def test_a_real_stack_is_checked_and_decomposed_per_matrix():
     rng = np.random.default_rng(89)
     stack = np.array([random_symmetric(rng, 4) for _ in range(5)])
     w, v = linalg.herm_eig(stack)
-    exps = linalg.herm_exp(stack)
+    exps = linalg.shifted_exp(stack)
     for k in range(len(stack)):
         wk, vk = linalg.herm_eig(stack[k])
         np.testing.assert_array_equal(w[k], wk)
         np.testing.assert_array_equal(v[k], vk)
-        np.testing.assert_array_equal(exps[k], linalg.herm_exp(stack[k]))
+        np.testing.assert_array_equal(exps[k], linalg.shifted_exp(stack[k]))
     stack[3, 0, 1] += 1e-6  # real, not symmetric
     with pytest.raises(linalg.NotHermitianError, match=r"stack index \(3,\)"):
         linalg.herm_eig(stack)
@@ -581,6 +604,31 @@ def test_herm_eig_is_the_only_hermitian_eigensolver_call():
             if name in solver_names:
                 (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
     assert inside, "linalg.herm_eig no longer calls the eigensolver"
+    assert outside == []
+
+
+def test_shifted_exp_is_the_only_exponential_outside_the_exact_state():
+    """exp is named in src/spinbp only inside linalg.shifted_exp, the one per-matrix
+    exponential, and spinchain.exact_gibbs, whose sector blocks share one shift."""
+    allowed_in = {"linalg.py": "shifted_exp", "spinchain.py": "exact_gibbs"}
+    inside, outside = set(), []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for n in tree.body:
+            if isinstance(n, ast.FunctionDef) and n.name == allowed_in.get(path.name):
+                allowed = {id(m) for m in ast.walk(n)}
+        for node in ast.walk(tree):
+            # attribute (np.exp), bare name (exp) or import alias
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name in ("exp", "expm"):
+                if id(node) in allowed:
+                    inside.add(path.name)
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside == set(allowed_in), "an allowed function no longer calls exp"
     assert outside == []
 
 

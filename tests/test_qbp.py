@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import herm_log
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
     DEFAULT_TOL,
@@ -441,7 +442,7 @@ def test_closed_form_log_matches_herm_log():
     for _ in range(200):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         state = g @ g.conj().T + rng.uniform(0, 1) * I2
-        expected = coordinates(linalg.herm_log(state))  # its traceless part
+        expected = coordinates(herm_log(state))  # its traceless part
         got = closed_form_log(np.trace(state).real, coordinates(state))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 

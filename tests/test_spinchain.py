@@ -1,10 +1,12 @@
 """Model construction, Hamiltonian assembly, and the exact Gibbs reference."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import embed_term, herm_func
 from spinbp import linalg, spinchain, trotter
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
@@ -12,7 +14,6 @@ from spinbp.spinchain import (
     SIGMA_Y,
     SIGMA_Z,
     SpinChainModel,
-    embed_term,
     exact_gibbs,
     heisenberg_chain,
     heisenberg_term,
@@ -134,8 +135,7 @@ def test_exact_gibbs_is_a_density_matrix():
 
 def dense_gibbs(model):
     """exp(-beta H) / Z from one eigendecomposition of the full Hamiltonian."""
-    rho = linalg.mat_func(total_hamiltonian(model),
-                          lambda w: np.exp(-model.beta * (w - w.min())))
+    rho = herm_func(total_hamiltonian(model), lambda w: np.exp(-model.beta * (w - w.min())))
     return rho / np.trace(rho).real
 
 
@@ -349,6 +349,17 @@ def test_zero_sites_are_rejected_before_the_couplings_are_counted():
 def test_a_bond_key_on_one_site_says_there_are_no_bonds():
     with pytest.raises(ValueError, match="field 'J_1': a 1-site chain has no bonds"):
         spinchain.model_from_keys({"sites": "1", "J_1": "0.5"})
+
+
+@pytest.mark.parametrize("second", ["J_01", "J_+1", "J_0_1"])
+def test_a_bond_named_twice_is_rejected(second):
+    # either order, and no key may silently override the other
+    for first, then in (("J_1", second), (second, "J_1")):
+        message = f"field '{then}': bond 1 is already set by '{first}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spinchain.model_from_keys({"sites": "3", first: "0.5", then: "2.0"})
+    model = spinchain.model_from_keys({"sites": "3", second: "2.0", "J_2": "0.5"})
+    np.testing.assert_array_equal(model.terms[0], 2.0 * heisenberg_term())
 
 
 def test_model_from_keys():

@@ -7,16 +7,17 @@ n -> infinity limit against full diagonalization.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import embed_term, herm_func
 from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
     SIGMA_Y,
     SpinChainModel,
-    embed_term,
     exact_gibbs,
     heisenberg_chain,
     total_hamiltonian,
@@ -43,12 +44,14 @@ def power_oracle(plan):
 
 
 def embedded_product(plan):
-    """prod_k exp(-(beta/n) I kron h_k kron I) with dense 2^N x 2^N exponentials."""
+    """prod_k exp(-(beta/n) I kron (h_k - lambda_min(h_k)) kron I), as
+    exp((beta/n) lambda_min(h_k)) times a dense 2^N x 2^N exponential."""
     model = plan.model
     step = model.beta / plan.n_slices
     w = np.eye(2**model.n_sites, dtype=complex)
     for k, term in enumerate(model.terms):
-        w = w @ linalg.herm_exp(-step * embed_term(term, (k, k + 1), model.n_sites))
+        factor = herm_func(-step * embed_term(term, (k, k + 1), model.n_sites), np.exp)
+        w = w @ (np.exp(step * np.linalg.eigvalsh(term)[0]) * factor)
     return w
 
 
@@ -61,12 +64,44 @@ def test_plan_factors_are_the_slice_exponentials():
     model = heisenberg_chain(3, 1.2)
     plan = trotter_plan(model, 16)
     assert len(plan.slice_factors) == len(model.terms)
+    step = 1.2 / 16
     for k, term in enumerate(model.terms):
         # one stacked exponential gives the bits of one call per term
-        np.testing.assert_array_equal(plan.slice_factors[k], linalg.herm_exp(-(1.2 / 16) * term))
+        np.testing.assert_array_equal(plan.slice_factors[k], linalg.shifted_exp(-step * term))
+        # exp(-(beta/n) h_k) scaled by exp((beta/n) lambda_min(h_k))
+        scale = np.exp(step * np.linalg.eigvalsh(term)[0])
+        np.testing.assert_allclose(scale * herm_func(-step * term, np.exp), plan.slice_factors[k],
+                                   rtol=0, atol=1e-15)
     np.testing.assert_allclose(build_weights(plan).matrix, embedded_product(plan), atol=1e-12)
     with pytest.raises(ValueError):
         trotter_plan(model, 0)
+
+
+def test_slice_factors_are_at_most_one_at_any_beta_over_n():
+    rng = np.random.default_rng(43)
+    real = rng.normal(size=(4, 4))
+    models = [heisenberg_chain(3, 1.0), xxz_chain(4, 1.0, [1.0, -0.7, 0.3], delta=0.5, field=0.3),
+              SpinChainModel(3, (real + real.T, -3 * (real + real.T)), 1.0)]
+    for model in models:
+        for beta in (0.2, 1.0, 5000.0):
+            for n in (1, 20, 100):
+                plan = trotter_plan(SpinChainModel(model.n_sites, model.terms, beta), n)
+                for f in plan.slice_factors:
+                    assert np.isfinite(f).all()
+                    assert np.abs(f).max() <= 1 + 1e-15
+                    # the largest eigenvalue is exp(0)
+                    assert abs(np.linalg.eigvalsh(f)[-1] - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_st_scores_where_beta_over_n_overflowed_unshifted_factors(n):
+    # beta/n * |h| = 750 at n = 20 passes exp's range near 709; warnings are errors
+    model = heisenberg_chain(3, 5000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = st_reduced(trotter_plan(model, n), (0, 1))
+    reference = linalg.partial_trace(exact_gibbs(model), [2, 2, 2], (0, 1))
+    metrics.scores(got, reference)
 
 
 def test_weights_on_a_chain_without_reflection_symmetry():
@@ -113,7 +148,9 @@ def test_weights_reject_complex_entries():
 def test_slice_power_converges_to_exact_exponential():
     # || (W_n)^n - exp(-beta H) ||_F halves when n doubles (first order)
     model = heisenberg_chain(3, 1.0)
-    target = linalg.herm_exp(-total_hamiltonian(model))
+    # W^n carries exp(beta sum_k lambda_min(h_k)) from the shifted factors
+    shift = sum(np.linalg.eigvalsh(term)[0] for term in model.terms)
+    target = np.exp(model.beta * shift) * herm_func(-total_hamiltonian(model), np.exp)
     errors = {}
     for n in (10, 20, 40, 80):
         w = build_weights(trotter_plan(model, n)).matrix
