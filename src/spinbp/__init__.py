@@ -20,7 +20,6 @@ from .spinchain import (
     exact_gibbs,
     heisenberg_chain,
     heisenberg_term,
-    load_model,
     total_hamiltonian,
     xxz_chain,
     xxz_term,

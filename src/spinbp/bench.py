@@ -360,7 +360,7 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
 
     A config-file key is a sweep flag without its dashes, converted by that
     flag's own type.  Every other key goes to ``spinchain.model_from_keys``,
-    which checks and reads it as ``load_model`` does.  A bare ``beta`` key
+    the one model reader, which checks it.  A bare ``beta`` key
     gives a single-point grid unless a grid flag or key is set.
     """
     values = {k: v for k, v in vars(args).items() if k in _SWEEP_FIELDS and v is not None}

@@ -1,11 +1,12 @@
-"""Sum-product belief propagation on trees of discrete variables.
+"""Sum-product belief propagation on trees, and the end marginal of a chain.
 
 Potentials may carry negative entries: on a tree the message recursion is
 still an exact contraction, so the normalized "beliefs" are then signed
 quasi-marginals rather than probabilities.  Every message is rescaled to
 unit absolute sum when it is produced, so arbitrarily long chains neither
 underflow nor overflow; the beliefs are normalized, so the scales are not
-kept.
+kept.  ``chain_end_marginal`` serves the Suzuki-Trotter chain, n copies of
+one potential, whose end marginal is one matrix power.
 """
 
 from __future__ import annotations
@@ -247,43 +248,23 @@ def _power(stacks: list, count: int) -> list:
 
 
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint quasi-marginal of the two end variables of an open chain.
+    """Joint quasi-marginal of the two end variables of an open chain of n
+    identical pairwise potentials: the n-th power of the one matrix W.
 
-    ``potentials[k]`` couples chain variable k to k+1 (locals flat).  The
-    interior variables are summed out by the message recursion
-    block <- psi @ block, starting from the last potential; column b of the
-    block is the message for far-end state b.  A run of c > 1 consecutive
-    potentials that are the same object contributes psi^c, powered within
-    the total-Sz sectors of its 2^N states when they hold every nonzero
-    entry (``linalg.by_blocks``): floor(log2 c) squarings and popcount(c) - 1
-    products, not c - 1.  Before each product its operand is divided by its
-    largest absolute entry (unless that is zero), so long chains stay in
-    range.  The returned matrix (axes: first variable, last
-    variable) is fresh and normalized to unit absolute sum in place.
+    ``potentials`` is one square potential object repeated n >= 1 times, as
+    ``[W] * n``; any other list raises ``ValueError``.  W^n is powered within
+    the total-Sz sectors of its 2^N states when they hold every nonzero entry
+    (``linalg.by_blocks``): floor(log2 n) squarings and popcount(n) - 1
+    products, each operand first divided by its largest absolute entry
+    (unless that is zero), so long chains stay in range.  The returned
+    matrix (axes: first variable, last variable) is fresh and normalized to
+    unit absolute sum in place.
     """
-    runs = []  # [count, matrix] for each run of one object, in chain order
-    for k, p in enumerate(potentials):
-        if runs and p is potentials[k - 1]:
-            runs[-1][0] += 1
-        else:
-            m = np.asarray(p, dtype=float)
-            if m.ndim != 2:
-                raise ValueError(f"potential {k} is not a matrix")
-            runs.append([1, m])
-        if k and before.shape[1] != m.shape[0]:
-            raise ValueError(
-                f"potential {k - 1} has {before.shape[1]} columns but potential {k} "
-                f"has {m.shape[0]} rows"
-            )
-        before = m
-    if not runs:
-        raise ValueError("need at least one potential")
-
-    block = None
-    for count, psi in reversed(runs):  # last run first
-        if count > 1:
-            psi = linalg.by_blocks(psi, lambda stacks: _power(stacks, count))
-        elif block is None:
-            psi = psi.copy()  # the block is rescaled in place
-        block = psi if block is None else psi @ _rescaled([block])[0]
+    n = len(potentials)
+    if not n or any(p is not potentials[0] for p in potentials):
+        raise ValueError("need one potential object repeated n >= 1 times")
+    w = np.asarray(potentials[0], dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"the potential must be a square matrix, got shape {w.shape}")
+    block = linalg.by_blocks(w, lambda stacks: _power(stacks, n))
     return np.divide(block, np.abs(block).sum(), out=block)

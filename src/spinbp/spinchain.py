@@ -182,10 +182,10 @@ def parse_key_values(text: str) -> dict[str, str]:
 def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
     """Per-bond couplings from ``J_<i>`` keys, 1-based bond index, default 1.
 
-    Two keys that name one bond (``J_1`` and ``J_01``) are rejected."""
+    Each bond has one spelling: ``J_01``, ``J_+1`` or ``J_ 1`` is rejected."""
     if sites < 1:  # before the couplings are sized, as in xxz_chain
         raise ValueError(f"n_sites must be positive, got {sites}")
-    couplings, named = [1.0] * (sites - 1), {}
+    couplings = [1.0] * (sites - 1)
     for key, value in keys.items():
         if not key.startswith("J_"):
             continue
@@ -193,13 +193,12 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
             bond = int(key[2:])
         except ValueError:
             raise ValueError(f"field {key!r}: bond index is not an integer") from None
+        if key != f"J_{bond}":
+            raise ValueError(f"field {key!r}: bond {bond} must be spelled J_{bond}")
         if not 1 <= bond <= sites - 1:
             why = (f"bond index out of range 1..{sites - 1}" if sites > 1
                    else "a 1-site chain has no bonds")
             raise ValueError(f"field {key!r}: {why}")
-        if bond in named:
-            raise ValueError(f"field {key!r}: bond {bond} is already set by {named[bond]!r}")
-        named[bond] = key
         try:
             coupling = float(value)
         except ValueError:
@@ -235,8 +234,3 @@ def model_from_keys(keys: dict[str, str]) -> SpinChainModel:
         raise ValueError(f"field 'beta': not a number: {keys['beta']!r}") from None
     return heisenberg_chain(sites, beta, couplings_from_keys(keys, sites))
 
-
-def load_model(path) -> SpinChainModel:
-    """Read a model description file (see ``model_from_keys``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_keys(parse_key_values(fh.read()))

@@ -3,20 +3,20 @@
 exp(-beta H) for H = sum_k h_k is approximated by the n-th power of one
 Trotter slice W = prod_k exp(-(beta/n) h_k), the product taken in ascending
 bond order.  Matrix element (a, b) of the unnormalized density matrix is
-then the two-end contraction of an open chain of n identical pairwise
-weights W over 2^N-state slice variables; the chain is never materialized,
-only one 2^N x 2^N block of messages, one column per far-end state (see
-cbp.chain_end_marginal).  Since the n weights are one matrix, the
-contraction powers it by repeated squaring, so its cost grows as log n;
-``st_opcount`` keeps the paper's slice-by-slice count, linear in n.  Each
-bond factor exp(-(beta/n) h_k) acts on two sites only, so it is
-exponentiated as a 4x4 matrix and applied to W in place of its 2^N x 2^N
-embedding.  Each factor is shifted by its term's lowest eigenvalue,
-f_k = exp(-(beta/n) (h_k - lambda_min(h_k))) (``linalg.shifted_exp``), so its
-entries are at most 1 at any beta/n.  The built W is then the unshifted
-product times exp((beta/n) sum_k lambda_min(h_k)), and W^n the unshifted
-power times exp(beta sum_k lambda_min(h_k)): a positive factor, which the
-normalization by tr(W^n) cancels.
+then the two-end marginal of an open chain of n identical pairwise weights W
+over 2^N-state slice variables, which is W^n (cbp.chain_end_marginal): the
+chain is never materialized, and W is powered by repeated squaring, so the
+cost grows as log n; ``st_opcount`` keeps the paper's slice-by-slice count,
+linear in n.  Each bond factor exp(-(beta/n) h_k) acts on two sites only, so
+it is exponentiated as a 4x4 matrix and applied to W in place of its
+2^N x 2^N embedding.  Each factor is shifted by its term's lowest
+eigenvalue, f_k = exp(-(beta/n) (h_k - lambda_min(h_k))) (``linalg.shifted_exp``),
+so its entries are at most 1 at any beta/n.  The built W is then the
+unshifted product times exp((beta/n) sum_k lambda_min(h_k)), and W^n the
+unshifted power times exp(beta sum_k lambda_min(h_k)): a positive factor,
+which the normalization by tr(W^n) cancels.  The factors must be real to
+``linalg.HERMITIAN_RTOL`` relative to their largest entry, which holds for
+real-symmetric bond terms (``ComplexResidueError`` otherwise).
 A factor of a term that commutes with sz.1 + 1.sz keeps the total Sz and
 exact zeros between sectors, so W does too, and the contraction powers W
 within its total-Sz sectors (``linalg.by_blocks``): N+1 sectors, the widest
@@ -35,9 +35,6 @@ import numpy as np
 
 from . import cbp, linalg
 from .spinchain import SpinChainModel
-
-# Transfer weights must be real to this relative residue.
-IMAG_RTOL = 1e-12
 
 
 class ComplexResidueError(ValueError):
@@ -84,9 +81,10 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
     real_factors = []
     for k, f in enumerate(plan.slice_factors):
         residue = np.abs(f.imag).max()
-        if residue > IMAG_RTOL * np.abs(f).max():
+        if residue > linalg.HERMITIAN_RTOL * np.abs(f).max():
             raise ComplexResidueError(
-                f"bond {k}: imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * max|f_k|; "
+                f"bond {k}: imaginary residue {residue:.3e} exceeds "
+                f"{linalg.HERMITIAN_RTOL:g} * max|f_k|; "
                 "transfer weights are only real for real-symmetric bond terms"
             )
         real_factors.append(f.real)
@@ -101,9 +99,9 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
 def st_density(plan: TrotterPlan) -> np.ndarray:
     """Density matrix W^n / tr(W^n) from the two-end marginal of the n-slice chain.
 
-    cbp.chain_end_marginal contracts a chain that repeats the one matrix W n
-    times: it powers W by repeated squaring within W's total-Sz sectors,
-    floor(log2 n) squarings and popcount(n) - 1 block products.  The result
+    cbp.chain_end_marginal takes the chain as ``[W] * n`` and powers W within
+    W's total-Sz sectors: floor(log2 n) squarings and popcount(n) - 1 block
+    products.  The result
     is fresh and normalized in place, and W dies first, so the call peaks at
     the marginal and its complex copy: three 2^N x 2^N float64 arrays' worth.
     """

@@ -319,12 +319,14 @@ def test_cli_non_finite_coupling_exits_2(value, tmp_path, capsys):
 
 
 def test_cli_bond_named_twice_exits_2(tmp_path, capsys):
+    # an alias of J_1 is rejected alone and beside J_1
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sites=3\nJ_1=0.5\nJ_01=2.0\n", encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
-    captured = capsys.readouterr()
-    assert "spinbp: config error: field 'J_01': bond 1 is already set by 'J_1'" in captured.err
-    assert captured.out == ""
+    for text in ("sites=3\nJ_01=2.0\n", "sites=3\nJ_1=0.5\nJ_01=2.0\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "spinbp: config error: field 'J_01': bond 1 must be spelled J_1" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_sweep_at_beta_5000_scores_every_row(capsys):
@@ -478,7 +480,7 @@ def test_cli_config_model_key_fails_as_in_load_model(tmp_path, capsys):
     cfg = tmp_path / "ising.cfg"
     cfg.write_text("model=ising\nsites=3\nbeta=0.0\ntime-repeats=0\n", encoding="utf-8")
     with pytest.raises(ValueError) as expected:
-        spinchain.load_model(cfg)
+        spinchain.model_from_keys(spinchain.parse_key_values(cfg.read_text(encoding="utf-8")))
     assert "unsupported model" in str(expected.value)
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert str(expected.value) in capsys.readouterr().err
@@ -522,7 +524,7 @@ def test_cli_config_unknown_model_key_fails_as_in_load_model(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("sites=3\nJ2=0.5\n", encoding="utf-8")
     with pytest.raises(ValueError) as expected:
-        spinchain.load_model(cfg)
+        spinchain.model_from_keys(spinchain.parse_key_values(cfg.read_text(encoding="utf-8")))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert str(expected.value) in capsys.readouterr().err
 
