@@ -31,6 +31,7 @@ same bits as the per-matrix calls.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -238,11 +239,12 @@ def sz_sectors(n_sites: int) -> list[np.ndarray]:
     per row, ascending within a row and ordered by c; the arrays come in
     ascending d.
     """
-    states = np.arange(2**n_sites)
-    counts = sum((states >> bit) & 1 for bit in range(n_sites))
-    sectors = [np.flatnonzero(counts == c) for c in range(n_sites + 1)]
-    return [np.array([s for s in sectors if len(s) == d])
-            for d in sorted({len(s) for s in sectors})]
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(n_sites):  # the states with the next bit set count one more
+        counts = np.concatenate((counts, counts + 1))
+    sizes = [math.comb(n_sites, c) for c in range(n_sites + 1)]
+    sectors = np.split(np.argsort(counts, kind="stable"), np.cumsum(sizes)[:-1])
+    return [np.array([s for s in sectors if len(s) == d]) for d in sorted(set(sizes))]
 
 
 def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
@@ -253,16 +255,22 @@ def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
     shapes; entries between blocks stay zero.  The sectors are used only when
     they hold every nonzero entry of ``a`` (a NaN counts as nonzero).  Otherwise,
     and for a matrix narrower than ``BLOCK_MIN_DIM`` or whose width is not a
-    power of two, ``a`` is one block and ``fn`` gets a copy of it.
+    power of two, ``a`` is one block and ``fn`` gets a copy of it.  The result
+    is C-ordered, whatever the layout of ``a``: blocks move by flat index.
     """
     dim = len(a)
     if dim >= BLOCK_MIN_DIM and not dim & (dim - 1):
-        at = [(s[:, :, None], s[:, None, :]) for s in sz_sectors(dim.bit_length() - 1)]
-        stacks = [a[i] for i in at]
-        if sum(np.count_nonzero(s) for s in stacks) == np.count_nonzero(a):
-            out = np.zeros_like(a)
-            for i, stack in zip(at, fn(stacks)):
-                out[i] = stack
+        sectors = sz_sectors(dim.bit_length() - 1)
+
+        def at(s):  # flat row-major index of each block; built where used, never held
+            return s[:, :, None] * dim + s[:, None, :]
+
+        stacks = [a.ravel()[at(s)] for s in sectors]
+        if sum(np.count_nonzero(s != 0) for s in stacks) == np.count_nonzero(a != 0):
+            out = np.zeros(a.shape, a.dtype)
+            del a  # so a caller's temporary input can die before fn runs
+            for s, stack in zip(sectors, fn(stacks)):
+                out.ravel()[at(s)] = stack
             return out
     return fn([a[None].copy()])[0][0]
 

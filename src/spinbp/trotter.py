@@ -101,13 +101,14 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
 
     cbp.chain_end_marginal takes the chain as ``[W] * n`` and powers W within
     W's total-Sz sectors: floor(log2 n) squarings and popcount(n) - 1 block
-    products.  The result
-    is fresh and normalized in place, and W dies first, so the call peaks at
-    the marginal and its complex copy: three 2^N x 2^N float64 arrays' worth.
+    products.  The fresh result is scaled in place by 1 / tr, then copied to
+    complex: the bits of the complex division, which numpy makes as a (1 / t)
+    for a real t.  W dies first, so the call peaks at the marginal and its
+    complex copy: three 2^N x 2^N float64 arrays' worth.
     """
     p = cbp.chain_end_marginal([build_weights(plan).matrix] * plan.n_slices)
-    rho = p.astype(np.complex128)
-    return np.divide(rho, np.trace(p), out=rho)
+    p *= 1.0 / np.trace(p)
+    return p.astype(np.complex128)
 
 
 def st_reduced(plan: TrotterPlan, keep) -> np.ndarray:

@@ -493,7 +493,7 @@ def sector_diagonal(rng, n_sites):
 
 def test_sz_sectors_list_the_popcount_classes():
     # a loop oracle: sizes ascending, equal sizes by set-bit count, indices ascending
-    for n_sites in range(9):
+    for n_sites in range(13):
         sectors = {}
         for i in range(2**n_sites):
             sectors.setdefault(popcount(i), []).append(i)

@@ -6,6 +6,7 @@ against the product of embedded 2^N x 2^N exponentials, and the
 n -> infinity limit against full diagonalization.
 """
 
+import sys
 import tracemalloc
 import warnings
 
@@ -166,11 +167,15 @@ def test_slice_power_converges_to_exact_exponential():
 ], ids=["heisenberg", "xxz-field"])
 def test_st_reduced_is_its_public_stages_bit_for_bit(build, sites):
     # the stages a caller can run one by one: a plan, the slice weights, the
-    # chain contraction of n copies, the normalization and the partial trace
+    # chain contraction of n copies, the normalization and the partial trace.
+    # st_density scales p by 1 / tr in real arithmetic, which must give the
+    # bits of the complex division.
     for n in (20, 100):
         plan = trotter_plan(build(sites, 1.5), n)
         p = cbp.chain_end_marginal([build_weights(plan).matrix] * n)
-        staged = linalg.partial_trace(p.astype(np.complex128) / np.trace(p), [2] * sites, (0, 1))
+        rho = p.astype(np.complex128) / np.trace(p)
+        np.testing.assert_array_equal(st_density(plan), rho)
+        staged = linalg.partial_trace(rho, [2] * sites, (0, 1))
         np.testing.assert_array_equal(staged, st_reduced(plan, (0, 1)))
 
 
@@ -192,15 +197,19 @@ def traced_peak(call) -> int:
 def test_st_density_peaks_at_three_full_size_arrays(build):
     # in units of one 2^N x 2^N float64 array: W dies with the contraction,
     # which normalizes its fresh block in place, so the peak is the marginal
-    # and its complex copy (3.005).  The exact state's sector eigensolves
-    # peak at 2.761.
+    # and its complex copy (3.005).  by_blocks drops its reference to H after
+    # the gather and holds no block index while the sectors are diagonalized.
+    # From Python 3.11 a called Python function owns its arguments, so H dies
+    # there and the exact state peaks at 2.204; before 3.11 the caller's stack
+    # keeps H alive until by_blocks returns (2.760 with H held by the caller).
     sites = 8
     unit = 8 * 4**sites
     model = build(sites, 1.0)
     for n in (20, 100):
         plan = trotter_plan(model, n)
         assert traced_peak(lambda: st_density(plan)) <= 3.01 * unit
-    assert traced_peak(lambda: exact_gibbs(model)) <= 2.80 * unit
+    exact_bound = 2.25 if sys.version_info >= (3, 11) else 2.80
+    assert traced_peak(lambda: exact_gibbs(model)) <= exact_bound * unit
 
 
 @pytest.mark.parametrize("build", [
@@ -209,14 +218,20 @@ def test_st_density_peaks_at_three_full_size_arrays(build):
 ], ids=["heisenberg", "xxz-field"])
 def test_weights_and_hamiltonian_split_into_the_sz_sectors(build, monkeypatch):
     # every bond factor keeps exact zeros between sectors, so by_blocks hands
-    # the N+1 total-Sz sectors of W and H over at every width
+    # the N+1 total-Sz sectors of W and H over at every width.  A Fortran-ordered
+    # copy of W gives the same blocks, and the same bits of W^n: the result
+    # is C-ordered whatever the input's layout.
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for sites in range(2, 9):
         model = build(sites)
         sectors = [(len(s), s.shape[1], s.shape[1]) for s in linalg.sz_sectors(sites)]
         assert sum(k for k, _, _ in sectors) == sites + 1
-        for matrix in (total_hamiltonian(model), build_weights(trotter_plan(model, 20)).matrix):
+        w = build_weights(trotter_plan(model, 20)).matrix
+        fortran = np.asfortranarray(w)
+        for matrix in (total_hamiltonian(model), w, fortran):
             assert handed_over(matrix) == sectors
+        np.testing.assert_array_equal(cbp.chain_end_marginal([fortran] * 20),
+                                      cbp.chain_end_marginal([w] * 20))
 
 
 def handed_over(matrix):
