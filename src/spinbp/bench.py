@@ -19,7 +19,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -52,10 +52,12 @@ def _check_slices(slices: tuple, name: str) -> None:
 class SweepConfig:
     """One sweep: a model family, a beta grid, engines to run, output options.
 
-    ``keep`` uses 0-based site indices.  ``time_repeats`` is the number of
-    timed repetitions per row (median reported); 0 disables timing and
-    writes 0.0, which makes the CSV bytes reproducible across runs.  These
-    are the sweep's only defaults: the CLI sets just the fields it is given.
+    ``model_keys`` describe the model as ``spinchain.model_from_keys`` reads
+    them; the sweep sets their ``sites`` and ``beta``.  ``keep`` uses 0-based
+    site indices.  ``time_repeats`` is the number of timed repetitions per
+    row (median reported); 0 disables timing and writes 0.0, which makes the
+    CSV bytes reproducible across runs.  These are the sweep's only defaults:
+    the CLI sets just the fields it is given.
     """
 
     sites: int = 3
@@ -71,10 +73,14 @@ class SweepConfig:
     out: str | None = None
     time_repeats: int = 5
     couplings: tuple | None = None
+    model_keys: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.sites < 2:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
+        spinchain.model_from_keys({**self.model_keys, "sites": str(self.sites)})  # checks the keys
+        if self.couplings is not None and len(self.couplings) != self.sites - 1:
+            raise ValueError(f"expected {self.sites - 1} couplings, got {len(self.couplings)}")
         if self.beta_steps < 1:
             raise ValueError(f"beta-steps must be >= 1, got {self.beta_steps}")
         _check_beta(self.beta_min, "beta-min")
@@ -167,9 +173,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     config.validate()
     keep = tuple(sorted(set(config.keep)))
     methods = sorted(config.methods, key=lambda m: m != "exact")
+    # couplings, kept for the benchmark's callers, as the J_<i> keys they equal
+    keys = {**config.model_keys,
+            **{f"J_{k}": repr(float(j)) for k, j in enumerate(config.couplings or (), 1)}}
     records = []
     for beta in config.beta_grid():
-        model = spinchain.heisenberg_chain(config.sites, beta, config.couplings)
+        model = spinchain.model_from_keys({**keys, "sites": str(config.sites), "beta": repr(beta)})
         reference = None
         if methods[0] != "exact":
             reference, _, _ = _engine_call(config, model, keep, "exact", None)()
@@ -359,9 +368,9 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
     """The SweepConfig of the flags given, with unset flags taken from ``--config``.
 
     A config-file key is a sweep flag without its dashes, converted by that
-    flag's own type.  Every other key goes to ``spinchain.model_from_keys``,
-    the one model reader, which checks it.  A bare ``beta`` key
-    gives a single-point grid unless a grid flag or key is set.
+    flag's own type.  Every other key is a model key, which
+    ``spinchain.model_from_keys``, the one model reader, checks.  A bare
+    ``beta`` key gives a single-point grid unless a grid flag or key is set.
     """
     values = {k: v for k, v in vars(args).items() if k in _SWEEP_FIELDS and v is not None}
     model_keys = {}
@@ -377,14 +386,11 @@ def _build_sweep_config(sweep_parser: argparse.ArgumentParser, args) -> SweepCon
                     values[action.dest] = action.type(text) if action.type else text
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ValueError(f"config file, key {key!r}: {exc}") from None
-    config = SweepConfig(**values)
-    if model_keys:
-        config.validate()  # the keys are read against a valid site count
-        model = spinchain.model_from_keys({**model_keys, "sites": str(config.sites)})
-        config.couplings = tuple(spinchain.couplings_from_keys(model_keys, config.sites))
-        if "beta" in model_keys and not values.keys() & {"beta_min", "beta_max", "beta_steps"}:
-            config.beta_min = config.beta_max = model.beta
-            config.beta_steps = 1
+    config = SweepConfig(**values, model_keys=model_keys)
+    if "beta" in model_keys and not values.keys() & {"beta_min", "beta_max", "beta_steps"}:
+        config.validate()  # a bad beta key is named before it is read here
+        config.beta_min = config.beta_max = float(model_keys["beta"])
+        config.beta_steps = 1
     return config
 
 

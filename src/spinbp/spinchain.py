@@ -179,7 +179,7 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
-def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
+def _couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
     """Per-bond couplings from ``J_<i>`` keys, 1-based bond index, default 1.
 
     Each bond has one spelling: ``J_01``, ``J_+1`` or ``J_ 1`` is rejected."""
@@ -209,28 +209,37 @@ def couplings_from_keys(keys: dict[str, str], sites: int) -> list[float]:
     return couplings
 
 
+# The keys each model reads, besides the per-bond couplings J_<i>.
+MODEL_KEYS = {"heisenberg": ("model", "sites", "beta"),
+              "xxz": ("model", "sites", "beta", "delta", "field")}
+
+
 def model_from_keys(keys: dict[str, str]) -> SpinChainModel:
     """Build a model from the plain-text description format.
 
-    Keys, and no others: ``model=heisenberg``, ``sites=<int>``, ``beta=<float>``
-    and optional per-bond couplings ``J_<i>=<float>`` where i is the 1-based
-    bond index (bond i couples sites i and i+1 in 1-based labels).
+    Keys, and no others: ``model=heisenberg`` (the default) or ``model=xxz``,
+    ``sites=<int>``, ``beta=<float>`` (default 1), optional per-bond couplings
+    ``J_<i>=<float>`` where i is the 1-based bond index (bond i couples sites i
+    and i+1 in 1-based labels), and for ``xxz`` only ``delta=<float>`` (default
+    1) and ``field=<float>`` (default 0), the parameters of ``xxz_chain``.
     """
     kind = keys.get("model", "heisenberg")
-    if kind != "heisenberg":
-        raise ValueError(f"unsupported model {kind!r}; only 'heisenberg' is available")
+    named = MODEL_KEYS.get(kind)
+    if named is None:
+        raise ValueError(f"unsupported model {kind!r}; choose from {list(MODEL_KEYS)}")
     for key in keys:
-        if key not in ("model", "sites", "beta") and not key.startswith("J_"):
-            raise ValueError(f"unknown key {key!r}; model keys are model, sites, beta, J_<i>")
+        if key not in named and not key.startswith("J_"):
+            raise ValueError(f"unknown key {key!r}; {kind} keys are {', '.join(named)}, J_<i>")
     try:
         sites = int(keys["sites"])
     except KeyError:
         raise ValueError("model description is missing the 'sites' key") from None
     except ValueError:
         raise ValueError(f"field 'sites': not an integer: {keys['sites']!r}") from None
-    try:
-        beta = float(keys.get("beta", "1.0"))
-    except ValueError:
-        raise ValueError(f"field 'beta': not a number: {keys['beta']!r}") from None
-    return heisenberg_chain(sites, beta, couplings_from_keys(keys, sites))
-
+    numbers = {}
+    for key, default in (("beta", "1.0"), ("delta", "1.0"), ("field", "0.0")):
+        try:
+            numbers[key] = float(keys.get(key, default))
+        except ValueError:
+            raise ValueError(f"field {key!r}: not a number: {keys[key]!r}") from None
+    return xxz_chain(sites, couplings=_couplings_from_keys(keys, sites), **numbers)

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from spinbp import bench, metrics, qbp, spinchain, trotter
+from spinbp import bench, linalg, metrics, qbp, spinchain, trotter
 from spinbp.bench import (
     SweepConfig,
     SweepRecord,
@@ -476,7 +476,7 @@ def test_every_sweep_flag_is_a_config_key(tmp_path, flag):
     assert sweep_config(["--config", str(cfg), flag, "6"]) == sweep_config([flag, "6"])
 
 
-def test_cli_config_model_key_fails_as_in_load_model(tmp_path, capsys):
+def test_cli_config_model_key_fails_as_in_model_from_keys(tmp_path, capsys):
     cfg = tmp_path / "ising.cfg"
     cfg.write_text("model=ising\nsites=3\nbeta=0.0\ntime-repeats=0\n", encoding="utf-8")
     with pytest.raises(ValueError) as expected:
@@ -520,7 +520,7 @@ def test_keep_zero_names_one_based_labels(tmp_path, capsys):
 # --- config errors exit 2 --------------------------------------------------------
 
 
-def test_cli_config_unknown_model_key_fails_as_in_load_model(tmp_path, capsys):
+def test_cli_config_unknown_model_key_fails_as_in_model_from_keys(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("sites=3\nJ2=0.5\n", encoding="utf-8")
     with pytest.raises(ValueError) as expected:
@@ -594,3 +594,65 @@ def test_cli_exact_failure_fails_every_row_and_exits_3(monkeypatch, capsys):
     assert all(",error: exact broke" in r for r in rows if ",exact," in r)
     assert all("error: no exact reference state" in r for r in rows if ",qbp," in r)
     assert captured.err.count("spinbp: row") == 4
+
+
+# --- model keys: every sweep model is built by spinchain.model_from_keys ----------
+
+XXZ_CONFIG = (
+    "model=xxz\ndelta=0.5\nfield=0.3\nsites=8\n"
+    "beta-min=0.5\nbeta-max=2\nbeta-steps=3\ntime-repeats=0\n"
+)
+
+
+def test_cli_xxz_config_sweep_rows_are_the_library_calls(tmp_path, capsys):
+    cfg = tmp_path / "xxz.cfg"
+    cfg.write_text(XXZ_CONFIG, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    records = run_sweep(sweep_config(["--config", str(cfg)]))
+    assert captured.out == format_csv(records)
+    qbp_rows = [r for r in records if r.method == "qbp"]
+    assert [r.beta for r in qbp_rows] == [0.5, 1.25, 2.0]
+    for r in qbp_rows:
+        model = spinchain.xxz_chain(8, r.beta, None, 0.5, 0.3)
+        exact = linalg.partial_trace(spinchain.exact_gibbs(model), [2] * 8, (0, 1))
+        result = qbp.qbp_run(model)
+        fid, dist = metrics.scores(result.beliefs_pair[(0, 1)], exact)
+        assert (r.fidelity, r.trace_distance, r.iterations) == (fid, dist, result.iterations)
+        assert r.iterations > 1  # off the SU(2) chain the qbp iteration runs
+    st_rows = [r for r in records if r.method == "st"]
+    assert len(st_rows) == 6
+    for r in st_rows:
+        # first-order st is non-Hermitian here until a second-order splitting lands
+        assert "Hermiticity residue" in r.status
+        assert f"spinbp: row (beta={r.beta:g}, st, n={r.n_slices}): {r.status}" in captured.err
+
+
+@pytest.mark.parametrize("model_keys", [{}, {"model": "xxz", "delta": "0.5", "field": "0.3"}])
+def test_couplings_give_the_records_of_their_j_keys(model_keys):
+    # np.float64 couplings, whose repr under numpy 2 is not a float literal
+    couplings = tuple(np.random.default_rng(7).uniform(0.9, 1.1, 3))
+    grid = dict(sites=4, beta_min=0.5, beta_max=2.0, beta_steps=2, time_repeats=0)
+    from_couplings = run_sweep(SweepConfig(**grid, model_keys=model_keys, couplings=couplings))
+    j_keys = {f"J_{k}": repr(float(j)) for k, j in enumerate(couplings, 1)}
+    assert from_couplings == run_sweep(SweepConfig(**grid, model_keys={**model_keys, **j_keys}))
+    assert from_couplings != run_sweep(SweepConfig(**grid, model_keys=model_keys))
+    for wrong in (couplings[:2], couplings + (1.0,)):
+        with pytest.raises(ValueError, match=f"expected 3 couplings, got {len(wrong)}"):
+            run_sweep(SweepConfig(**grid, model_keys=model_keys, couplings=wrong))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("delta=0.5\n", "unknown key 'delta'; heisenberg keys are model, sites, beta, J_<i>"),
+    ("model=heisenberg\nfield=0.3\n", "unknown key 'field'"),
+    ("model=xxz\ndelta=nan\n", "delta must be finite, got nan"),
+    ("model=xxz\nfield=strong\n", "field 'field': not a number: 'strong'"),
+    ("model=ising\n", "unsupported model 'ising'; choose from ['heisenberg', 'xxz']"),
+])
+def test_cli_model_key_errors_exit_2_before_any_row(text, message, tmp_path, capsys, monkeypatch):
+    calls = count_timed_calls(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
+    assert f"spinbp: config error: {message}" in capsys.readouterr().err
+    assert calls == []

@@ -380,6 +380,30 @@ def test_model_from_keys():
         spinchain.model_from_keys({"sites": "3", "beta": "fast"})
 
 
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_xxz_keys_build_the_benchmark_xxz_terms_bit_for_bit(seed):
+    # the benchmark's XXZ workload sums complex Pauli products per bond, with
+    # couplings drawn as below; model=xxz gives the same bits and dtype
+    couplings = [float(j) for j in np.random.default_rng(seed).uniform(0.9, 1.1, 7)]
+    keys = {"model": "xxz", "delta": "0.5", "field": "0.3", "sites": "8", "beta": "1"}
+    keys.update({f"J_{k}": repr(j) for k, j in enumerate(couplings, 1)})
+    model = spinchain.model_from_keys(keys)
+    exchange = (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+                + 0.5 * np.kron(SIGMA_Z, SIGMA_Z))
+    zeeman = 0.15 * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
+    expected = SpinChainModel(8, tuple(j * exchange + zeeman for j in couplings), 1.0)
+    assert [t.dtype for t in model.terms] == [t.dtype for t in expected.terms]
+    assert [t.tobytes() for t in model.terms] == [t.tobytes() for t in expected.terms]
+
+
+def test_xxz_keys_default_to_the_heisenberg_chain():
+    keys = {"sites": "4", "beta": "0.5", "J_2": "-0.9"}
+    xxz = spinchain.model_from_keys({**keys, "model": "xxz"})
+    assert [t.tobytes() for t in xxz.terms] == [
+        t.tobytes() for t in spinchain.model_from_keys(keys).terms
+    ]
+
+
 def test_load_model():
     # a config text reads through the CLI's one path: parse_key_values, then
     # model_from_keys
