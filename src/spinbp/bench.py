@@ -66,9 +66,6 @@ class SweepConfig:
     beta_steps: int = 10
     methods: tuple = KNOWN_METHODS
     st_slices: tuple = (20, 100)
-    qbp_tol: float = qbp.DEFAULT_TOL
-    qbp_max_iters: int = qbp.DEFAULT_MAX_ITERS
-    qbp_damping: float = qbp.DEFAULT_DAMPING
     keep: tuple = (0, 1)
     out: str | None = None
     time_repeats: int = 5
@@ -103,7 +100,6 @@ class SweepConfig:
         _check_distinct(tuple(k + 1 for k in self.keep), "keep (1-based site labels)")
         if self.time_repeats < 0:
             raise ValueError(f"time-repeats must be >= 0, got {self.time_repeats}")
-        qbp.check_options(self.qbp_max_iters, self.qbp_tol, self.qbp_damping)
         if self.out:
             # checked before any row runs, without creating or truncating the file
             if os.path.exists(self.out):
@@ -181,7 +177,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         model = spinchain.model_from_keys({**keys, "sites": str(config.sites), "beta": repr(beta)})
         reference = None
         if methods[0] != "exact":
-            reference, _, _ = _engine_call(config, model, keep, "exact", None)()
+            reference, _, _ = _engine_call(model, keep, "exact", None)()
         for method in methods:
             for n in config.st_slices if method == "st" else (None,):
                 record, state = _run_row(config, model, reference, keep, method, n)
@@ -192,7 +188,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices):
+def _engine_call(model, keep: tuple, method: str, n_slices):
     """The call a sweep row times; it returns (reduced state on ``keep``, iterations, status)."""
     if method == "exact":
         return lambda: (
@@ -204,12 +200,7 @@ def _engine_call(config: SweepConfig, model, keep: tuple, method: str, n_slices)
         )
     if method == "qbp":
         def compute():
-            result = qbp.qbp_run(
-                model,
-                max_iters=config.qbp_max_iters,
-                tol=config.qbp_tol,
-                damping=config.qbp_damping,
-            )
+            result = qbp.qbp_run(model)  # its default tolerance, sweep budget and mixing step
             status = "ok" if result.converged else f"not-converged(residual={result.residual:.3e})"
             return _qbp_state(result, keep), result.iterations, status
         return compute
@@ -229,7 +220,7 @@ def _run_row(config, model, reference, keep, method, n_slices) -> tuple:
             opcount = qbp.qbp_opcount(config.sites)
         if method != "exact" and reference is None:
             raise ValueError("no exact reference state: the exact row failed")
-        compute = _engine_call(config, model, keep, method, n_slices)
+        compute = _engine_call(model, keep, method, n_slices)
         (state, iterations, status), wall_ms = _timed(compute, config.time_repeats)
         fid, dist = metrics.scores(state, state if method == "exact" else reference)
     except Exception as exc:
@@ -419,9 +410,6 @@ def _make_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         "--keep", type=_parse_keep,
         help="1-based site labels of the reduced state (default 1,2)",
     )
-    sweep.add_argument("--qbp-tol", type=float, dest="qbp_tol")
-    sweep.add_argument("--qbp-max-iters", type=int, dest="qbp_max_iters")
-    sweep.add_argument("--qbp-damping", type=float, dest="qbp_damping")
     sweep.add_argument("--out", help="CSV output path (default: print to stdout)")
     sweep.add_argument(
         "--time-repeats", type=int, dest="time_repeats",

@@ -27,7 +27,7 @@ and checked by ``linalg.positive_spectrum``.
 The plain damped iteration converges only linearly, so ``qbp_run`` mixes
 the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
 and Ni 2011, SIAM J. Numer. Anal. 49:1715) on the flattened coordinates x.
-With f = update - x and the damping d as the mixing step, the next iterate
+With f = update - x and the mixing step d = ``DAMPING``, the next iterate
 is x + d*f - (dX + d*dF) gamma.  The columns of dX and dF are the
 differences between successive iterates, and between their f, over the
 last ``MEMORY`` sweeps; gamma is the least-squares fit of f on dF.  The
@@ -46,7 +46,8 @@ from .spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 500
-DEFAULT_DAMPING = 0.5
+# the mixing step d, and the weight of the update in the plain damped step
+DAMPING = 0.5
 # sweeps of history behind each mixed step, read by every qbp_run call
 MEMORY = 5
 # A fit whose smallest singular value is at most this fraction of its largest
@@ -130,11 +131,11 @@ def _gibbs(a: np.ndarray) -> np.ndarray:
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def check_options(max_iters: int, tol: float, damping: float) -> None:
+def check_options(max_iters: int, tol: float) -> None:
     """Reject run options the iteration cannot honour."""
-    if not (max_iters >= 1 and tol > 0 and 0 < damping <= 1):
-        raise ValueError(f"qbp needs max_iters >= 1, tol > 0 and damping in (0, 1], got "
-                         f"max_iters={max_iters}, tol={tol}, damping={damping}")
+    if not (max_iters >= 1 and tol > 0):
+        raise ValueError(f"qbp needs max_iters >= 1 and tol > 0, got "
+                         f"max_iters={max_iters}, tol={tol}")
 
 
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
@@ -151,21 +152,19 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
 
 
 def qbp_run(
-    model: SpinChainModel,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    damping: float = DEFAULT_DAMPING,
+    model: SpinChainModel, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL
 ) -> QbpResult:
     """Anderson-mixed synchronous message iteration followed by belief assembly.
 
     Each sweep recomputes every directed message from the current iterate.
     The residual is the largest Frobenius-norm change of any message under
-    the plain damped step (1-damping)*old + damping*update; the run has
+    the plain damped step (1-d)*old + d*update, d = DAMPING; the run has
     converged when it falls below ``tol``, and that last step is the damped
     one.  Otherwise the step is mixed (see the module docstring); a fit is
     ill-conditioned when its singular values span more than 1/FIT_RCOND.
     """
-    check_options(max_iters, tol, damping)
+    check_options(max_iters, tol)
+    damping = DAMPING  # read once per run
     edges = directed_edges(model)
     neg_terms, into = _edge_plan(model, edges)
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL

@@ -105,6 +105,11 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
     complex: the bits of the complex division, which numpy makes as a (1 / t)
     for a real t.  W dies first, so the call peaks at the marginal and its
     complex copy: three 2^N x 2^N float64 arrays' worth.
+
+    Keep the copy unless a measurement says otherwise.  Returning the real p
+    gives the same states and CSVs, but a warm loop of the N = 8, beta = 2 st
+    rows (n = 20 and 100, each scored by both metrics) then took about 450
+    minor page faults per pass against 0, and ran slower.
     """
     p = cbp.chain_end_marginal([build_weights(plan).matrix] * plan.n_slices)
     p *= 1.0 / np.trace(p)

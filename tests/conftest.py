@@ -43,3 +43,29 @@ def embed_term(term, pair, n_sites):
         raise ValueError(f"bond term must be 4x4, got {t.shape}")
     left, right = np.eye(2**i), np.eye(2 ** (n_sites - i - 2))
     return linalg.kron(linalg.kron(left, t), right)
+
+
+def free_fermion_pairs(couplings, field, beta):
+    """The adjacent-pair reduced Gibbs states (sites a, a+1) of the XX chain in a
+    field, ``xxz_chain(n, beta, couplings, delta=0, field=field)``, from its
+    free-fermion (Jordan-Wigner) solution; basis index 0 = spin up = occupied.
+
+    The one-body matrix M has diagonal 2 h_i, with h_i = field * (bonds at i) / 2
+    since each bond splits the field over its two sites, and hoppings 2 J_k.
+    C = V f(w) V^T, with the Fermi factor f(w) = 1 / (exp(beta w) + 1), gives
+    <c_a^dag c_b>; Wick's theorem gives n_ab = <n_a n_b> = C_aa C_bb - C_ab C_ba.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    n = len(couplings) + 1
+    bonds_at = np.bincount(np.r_[0:n - 1, 1:n], minlength=n)
+    m = np.diag(field * bonds_at) + np.diag(2 * couplings, 1) + np.diag(2 * couplings, -1)
+    w, v = np.linalg.eigh(m)
+    c = (v * (1 - np.tanh(beta * w / 2)) / 2) @ v.T  # tanh form: no overflow at large beta w
+    pairs = []
+    for a in range(n - 1):
+        b = a + 1
+        nab = c[a, a] * c[b, b] - c[a, b] * c[b, a]
+        rho = np.diag([nab, c[a, a] - nab, c[b, b] - nab, 1 - c[a, a] - c[b, b] + nab])
+        rho[1, 2] = rho[2, 1] = c[a, b]
+        pairs.append(rho)
+    return pairs

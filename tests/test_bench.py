@@ -542,14 +542,31 @@ def test_st_slices_parse_error_names_the_expected_format(capsys):
 @pytest.mark.parametrize("flags", [
     ["--beta-min", "nan", "--beta-steps", "1"],
     ["--beta-max", "inf"],
-    ["--qbp-damping", "0"],
-    ["--qbp-max-iters", "0"],
-    ["--qbp-tol", "-1"],
 ])
 def test_cli_bad_grid_and_qbp_options_exit_2(flags, capsys):
     # each used to pass validation, then fail or mislabel every row
     assert main(["sweep", *flags, "--time-repeats", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--qbp-tol", "1e-8"), ("--qbp-max-iters", "500"), ("--qbp-damping", "0.5"),
+    ("--qbp-damping", "0"), ("--qbp-max-iters", "0"), ("--qbp-tol", "-1"),
+])
+def test_removed_qbp_settings_exit_2_before_any_row(flag, value, tmp_path, capsys, monkeypatch):
+    # the sweep runs qbp at qbp_run's defaults; an old flag or key is an error, not ignored
+    assert not [f for f in sweep_flags() if f.startswith("--qbp-")]
+    calls = count_timed_calls(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", flag, value, "--time-repeats", "0"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    key = flag[2:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--time-repeats", "0"]) == 2
+    assert f"spinbp: config error: unknown key '{key}'" in capsys.readouterr().err
+    assert calls == []
 
 
 def count_exact_calls(monkeypatch):

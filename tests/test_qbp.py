@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import herm_log
+from conftest import free_fermion_pairs, herm_log
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
     DEFAULT_TOL,
@@ -175,10 +175,11 @@ def test_update_on_swap_asymmetric_chain_matches_oracle_on_every_edge():
         )
 
 
-def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle(monkeypatch):
+def check_plain_sweeps_against_per_edge_oracle(model, sweeps, monkeypatch):
+    """Run ``sweeps`` plain damped sweeps of qbp_run and of the per-edge oracle,
+    compare their beliefs and return the oracle's messages."""
     monkeypatch.setattr(qbp, "MEMORY", 0)  # the oracle takes plain damped steps
-    model = swap_asymmetric_chain(1.2)
-    sweeps = 3
+    d = qbp.DAMPING
     edges = directed_edges(model)
     messages = {e: np.zeros((2, 2)) for e in edges}
     for _ in range(sweeps):
@@ -186,7 +187,7 @@ def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle(monkeypatch):
             e: two_site_message_oracle(model.beta, *oracle_edge_inputs(model, messages, e))
             for e in edges
         }
-        messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
+        messages = {e: (1 - d) * messages[e] + d * updates[e] for e in edges}
     result = qbp_run(model, max_iters=sweeps)
     assert result.iterations == sweeps
     assert not result.converged
@@ -201,6 +202,17 @@ def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle(monkeypatch):
         np.testing.assert_allclose(
             result.beliefs_single[i], oracle_gibbs(incoming), rtol=0, atol=1e-12
         )
+    return messages
+
+
+def test_sweeps_on_swap_asymmetric_chain_match_per_edge_oracle(monkeypatch):
+    check_plain_sweeps_against_per_edge_oracle(swap_asymmetric_chain(1.2), 3, monkeypatch)
+
+
+def test_qbp_run_takes_its_mixing_step_from_the_module(monkeypatch):
+    # qbp.DAMPING is read when a run starts, as MEMORY is
+    monkeypatch.setattr(qbp, "DAMPING", 0.8)
+    check_plain_sweeps_against_per_edge_oracle(swap_asymmetric_chain(1.2), 3, monkeypatch)
 
 
 def test_messages_stay_traceless_hermitian():
@@ -310,14 +322,8 @@ def test_three_site_belief_is_less_accurate_than_trotter():
     assert metrics.trace_distance(q12, reference) > metrics.trace_distance(st12, reference)
 
 
-def test_damping_validation():
-    with pytest.raises(ValueError):
-        qbp_run(heisenberg_chain(2, 1.0), damping=0.0)
-
-
 @pytest.mark.parametrize("option", [
     dict(max_iters=0), dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
-    dict(damping=1.5), dict(damping=float("nan")),
 ])
 def test_run_options_are_checked(option):
     # max_iters=0 used to return a not-converged run with residual 0; a
@@ -364,30 +370,8 @@ def test_update_on_an_iterating_complex_chain_matches_oracle_on_every_edge():
 
 
 def test_sweeps_on_an_iterating_complex_chain_match_per_edge_oracle(monkeypatch):
-    monkeypatch.setattr(qbp, "MEMORY", 0)  # the oracle takes plain damped steps
-    model = iterating_complex_chain()
-    edges = directed_edges(model)
-    messages = {e: np.zeros((2, 2)) for e in edges}
-    for _ in range(3):
-        updates = {
-            e: two_site_message_oracle(model.beta, *oracle_edge_inputs(model, messages, e))
-            for e in edges
-        }
-        messages = {e: 0.5 * messages[e] + 0.5 * updates[e] for e in edges}
+    messages = check_plain_sweeps_against_per_edge_oracle(iterating_complex_chain(), 3, monkeypatch)
     assert any(abs(m[0, 1].imag) > 1e-3 for m in messages.values())  # sigma_y parts
-    result = qbp_run(model, max_iters=3)
-    assert (result.iterations, result.converged) == (3, False)
-    for k in range(model.n_sites - 1):
-        term, into_k, into_next = oracle_edge_inputs(model, messages, (k + 1, k))
-        expected = oracle_gibbs(
-            -model.beta * term + np.kron(into_k, I2) + np.kron(I2, into_next)
-        )
-        np.testing.assert_allclose(result.beliefs_pair[(k, k + 1)], expected, rtol=0, atol=1e-12)
-    for i in range(model.n_sites):
-        incoming = sum(messages[(n, i)] for n in (i - 1, i + 1) if 0 <= n < model.n_sites)
-        np.testing.assert_allclose(
-            result.beliefs_single[i], oracle_gibbs(incoming), rtol=0, atol=1e-12
-        )
 
 
 def test_an_iterating_complex_chain_converges_with_complex_beliefs():
@@ -572,6 +556,41 @@ def test_ill_conditioned_fits_take_the_damped_step(monkeypatch):
         np.testing.assert_array_equal(mixed.beliefs_single[i], plain.beliefs_single[i])
     for e in plain.beliefs_pair:
         np.testing.assert_array_equal(mixed.beliefs_pair[e], plain.beliefs_pair[e])
+
+
+# --- long XX chains against the free-fermion oracle -------------------------------
+
+
+@pytest.mark.parametrize("n_sites, j_min, field", [
+    (4, 0.9, 0.3), (6, 0.9, 0.3), (8, 0.9, 0.3), (3, -1.1, -0.4), (5, -1.1, -0.4), (8, -1.1, -0.4),
+])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_free_fermion_oracle_matches_exact_pairs(n_sites, j_min, field, beta):
+    couplings = np.random.default_rng(n_sites).uniform(j_min, 1.1, n_sites - 1)
+    rho = exact_gibbs(xxz_chain(n_sites, beta, couplings, delta=0.0, field=field))
+    for a, pair in enumerate(free_fermion_pairs(couplings, field, beta)):
+        exact = linalg.partial_trace(rho, [2] * n_sites, [a, a + 1])
+        np.testing.assert_allclose(pair, exact, rtol=0, atol=1e-13)
+
+
+# Worst adjacent pair over seeds 1-5 and the three lengths: 0.0491 at beta 0.5
+# and 0.3986 at beta 2; each ceiling sits about 20% above it.
+XX_PAIR_TD_MAX = {0.5: 0.059, 2.0: 0.48}
+
+
+@pytest.mark.parametrize("n_sites", [16, 64, 128])
+@pytest.mark.parametrize("beta", sorted(XX_PAIR_TD_MAX))
+def test_long_xx_chains_converge_near_the_free_fermion_pairs(n_sites, beta):
+    # far beyond exact diagonalization; 128 sites at beta 2 take about 60 sweeps
+    for seed in range(1, 6):
+        couplings = np.random.default_rng(seed).uniform(0.9, 1.1, n_sites - 1)
+        result = qbp_run(xxz_chain(n_sites, beta, couplings, delta=0.0, field=0.3))
+        assert result.converged
+        worst = max(
+            metrics.trace_distance(result.beliefs_pair[(a, a + 1)], pair)
+            for a, pair in enumerate(free_fermion_pairs(couplings, 0.3, beta))
+        )
+        assert worst < XX_PAIR_TD_MAX[beta]
 
 
 # --- operation count -----------------------------------------------------------
