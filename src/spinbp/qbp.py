@@ -13,16 +13,15 @@ start (identity messages) no sigma_y part arises.  A complex model takes all.
 The message j -> i exponentiates the bond operator -beta*E_ij dressed with
 the other messages into i and j, traces out j, takes the log and removes
 what the other messages already deliver to i; on a two-site chain the pair
-belief is then exact.  A sweep updates all 2(n-1) directed edges at once:
-the dressed exponents -beta*T + [r, s] @ D (receiving site first; D holds
-P_a (x) 1 and 1 (x) P_a) form one (E,4,4) stack for one checked
-``linalg.shifted_exp``, each exponent shifted by its largest eigenvalue, so
-any beta stays in range: the shift is a multiple of the identity, which the
-traceless log and the normalized beliefs drop.  One product reads off the
-trace t and c_a = tr((P_a (x) 1) exp), so the reduced state t/2 + c.P has
-eigenvalues t/2 -+ |c|/sqrt(2) and its log's traceless part
-(log l+ - log l-)/sqrt(2) c/|c| (0 at c = 0), with the eigenvalues clamped
-and checked by ``linalg.positive_spectrum``.
+belief is then exact.  Both messages of bond k read one exponential: the
+dressed exponents -beta*E_k + [a, b] @ D (a, b the messages into k and k+1
+from outside; D holds P_a (x) 1 and 1 (x) P_a) form one (n-1,4,4) stack
+per sweep for one checked ``linalg.shifted_exp``, each exponent shifted by
+its largest eigenvalue (a multiple of the identity, which the traceless log
+and the normalized beliefs drop), so any beta stays in range.  One product
+reads each side's trace t and c_a = tr((P_a (x) 1) exp) or tr((1 (x) P_a) exp),
+and t/2 + c.P has the traceless log (log l+ - log l-)/sqrt(2) c/|c|, with
+l-+ = t/2 -+ |c|/sqrt(2) checked by ``linalg.positive_spectrum`` (0 at c = 0).
 
 The plain damped iteration converges only linearly, so ``qbp_run`` mixes
 the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
@@ -48,20 +47,23 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 500
 # the mixing step d, and the weight of the update in the plain damped step
 DAMPING = 0.5
-# sweeps of history behind each mixed step, read by every qbp_run call
-MEMORY = 5
+# sweeps of history behind each mixed step, read by every qbp_run call; the fewest
+# in all on 60 benchmark-style XXZ chains (1104 against 1696 at 5, 1122 at 12)
+MEMORY = 10
 # A fit whose smallest singular value is at most this fraction of its largest
-# is ill-conditioned; on the benchmark's XXZ chains the ratio stays above 1e-4.
+# is ill-conditioned; on those chains the smallest ratio at MEMORY = 10 is 1.5e-8.
 FIT_RCOND = 1e-8
 Edge = tuple  # directed (source, destination) site pair
 
 
 def _frame(basis: list) -> tuple:
     """Basis P_a = basis/sqrt(2) flat (k,4); D (2k,16), rows P_a (x) 1 then 1 (x) P_a;
-    and R (16,k+1), whose columns read tr(A) and tr((P_a (x) 1) A) off a flat 4x4 A."""
+    and R (16,2k+2), whose columns read tr(A) and tr((1 (x) P_a) A), then tr(A) and
+    tr((P_a (x) 1) A), off a flat 4x4 A: the moments of edges (k, k+1) and (k+1, k)."""
     basis, eye = np.array(basis) / np.sqrt(2), np.eye(2)
     lift = np.vstack([linalg.kron(basis, eye), linalg.kron(eye, basis)]).reshape(-1, 16)
-    return basis.reshape(-1, 4), lift, np.vstack([np.eye(4).ravel(), *lift[:len(basis)].conj()]).T
+    k, tr = len(basis), np.eye(4).ravel()
+    return basis.reshape(-1, 4), lift, np.vstack([tr, *lift[k:].conj(), tr, *lift[:k].conj()]).T
 
 
 REAL, COMPLEX = _frame([SIGMA_X.real, SIGMA_Z.real]), _frame([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -95,19 +97,15 @@ def qbp_init(model: SpinChainModel) -> dict:
     return {edge: np.zeros((2, 2)) for edge in directed_edges(model)}
 
 
-def _edge_plan(model: SpinChainModel, edges: list):
-    """Per-edge constants for directed edges (j, i): -beta times the bond term
-    with the receiving site i first, and the pair of edges that carry the
-    messages into i and into j from their other neighbours 2i-j and 2j-i."""
-    terms = np.array([model.terms[min(e)] for e in edges]).reshape(-1, 2, 2, 2, 2)
-    # edge (k, k+1) receives at k+1, so its sites are swapped; (k+1, k) is as stored
-    swap = np.array([j < i for j, i in edges]).reshape(-1, 1, 1, 1, 1)
-    oriented = np.where(swap, terms.transpose(0, 2, 1, 4, 3), terms).reshape(-1, 4, 4)
-    return -model.beta * oriented, [((2 * i - j, i), (2 * j - i, j)) for j, i in edges]
+def _bond_plan(model: SpinChainModel, bonds):
+    """Per-bond constants for bonds k: -beta times the bond term as stored, and the
+    pair of edges that carry the messages into its sites k and k+1 from outside it."""
+    neg_terms = -model.beta * np.array([model.terms[k] for k in bonds]).reshape(-1, 4, 4)
+    return neg_terms, [((k - 1, k), (k + 2, k + 1)) for k in bonds]
 
 
 def _dressed(neg_terms, incoming, lift) -> np.ndarray:
-    """Dressed bond exponents -beta*T + m_i (x) 1 + 1 (x) m_j, from (E,2,k) coordinates."""
+    """Dressed bond exponents -beta*E_k + a (x) 1 + 1 (x) b, from (B,2,k) coordinates [a, b]."""
     return neg_terms + (incoming.reshape(-1, len(lift)) @ lift).reshape(-1, 4, 4)
 
 
@@ -119,11 +117,13 @@ def _log_coordinates(trace, c) -> np.ndarray:
 
 
 def _updates(neg_terms, incoming, frame) -> np.ndarray:
-    """New message coordinates for a stack of directed edges."""
+    """New message coordinates for a stack of bonds, two rows per bond: edge
+    (k, k+1), which removes b, then edge (k+1, k), which removes a."""
     _, lift, read = frame
     expo = linalg.shifted_exp(_dressed(neg_terms, incoming, lift))
-    moments = (expo.reshape(-1, 16) @ read).real  # tr, and tr((P_a (x) 1) expo)
-    return _log_coordinates(moments[:, 0], moments[:, 1:]) - incoming[:, 0]
+    moments = (expo.reshape(-1, 16) @ read).real.reshape(-1, read.shape[1] // 2)
+    own = incoming[:, ::-1].reshape(-1, incoming.shape[-1])
+    return _log_coordinates(moments[:, 0], moments[:, 1:]) - own
 
 
 def _gibbs(a: np.ndarray) -> np.ndarray:
@@ -131,24 +131,20 @@ def _gibbs(a: np.ndarray) -> np.ndarray:
     return q / np.trace(q, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def check_options(max_iters: int, tol: float) -> None:
-    """Reject run options the iteration cannot honour."""
-    if not (max_iters >= 1 and tol > 0):
-        raise ValueError(f"qbp needs max_iters >= 1 and tol > 0, got "
-                         f"max_iters={max_iters}, tol={tol}")
-
-
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
     """Recompute the message for the directed edge (j, i), traceless: float64 when
-    the model and the two messages it reads are real, else complex128."""
+    the model and the two messages it reads are real, else complex128.  Like a
+    sweep, it exponentiates the edge's bond once and reads off the side into i."""
     edge, edges = tuple(edge), directed_edges(model)
     if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")
-    neg_term, (into,) = _edge_plan(model, [edge])
+    k = min(edge)
+    neg_term, (into,) = _bond_plan(model, [k])
     m = linalg.require_hermitian([messages[e] if e in edges else np.zeros((2, 2)) for e in into])
     frame = COMPLEX if np.iscomplexobj(neg_term) or m.imag.any() else REAL
     coordinates = (m.reshape(2, 4) @ frame[0].conj().T).real  # tr(P_a m)
-    return (_updates(neg_term, coordinates[None], frame) @ frame[0]).reshape(2, 2)
+    both = _updates(neg_term, coordinates[None], frame)  # edge (k, k+1), then (k+1, k)
+    return (both[int(edge[0] > k)] @ frame[0]).reshape(2, 2)
 
 
 def qbp_run(
@@ -162,11 +158,14 @@ def qbp_run(
     converged when it falls below ``tol``, and that last step is the damped
     one.  Otherwise the step is mixed (see the module docstring); a fit is
     ill-conditioned when its singular values span more than 1/FIT_RCOND.
+    ``max_iters`` must be an integer of at least 1 and ``tol`` finite and positive.
     """
-    check_options(max_iters, tol)
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1 and 0 < tol < np.inf):
+        raise ValueError(f"qbp needs an integer max_iters >= 1 and a finite tol > 0, got "
+                         f"max_iters={max_iters}, tol={tol}")
     damping = DAMPING  # read once per run
     edges = directed_edges(model)
-    neg_terms, into = _edge_plan(model, edges)
+    neg_terms, into = _bond_plan(model, range(model.n_sites - 1))
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
     row = {e: k for k, e in enumerate(edges)}  # row E, one past the last edge, is a zero message
     into = np.array([[row.get(e, len(edges)) for e in p] for p in into], np.intp).reshape(-1, 2)
@@ -175,7 +174,7 @@ def qbp_run(
     # the last MEMORY differences of iterates and of f, one column each, oldest first
     dx, df = np.empty((2, messages.size, MEMORY))
     count, last, residuals = 0, None, []  # columns in use; (x, f, residual) of the last sweep
-    for iterations in range(1, max_iters + 1):  # check_options: at least one sweep
+    for iterations in range(1, max_iters + 1):  # checked: at least one sweep
         update = _updates(neg_terms, stack[into], frame)
         f = update - messages
         new = messages + damping * f
@@ -207,8 +206,7 @@ def qbp_run(
     left = [2 * i - 2 if i > 0 else zero_row for i in range(n)]
     right = [2 * i + 1 if i < n - 1 else zero_row for i in range(n)]
     singles = _gibbs(((stack[left] + stack[right]) @ frame[0]).reshape(-1, 2, 2))
-    bond = slice(1, None, 2)  # bond k's pair belief dresses edge (k+1, k)
-    pairs = _gibbs(_dressed(neg_terms[bond], stack[into[bond]], frame[1]))
+    pairs = _gibbs(_dressed(neg_terms, stack[into], frame[1]))
     return QbpResult(dict(enumerate(singles)), {(k, k + 1): q for k, q in enumerate(pairs)},
                      iterations, residual < tol, residual, tuple(residuals))
 
