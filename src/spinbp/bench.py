@@ -258,33 +258,15 @@ def emit_csv(records: list[SweepRecord], path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-@dataclass
-class ComplexityRow:
-    """Operation counts and wall times for one (sites, slices) grid point;
-    ``status`` is "ok" or names each of its two sweep rows that failed."""
-
-    sites: int
-    slices: int
-    qbp_ops_per_sweep: int
-    qbp_ops_total: int
-    st_ops: int
-    qbp_wall_ms: float
-    st_wall_ms: float
-    status: str = "ok"
-
-
-def compare_complexity(
-    sites_list, slices_list, beta: float = 1.0, time_repeats: int = 3
-) -> list[ComplexityRow]:
-    """Closed-form operation counts next to measured wall times.
+def complexity_table(sites_list, slices_list, beta: float, time_repeats: int) -> tuple:
+    """Closed-form operation counts next to measured wall times: the table's text
+    and the (label, status) pair of each line whose sweep rows failed.
 
     Each site count is a one-beta sweep of ``st`` at every slice count and of
-    ``qbp``, with the sweep's defaults otherwise, so a row reads the opcounts
-    and wall times of its qbp record and one st record: both tables time the
-    same calls, and the rows are scored against the exact state as sweep rows
-    are.  Every site count's config is validated before any sweep runs.  The
-    belief-propagation total is the qbp row's sweep count times its
-    per-sweep opcount.
+    ``qbp``, at the sweep's defaults otherwise, validated before any sweep runs.
+    A line reads that sweep's qbp record and one st record, in the order the
+    slice counts are given, so both tables time and score the same calls.
+    ``qbp total`` is the qbp row's sweep count times its per-sweep opcount.
     """
     configs = [
         SweepConfig(sites=sites, beta_min=beta, beta_steps=1, methods=("st", "qbp"),
@@ -293,29 +275,20 @@ def compare_complexity(
     ]
     for config in configs:
         config.validate()
-    rows = []
+    lines = [f"{'sites':>5} {'slices':>6} {'qbp/sweep':>10} {'qbp total':>10} {'st ops':>10} {'qbp ms':>10} {'st ms':>10}"]
+    failures = []
     for config in configs:
-        records = run_sweep(config)
-        (q,) = [r for r in records if r.method == "qbp"]
-        st = {r.n_slices: r for r in records if r.method == "st"}
+        q, *st = run_sweep(config)  # one beta, so the qbp record sorts first
+        st = {s.n_slices: s for s in st}
         for s in (st[n] for n in config.st_slices):
+            lines.append(
+                f"{config.sites:>5} {s.n_slices:>6} {q.opcount:>10} {q.iterations * q.opcount:>10} "
+                f"{s.opcount:>10} {q.wall_time_ms:>10.3f} {s.wall_time_ms:>10.3f}"
+            )
             status = "; ".join(f"{r.method}: {r.status}" for r in (q, s) if r.status != "ok")
-            rows.append(ComplexityRow(
-                config.sites, s.n_slices, q.opcount, q.iterations * q.opcount, s.opcount,
-                q.wall_time_ms, s.wall_time_ms, status or "ok",
-            ))
-    return rows
-
-
-def format_complexity(rows: list[ComplexityRow]) -> str:
-    header = f"{'sites':>5} {'slices':>6} {'qbp/sweep':>10} {'qbp total':>10} {'st ops':>10} {'qbp ms':>10} {'st ms':>10}"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.sites:>5} {r.slices:>6} {r.qbp_ops_per_sweep:>10} {r.qbp_ops_total:>10} "
-            f"{r.st_ops:>10} {r.qbp_wall_ms:>10.3f} {r.st_wall_ms:>10.3f}"
-        )
-    return "\n".join(lines) + "\n"
+            if status:
+                failures.append((f"sites={config.sites}, slices={s.n_slices}", status))
+    return "\n".join(lines) + "\n", failures
 
 
 # ---------------------------------------------------------------------------
@@ -432,33 +405,29 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             config = _build_sweep_config(sweep_parser, args)
             records = run_sweep(config)
+            failures = [
+                (f"beta={r.beta:g}, {r.method}" + (f", n={r.n_slices}" if r.n_slices else ""),
+                 r.status)
+                for r in records if r.status != "ok"
+            ]
         else:
             _check_beta(args.beta, "--beta")
             sites = _parse_int_range(args.sites, "--sites")
             _check_distinct(sites, "--sites")
             slices = _parse_int_range(args.slices, "--slices")
             _check_slices(slices, "--slices")
-            rows = compare_complexity(sites, slices, beta=args.beta, time_repeats=args.time_repeats)
+            text, failures = complexity_table(sites, slices, args.beta, args.time_repeats)
     except (ValueError, OSError) as exc:
         print(f"spinbp: config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "complexity":
-        sys.stdout.write(format_complexity(rows))
-        failures = [
-            (f"sites={r.sites}, slices={r.slices}", r.status) for r in rows if r.status != "ok"
-        ]
+        sys.stdout.write(text)
+    elif config.out:
+        emit_csv(records, config.out)
+        print(f"wrote {len(records)} rows to {config.out}")
     else:
-        if config.out:
-            emit_csv(records, config.out)
-            print(f"wrote {len(records)} rows to {config.out}")
-        else:
-            sys.stdout.write(format_csv(records))
-        failures = [
-            (f"beta={r.beta:g}, {r.method}" + (f", n={r.n_slices}" if r.n_slices else ""),
-             r.status)
-            for r in records if r.status != "ok"
-        ]
+        sys.stdout.write(format_csv(records))
     for label, status in failures:
         print(f"spinbp: row ({label}): {status}", file=sys.stderr)
     return 3 if failures else 0

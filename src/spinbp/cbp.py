@@ -48,14 +48,14 @@ class FactorChain:
     phis: Sequence[np.ndarray] | None = None
 
     def __post_init__(self):
-        self.cards = tuple(int(c) for c in self.cards)
+        self.cards = tuple(linalg.require_int(c, f"cards[{k}]") for k, c in enumerate(self.cards))
         if not self.cards or any(c < 1 for c in self.cards):
             raise ValueError(f"cardinalities must be positive, got {self.cards}")
         n = len(self.cards)
 
         edges = []
         for i, j, psi in self.edges:
-            i, j = int(i), int(j)
+            i, j = linalg.require_int(i, "edge end"), linalg.require_int(j, "edge end")
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"edge ({i}, {j}) is invalid for {n} variables")
             mat = np.asarray(psi, dtype=float)
@@ -134,7 +134,7 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
     Output axes follow the order of ``targets``.  Normalized by the signed
     total, so for nonnegative potentials the result sums to 1.
     """
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(linalg.require_int(t, f"targets[{k}]") for k, t in enumerate(targets))
     if not targets:
         raise ValueError("targets must be nonempty")
     if len(set(targets)) != len(targets):

@@ -65,6 +65,14 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def require_int(value, name: str) -> int:
+    """``value`` as an int; anything but a Python or numpy integer is a ValueError
+    naming ``name``, so a float count is refused rather than truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return int(value)
+
+
 def as_stack(a) -> np.ndarray:
     """Coerce to a square matrix or stack (..., d, d), promoted to at least float64."""
     arr = np.asarray(a)
@@ -206,7 +214,7 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     input are preserved.
     """
     arr = as_matrix(a)
-    dims = [int(d) for d in site_dims]
+    dims = [require_int(d, f"site_dims[{i}]") for i, d in enumerate(site_dims)]
     if any(d <= 0 for d in dims):
         raise ValueError(f"site dimensions must be positive, got {dims}")
     total = int(np.prod(dims))
@@ -214,7 +222,7 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: product of site dims {total} != matrix dim {arr.shape[0]}"
         )
-    kept = sorted(set(int(i) for i in keep))
+    kept = sorted(set(require_int(i, f"keep[{k}]") for k, i in enumerate(keep)))
     if not kept:
         raise ValueError("keep set must be nonempty")
     if kept[0] < 0 or kept[-1] >= len(dims):

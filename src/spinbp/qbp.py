@@ -97,11 +97,9 @@ def qbp_init(model: SpinChainModel) -> dict:
     return {edge: np.zeros((2, 2)) for edge in directed_edges(model)}
 
 
-def _bond_plan(model: SpinChainModel, bonds):
-    """Per-bond constants for bonds k: -beta times the bond term as stored, and the
-    pair of edges that carry the messages into its sites k and k+1 from outside it."""
-    neg_terms = -model.beta * np.array([model.terms[k] for k in bonds]).reshape(-1, 4, 4)
-    return neg_terms, [((k - 1, k), (k + 2, k + 1)) for k in bonds]
+def _neg_terms(model: SpinChainModel, bonds) -> np.ndarray:
+    """-beta times the terms of bonds k as stored, one (4,4) each."""
+    return -model.beta * np.array([model.terms[k] for k in bonds]).reshape(-1, 4, 4)
 
 
 def _dressed(neg_terms, incoming, lift) -> np.ndarray:
@@ -139,7 +137,8 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
     if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")
     k = min(edge)
-    neg_term, (into,) = _bond_plan(model, [k])
+    neg_term = _neg_terms(model, [k])
+    into = (k - 1, k), (k + 2, k + 1)  # the edges into sites k and k+1 from outside the bond
     m = linalg.require_hermitian([messages[e] if e in edges else np.zeros((2, 2)) for e in into])
     frame = COMPLEX if np.iscomplexobj(neg_term) or m.imag.any() else REAL
     coordinates = (m.reshape(2, 4) @ frame[0].conj().T).real  # tr(P_a m)
@@ -160,22 +159,22 @@ def qbp_run(
     ill-conditioned when its singular values span more than 1/FIT_RCOND.
     ``max_iters`` must be an integer of at least 1 and ``tol`` finite and positive.
     """
-    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1 and 0 < tol < np.inf):
+    if not (linalg.require_int(max_iters, "max_iters") >= 1 and 0 < tol < np.inf):
         raise ValueError(f"qbp needs an integer max_iters >= 1 and a finite tol > 0, got "
                          f"max_iters={max_iters}, tol={tol}")
     damping = DAMPING  # read once per run
-    edges = directed_edges(model)
-    neg_terms, into = _bond_plan(model, range(model.n_sites - 1))
+    n = model.n_sites
+    neg_terms = _neg_terms(model, range(n - 1))
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
-    row = {e: k for k, e in enumerate(edges)}  # row E, one past the last edge, is a zero message
-    into = np.array([[row.get(e, len(edges)) for e in p] for p in into], np.intp).reshape(-1, 2)
-    stack = np.zeros((len(edges) + 1, len(frame[0])))
-    messages = stack[:-1]  # a view; the last row stays zero
+    # rows 2..2n-1 hold the messages in directed_edges order, between two zero rows
+    # at each end; the messages into bond k from k-1 and k+2 are rows 2k and 2k+5
+    padded = np.zeros((2 * n + 2, len(frame[0])))
+    messages, into = padded[2:-2], 2 * np.arange(n - 1)[:, None] + (0, 5)
     # the last MEMORY differences of iterates and of f, one column each, oldest first
     dx, df = np.empty((2, messages.size, MEMORY))
     count, last, residuals = 0, None, []  # columns in use; (x, f, residual) of the last sweep
     for iterations in range(1, max_iters + 1):  # checked: at least one sweep
-        update = _updates(neg_terms, stack[into], frame)
+        update = _updates(neg_terms, padded[into], frame)
         f = update - messages
         new = messages + damping * f
         residual = damping * float(np.sqrt((f * f).sum(axis=1).max(initial=0.0)))
@@ -201,19 +200,16 @@ def qbp_run(
         if residual < tol:
             break
 
-    n, zero_row = model.n_sites, len(edges)
-    # rows of the messages into site i from i-1 and from i+1
-    left = [2 * i - 2 if i > 0 else zero_row for i in range(n)]
-    right = [2 * i + 1 if i < n - 1 else zero_row for i in range(n)]
-    singles = _gibbs(((stack[left] + stack[right]) @ frame[0]).reshape(-1, 2, 2))
-    pairs = _gibbs(_dressed(neg_terms, stack[into], frame[1]))
+    # the messages into site i from i-1 and from i+1 are rows 2i and 2i+3
+    singles = _gibbs(((padded[0:-2:2] + padded[3::2]) @ frame[0]).reshape(-1, 2, 2))
+    pairs = _gibbs(_dressed(neg_terms, padded[into], frame[1]))
     return QbpResult(dict(enumerate(singles)), {(k, k + 1): q for k, q in enumerate(pairs)},
                      iterations, residual < tol, residual, tuple(residuals))
 
 
 def qbp_opcount(n_sites: int) -> int:
     """Per-sweep elementary-operation estimate, 16(4n - 5) for an n-site chain."""
-    n = int(n_sites)
+    n = linalg.require_int(n_sites, "n_sites")
     if n < 2:
         raise ValueError(f"need at least 2 sites, got {n}")
     return 16 * (4 * n - 5)

@@ -51,6 +51,7 @@ class SpinChainModel:
     beta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", linalg.require_int(self.n_sites, "n_sites"))
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
         if not (np.isfinite(self.beta) and self.beta >= 0):
@@ -87,7 +88,7 @@ def xxz_chain(
     the field term is split evenly over the two sites of each bond and is
     not scaled by J_k.  Delta 1 and field 0 give the Heisenberg chain.
     """
-    if n_sites < 1:  # before the couplings are sized
+    if linalg.require_int(n_sites, "n_sites") < 1:  # before the couplings are sized
         raise ValueError(f"n_sites must be positive, got {n_sites}")
     for name, value in (("delta", delta), ("field", field)):
         # checked before any product, where inf * 0 would warn

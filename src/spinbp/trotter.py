@@ -54,7 +54,7 @@ class TrotterPlan:
 
 def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
     """Precompute the slice factors for an n-slice decomposition."""
-    n_slices = int(n_slices)
+    n_slices = linalg.require_int(n_slices, "n_slices")
     if n_slices < 1:
         raise ValueError(f"n_slices must be positive, got {n_slices}")
     step = model.beta / n_slices
@@ -136,7 +136,7 @@ def st_opcount_ends(n_spins_exponent: int) -> int:
 
 def st_opcount(n_slices: int, n_spins_exponent: int) -> int:
     """Closed-form operation count of the n-slice chain contraction."""
-    n = int(n_slices)
+    n = linalg.require_int(n_slices, "n_slices")
     if n < 3:
         raise ValueError(f"the closed form needs n_slices >= 3, got {n}")
     m = _check_exponent(n_spins_exponent)
@@ -144,7 +144,7 @@ def st_opcount(n_slices: int, n_spins_exponent: int) -> int:
 
 
 def _check_exponent(n_spins_exponent: int) -> int:
-    m = int(n_spins_exponent)
+    m = linalg.require_int(n_spins_exponent, "n_spins_exponent")
     if m < 1:
         raise ValueError(f"spin-count exponent must be >= 1, got {m}")
     return m

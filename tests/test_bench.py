@@ -10,7 +10,7 @@ from spinbp import bench, linalg, metrics, qbp, spinchain, trotter
 from spinbp.bench import (
     SweepConfig,
     SweepRecord,
-    compare_complexity,
+    complexity_table,
     emit_csv,
     format_csv,
     main,
@@ -143,19 +143,27 @@ def test_csv_uses_lf_and_utf8(tmp_path):
 # --- complexity table -------------------------------------------------------------
 
 
+def complexity_lines(sites_list, slices_list):
+    """complexity_table's lines below its header as (sites, slices, qbp/sweep,
+    qbp total, st ops) ints, after checking that no line failed."""
+    text, failures = complexity_table(sites_list, slices_list, 1.0, 0)
+    assert failures == []
+    header, *lines = text.splitlines()
+    assert header.split() == ["sites", "slices", "qbp/sweep", "qbp", "total", "st", "ops",
+                              "qbp", "ms", "st", "ms"]
+    return [tuple(int(v) for v in line.split()[:5]) for line in lines]
+
+
 def test_complexity_totals():
-    rows = compare_complexity([3], [20], time_repeats=0)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.qbp_ops_per_sweep == 112
-    assert row.qbp_ops_total == 112  # qbp stops after one sweep on the Heisenberg chain
-    assert row.st_ops == 2584
-    assert row.st_ops > row.qbp_ops_per_sweep
+    ((sites, slices, per_sweep, total, st_ops),) = complexity_lines([3], [20])
+    assert (sites, slices, per_sweep) == (3, 20, 112)
+    assert total == 112  # qbp stops after one sweep on the Heisenberg chain
+    assert st_ops == 2584
+    assert st_ops > per_sweep
 
 
 def test_complexity_growth_with_sites():
-    rows = compare_complexity([3, 4, 5], [20], time_repeats=0)
-    st_ops = [r.st_ops for r in rows]
+    st_ops = [line[4] for line in complexity_lines([3, 4, 5], [20])]
     for a, b in zip(st_ops, st_ops[1:]):
         assert 3.5 < b / a < 4.5
 
@@ -170,7 +178,7 @@ def test_complexity_times_the_sweep_rows_call(monkeypatch):
         return plan(model, n_slices)
 
     monkeypatch.setattr(trotter, "trotter_plan", counting_plan)
-    compare_complexity([3], [20], time_repeats=2)
+    complexity_table([3], [20], 1.0, 2)
     in_complexity = len(calls)
     calls.clear()
     run_sweep(quick_config(methods=("st",), time_repeats=2))
@@ -178,20 +186,21 @@ def test_complexity_times_the_sweep_rows_call(monkeypatch):
 
 
 def test_complexity_rows_are_read_off_sweep_records():
-    rows = compare_complexity([3, 4], [2, 20], time_repeats=0)
-    assert [(r.sites, r.slices) for r in rows] == [(3, 2), (3, 20), (4, 2), (4, 20)]
-    for sites in (3, 4):
-        records = {
-            (r.method, r.n_slices): r
-            for r in run_sweep(SweepConfig(sites=sites, beta_min=1.0, beta_steps=1,
-                                           st_slices=(2, 20), time_repeats=0))
-        }
-        q = records[("qbp", None)]
-        for row in (r for r in rows if r.sites == sites):
-            st = records[("st", row.slices)]
-            assert (row.qbp_ops_per_sweep, row.qbp_ops_total) == (q.opcount, q.iterations * q.opcount)
-            assert (row.slices, row.st_ops) == (st.n_slices, st.opcount)
-            assert row.status == "ok"
+    for slices in ((2, 20), (40, 10)):
+        lines = complexity_lines([3, 4], slices)
+        # site counts in turn, each with its slice counts in the order given, not sorted
+        assert [line[:2] for line in lines] == [(s, n) for s in (3, 4) for n in slices]
+        for sites in (3, 4):
+            records = {
+                (r.method, r.n_slices): r
+                for r in run_sweep(SweepConfig(sites=sites, beta_min=1.0, beta_steps=1,
+                                               st_slices=slices, time_repeats=0))
+            }
+            q = records[("qbp", None)]
+            for line in (line for line in lines if line[0] == sites):
+                st = records[("st", line[1])]
+                assert line[2:4] == (q.opcount, q.iterations * q.opcount)
+                assert line[4] == st.opcount
 
 
 def test_timed_is_called_only_from_run_row():

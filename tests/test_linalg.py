@@ -8,14 +8,17 @@ under test.
 
 import ast
 import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import herm_log
-from spinbp import linalg
-from spinbp.spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_chain, exact_gibbs
+from spinbp import cbp, linalg, qbp, trotter
+from spinbp.spinchain import (
+    SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -472,6 +475,39 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], keep=[])
     with pytest.raises(ValueError, match="out of range"):
         linalg.partial_trace(np.eye(4), [2, 2], keep=[2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: trotter.trotter_plan(heisenberg_chain(3, 1.0), 2.5), "n_slices=2.5"),
+    (lambda: trotter.st_opcount(20.7, 3), "n_slices=20.7"),
+    (lambda: trotter.st_opcount(20, 3.0), "n_spins_exponent=3.0"),
+    (lambda: qbp.qbp_opcount(3.9), "n_sites=3.9"),
+    (lambda: linalg.partial_trace(np.eye(4), [2, 2], keep=[0.7]), "keep[0]=0.7"),
+    (lambda: linalg.partial_trace(np.eye(4), [2, "2"], keep=[0]), "site_dims[1]='2'"),
+    (lambda: SpinChainModel(3.0, heisenberg_chain(3, 1.0).terms, 1.0), "n_sites=3.0"),
+    (lambda: xxz_chain(3.0, 1), "n_sites=3.0"),
+    (lambda: cbp.FactorChain([2.5, 2], [(0, 1, np.ones((2, 2)))]), "cards[0]=2.5"),
+    (lambda: cbp.FactorChain([2, 2], [(0, 1.0, np.ones((2, 2)))]), "edge end=1.0"),
+    (lambda: cbp.brute_marginal(cbp.FactorChain([2, 2], [(0, 1, np.ones((2, 2)))]), [0.7]),
+     "targets[0]=0.7"),
+], ids=["trotter_plan", "st_opcount-slices", "st_opcount-exponent", "qbp_opcount",
+        "partial_trace-keep", "partial_trace-dims", "SpinChainModel", "xxz_chain",
+        "FactorChain-cards", "FactorChain-edges", "brute_marginal"])
+def test_integer_arguments_are_checked_not_truncated(call, message):
+    # each of these once truncated its argument or failed with a bare TypeError;
+    # qbp_run's max_iters follows the same rule (test_qbp.py)
+    with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
+        call()
+
+
+def test_numpy_integer_arguments_are_accepted():
+    model = heisenberg_chain(np.int64(3), 1.0)
+    assert type(model.n_sites) is int
+    np.testing.assert_array_equal(
+        trotter.st_reduced(trotter.trotter_plan(model, np.int32(20)), np.array([0, 1])),
+        trotter.st_reduced(trotter.trotter_plan(heisenberg_chain(3, 1.0), 20), [0, 1]),
+    )
+    assert trotter.st_opcount(np.int64(20), np.int8(3)) == trotter.st_opcount(20, 3)
 
 
 # --- sz_sectors and by_blocks -------------------------------------------------
