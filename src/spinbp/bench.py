@@ -73,6 +73,11 @@ class SweepConfig:
     model_keys: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for name, counts in [("sites", [self.sites]), ("beta-steps", [self.beta_steps]),
+                             ("time-repeats", [self.time_repeats]), ("st-slices", self.st_slices),
+                             ("keep", self.keep)]:
+            for n in counts:
+                linalg.require_int(n, name)
         if self.sites < 2:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
         spinchain.model_from_keys({**self.model_keys, "sites": str(self.sites)})  # checks the keys
@@ -113,8 +118,6 @@ class SweepConfig:
                 )
 
     def beta_grid(self) -> list[float]:
-        if self.beta_steps == 1:
-            return [float(self.beta_min)]
         return [float(b) for b in np.linspace(self.beta_min, self.beta_max, self.beta_steps)]
 
 
@@ -308,14 +311,15 @@ def _parse_int_range(text: str, flag: str) -> tuple:
     text = text.strip()
     try:
         if "-" not in text or "," in text:
-            return _parse_int_list(text)
-        lo, _, hi = text.partition("-")
-        lo_i, hi_i = int(lo), int(hi)
+            values = _parse_int_list(text)
+        else:
+            lo, _, hi = text.partition("-")
+            values = tuple(range(int(lo), int(hi) + 1))
     except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"{flag}: expected a range (2-6) or a list (3,5), got {text!r}") from None
-    if hi_i < lo_i:
+    if not values:
         raise ValueError(f"{flag}: empty range {text!r}")
-    return tuple(range(lo_i, hi_i + 1))
+    return values
 
 
 def _parse_keep(text: str) -> tuple:

@@ -83,22 +83,18 @@ class FactorChain:
         self.phis = tuple(phis)
 
         self._adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-        self._edge_index: dict[tuple[int, int], int] = {}
-        for idx, (i, j, _) in enumerate(self.edges):
-            if (i, j) in self._edge_index or (j, i) in self._edge_index:
+        self._psi: dict[tuple[int, int], np.ndarray] = {}  # both orientations, axes (x_i, x_j)
+        for i, j, psi in self.edges:
+            if (i, j) in self._psi:
                 raise NotATreeError(f"duplicate edge between {i} and {j}")
-            self._edge_index[(i, j)] = idx
+            self._psi[(i, j)], self._psi[(j, i)] = psi, psi.T
             self._adjacency[i].append(j)
             self._adjacency[j].append(i)
-        self._check_tree()
-
-    def _check_tree(self):
-        """Breadth-first walk from variable 0; keeps the visit order and parents."""
-        n = len(self.cards)
         if len(self.edges) != n - 1:
             raise NotATreeError(
                 f"a tree on {n} variables needs {n - 1} edges, got {len(self.edges)}"
             )
+        # breadth-first walk from variable 0; keeps the visit order and parents
         self._order = [0]
         self._parent: dict[int, int | None] = {0: None}
         for v in self._order:
@@ -108,24 +104,6 @@ class FactorChain:
                     self._order.append(u)
         if len(self._order) != n:
             raise NotATreeError("edge set is disconnected")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.cards)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(self._adjacency[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._edge_index or (j, i) in self._edge_index
-
-    def psi_between(self, i: int, j: int) -> np.ndarray:
-        """Pairwise potential oriented so axis 0 indexes x_i and axis 1 x_j."""
-        if (i, j) in self._edge_index:
-            return self.edges[self._edge_index[(i, j)]][2]
-        if (j, i) in self._edge_index:
-            return self.edges[self._edge_index[(j, i)]][2].T
-        raise NotAnEdgeError(f"({i}, {j}) is not an edge")
 
 
 def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
@@ -139,7 +117,7 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
         raise ValueError("targets must be nonempty")
     if len(set(targets)) != len(targets):
         raise ValueError(f"targets {targets} contain duplicates")
-    n = chain.n_vars
+    n = len(chain.cards)
     if any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} out of range for {n} variables")
     size = int(np.prod(chain.cards))
@@ -171,14 +149,14 @@ def brute_marginal(chain: FactorChain, targets) -> np.ndarray:
 def _incoming(chain: FactorChain, messages: dict, i: int, skip: int | None) -> np.ndarray:
     """phi_i times every message into i except the one from ``skip``."""
     prod = chain.phis[i].copy()
-    for k in chain.neighbors(i):
+    for k in chain._adjacency[i]:
         if k != skip:
             prod = prod * messages[(k, i)]
     return prod
 
 
 def _send(chain: FactorChain, messages: dict, src: int, dst: int) -> None:
-    vec = chain.psi_between(src, dst).T @ _incoming(chain, messages, src, dst)
+    vec = chain._psi[(dst, src)] @ _incoming(chain, messages, src, dst)
     scale = float(np.abs(vec).sum())
     messages[(src, dst)] = vec / scale if scale > 0.0 else vec
 
@@ -196,7 +174,7 @@ def run_bp(chain: FactorChain) -> dict:
         if parent[v] is not None:
             _send(chain, messages, v, parent[v])
     for v in order:
-        for u in chain.neighbors(v):
+        for u in chain._adjacency[v]:
             if parent[u] == v:
                 _send(chain, messages, v, u)
     return messages
@@ -214,11 +192,11 @@ def belief_pair(chain: FactorChain, messages: dict, i: int, j: int) -> np.ndarra
     Product of the pair potential, both locals, and the messages flowing
     into i from everywhere but j and into j from everywhere but i.
     """
-    if not chain.has_edge(i, j):
+    if (i, j) not in chain._psi:
         raise NotAnEdgeError(f"({i}, {j}) is not an edge")
     left = _incoming(chain, messages, i, j)
     right = _incoming(chain, messages, j, i)
-    b = chain.psi_between(i, j) * np.outer(left, right)
+    b = chain._psi[(i, j)] * np.outer(left, right)
     return b / b.sum()
 
 

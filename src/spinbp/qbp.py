@@ -43,8 +43,9 @@ import numpy as np
 from . import linalg
 from .spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 500
+# a run has converged when the residual falls below TOL, or stops after MAX_SWEEPS
+TOL = 1e-10
+MAX_SWEEPS = 500
 # the mixing step d, and the weight of the update in the plain damped step
 DAMPING = 0.5
 # sweeps of history behind each mixed step, read by every qbp_run call; the fewest
@@ -146,23 +147,18 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
     return (both[int(edge[0] > k)] @ frame[0]).reshape(2, 2)
 
 
-def qbp_run(
-    model: SpinChainModel, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL
-) -> QbpResult:
+def qbp_run(model: SpinChainModel) -> QbpResult:
     """Anderson-mixed synchronous message iteration followed by belief assembly.
 
     Each sweep recomputes every directed message from the current iterate.
     The residual is the largest Frobenius-norm change of any message under
     the plain damped step (1-d)*old + d*update, d = DAMPING; the run has
-    converged when it falls below ``tol``, and that last step is the damped
-    one.  Otherwise the step is mixed (see the module docstring); a fit is
-    ill-conditioned when its singular values span more than 1/FIT_RCOND.
-    ``max_iters`` must be an integer of at least 1 and ``tol`` finite and positive.
+    converged when it falls below TOL, and that last step is the damped
+    one; it stops after MAX_SWEEPS sweeps.  Otherwise the step is mixed (see
+    the module docstring); a fit is ill-conditioned when its singular values
+    span more than 1/FIT_RCOND.
     """
-    if not (linalg.require_int(max_iters, "max_iters") >= 1 and 0 < tol < np.inf):
-        raise ValueError(f"qbp needs an integer max_iters >= 1 and a finite tol > 0, got "
-                         f"max_iters={max_iters}, tol={tol}")
-    damping = DAMPING  # read once per run
+    damping, tol, max_sweeps = DAMPING, TOL, MAX_SWEEPS  # read once per run
     n = model.n_sites
     neg_terms = _neg_terms(model, range(n - 1))
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
@@ -173,7 +169,7 @@ def qbp_run(
     # the last MEMORY differences of iterates and of f, one column each, oldest first
     dx, df = np.empty((2, messages.size, MEMORY))
     count, last, residuals = 0, None, []  # columns in use; (x, f, residual) of the last sweep
-    for iterations in range(1, max_iters + 1):  # checked: at least one sweep
+    for iterations in range(1, max_sweeps + 1):
         update = _updates(neg_terms, padded[into], frame)
         f = update - messages
         new = messages + damping * f

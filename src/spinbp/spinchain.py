@@ -62,7 +62,7 @@ class SpinChainModel:
                 f"got {len(self.terms)}"
             )
         for k, t in enumerate(self.terms):
-            # before the Hermiticity check, whose comparisons are all false on NaN
+            # require_hermitian rejects NaN and inf too, but this message names the bond
             if not np.isfinite(t).all():
                 raise ValueError(f"bond term {k} has non-finite entries")
         checked = tuple(linalg.require_hermitian(t) for t in self.terms)

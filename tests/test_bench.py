@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,22 @@ def test_config_validation_errors():
         run_sweep(quick_config(beta_min=2.0, beta_max=1.0, beta_steps=3))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(sites=3.0), "sites=3.0"),
+    (dict(beta_steps=2.5), "beta-steps=2.5"),
+    (dict(time_repeats=0.5), "time-repeats=0.5"),
+    (dict(st_slices=(20.5,)), "st-slices=20.5"),
+    (dict(keep=(0.0, 1.0)), "keep=0.0"),
+])
+def test_config_counts_are_checked_as_integers(overrides, message, monkeypatch):
+    # beta_steps=2.5 failed in np.linspace with a bare TypeError; the others
+    # passed validation, and then every row of the sweep failed
+    calls = count_timed_calls(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
+        run_sweep(quick_config(**overrides))
+    assert calls == []
+
+
 # --- CLI ----------------------------------------------------------------------------
 
 
@@ -386,6 +403,10 @@ def count_timed_calls(monkeypatch):
     ["--time-repeats", "-1"],
     ["--slices", "0"],
     ["--sites", "1-2"],
+    ["--sites", ""],
+    ["--sites", ","],
+    ["--sites", " "],
+    ["--slices", ","],
 ])
 def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
     calls = count_timed_calls(monkeypatch)
@@ -394,7 +415,9 @@ def test_cli_complexity_bad_range(flags, capsys, monkeypatch):
     assert "spinbp: config error" in err
     if flags[0] == "--beta":
         assert f"--beta must be finite and >= 0, got {float(flags[1])}" in err
-    if flags[0] == "--slices":
+    if not flags[1].strip(" ,"):
+        assert f"{flags[0]}: empty range {flags[1].strip()!r}" in err
+    elif flags[0] == "--slices":
         assert "--slices must all be >= 1, got (0,)" in err
     assert calls == []
 

@@ -495,7 +495,7 @@ def test_partial_trace_dimension_mismatch():
         "FactorChain-cards", "FactorChain-edges", "brute_marginal"])
 def test_integer_arguments_are_checked_not_truncated(call, message):
     # each of these once truncated its argument or failed with a bare TypeError;
-    # qbp_run's max_iters follows the same rule (test_qbp.py)
+    # SweepConfig's counts follow the same rule (test_bench.py)
     with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
         call()
 

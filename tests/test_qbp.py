@@ -9,7 +9,6 @@ a chain whose bond terms are not symmetric under site swap, and the complex
 (three-coordinate) iteration on a chain with complex terms that iterates.
 """
 
-import re
 import warnings
 
 import numpy as np
@@ -18,7 +17,6 @@ import pytest
 from conftest import free_fermion_pairs, herm_log
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
-    DEFAULT_TOL,
     QbpResult,
     directed_edges,
     qbp_init,
@@ -188,7 +186,8 @@ def check_plain_sweeps_against_per_edge_oracle(model, sweeps, monkeypatch):
             for e in edges
         }
         messages = {e: (1 - d) * messages[e] + d * updates[e] for e in edges}
-    result = qbp_run(model, max_iters=sweeps)
+    monkeypatch.setattr(qbp, "MAX_SWEEPS", sweeps)
+    result = qbp_run(model)
     assert result.iterations == sweeps
     assert not result.converged
     for k in range(model.n_sites - 1):
@@ -260,8 +259,8 @@ def test_beliefs_are_density_matrices():
 
 
 def test_marginal_consistency_at_fixed_point():
-    tol = 1e-10
-    result = qbp_run(xxz_chain(3, 1.0, delta=0.5, field=0.3), tol=tol)
+    tol = qbp.TOL
+    result = qbp_run(xxz_chain(3, 1.0, delta=0.5, field=0.3))
     assert result.converged
     assert result.iterations > 1
     for (i, j), q in result.beliefs_pair.items():
@@ -322,17 +321,16 @@ def test_three_site_belief_is_less_accurate_than_trotter():
     assert metrics.trace_distance(q12, reference) > metrics.trace_distance(st12, reference)
 
 
-@pytest.mark.parametrize("option", [
-    dict(max_iters=0), dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
-    dict(max_iters=10.0), dict(max_iters=2.5), dict(tol=float("inf")),
-])
-def test_run_options_are_checked(option):
-    # max_iters=0 used to return a not-converged run with residual 0, and a
-    # float max_iters failed in range() with a TypeError; a non-positive tol
-    # never converged, and tol=inf converged after one sweep
-    ((key, value),) = option.items()
-    with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
-        qbp_run(heisenberg_chain(2, 1.0), **option)
+def test_qbp_run_reads_its_tolerance_and_budget_from_the_module(monkeypatch):
+    # as for MEMORY and DAMPING, the module constants are qbp_run's only settings
+    model = xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3)
+    monkeypatch.setattr(qbp, "TOL", 1e-13)
+    tight = qbp_run(model)
+    assert tight.converged
+    assert tight.residual < 1e-13
+    monkeypatch.setattr(qbp, "MAX_SWEEPS", 3)
+    short = qbp_run(model)
+    assert (short.iterations, short.converged, len(short.residuals)) == (3, False, 3)
 
 
 def test_residual_history():
@@ -486,7 +484,7 @@ def test_xxz_field_chain_converges_within_default_budget(beta):
     # the plain damped iteration needs 834 (beta 2) and 1551 (beta 3) sweeps
     result = qbp_run(xxz_chain(10, beta, delta=0.5, field=0.3))
     assert result.converged
-    assert result.residual < DEFAULT_TOL
+    assert result.residual < qbp.TOL
     assert result.iterations < 100
 
 
@@ -496,9 +494,12 @@ def test_mixed_fixed_point_matches_a_long_plain_run(seed, beta, monkeypatch):
     # at the default tol 1e-10 they agree only to about 1e-10, as a plain
     # run stopped at 1e-10 does
     model = benchmark_style_chain(seed, beta)
-    mixed = qbp_run(model, tol=1e-13)
+    monkeypatch.setattr(qbp, "TOL", 1e-13)
+    mixed = qbp_run(model)
     monkeypatch.setattr(qbp, "MEMORY", 0)
-    plain = qbp_run(model, max_iters=5000, tol=1e-15)
+    monkeypatch.setattr(qbp, "MAX_SWEEPS", 5000)
+    monkeypatch.setattr(qbp, "TOL", 1e-15)
+    plain = qbp_run(model)
     assert mixed.converged and plain.converged
     for i, q in plain.beliefs_single.items():
         np.testing.assert_allclose(mixed.beliefs_single[i], q, rtol=0, atol=1e-12)
@@ -563,9 +564,10 @@ def test_ill_conditioned_fits_take_the_damped_step(monkeypatch):
     # with FIT_RCOND = 1 no fit is accepted, so every sweep restarts
     model = benchmark_style_chain(1, 1.0)
     monkeypatch.setattr(qbp, "FIT_RCOND", 1.0)
-    mixed = qbp_run(model, max_iters=40)
+    monkeypatch.setattr(qbp, "MAX_SWEEPS", 40)
+    mixed = qbp_run(model)
     monkeypatch.setattr(qbp, "MEMORY", 0)
-    plain = qbp_run(model, max_iters=40)
+    plain = qbp_run(model)
     assert (mixed.iterations, mixed.residual) == (plain.iterations, plain.residual)
     for i in plain.beliefs_single:
         np.testing.assert_array_equal(mixed.beliefs_single[i], plain.beliefs_single[i])
