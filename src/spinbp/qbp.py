@@ -30,8 +30,8 @@ With f = update - x and the mixing step d = ``DAMPING``, the next iterate
 is x + d*f - (dX + d*dF) gamma.  The columns of dX and dF are the
 differences between successive iterates, and between their f, over the
 last ``MEMORY`` sweeps; gamma is the least-squares fit of f on dF.  The
-history restarts when the residual grows or the fit is ill-conditioned,
-and an empty history (or ``MEMORY = 0``) gives the plain damped step.
+history restarts only when the fit is ill-conditioned, not when the residual
+grows, and an empty history (or ``MEMORY = 0``) gives the plain damped step.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ TOL = 1e-10
 MAX_SWEEPS = 500
 # the mixing step d, and the weight of the update in the plain damped step
 DAMPING = 0.5
-# sweeps of history behind each mixed step, read by every qbp_run call; the fewest
-# in all on 60 benchmark-style XXZ chains (1104 against 1696 at 5, 1122 at 12)
+# sweeps of history behind each mixed step, read by every qbp_run call; 1054 in all on
+# 60 benchmark-style XXZ chains (1709 at 5; 1048 at 12, no faster, with 20 ill-conditioned fits)
 MEMORY = 10
 # A fit whose smallest singular value is at most this fraction of its largest
 # is ill-conditioned; on those chains the smallest ratio at MEMORY = 10 is 1.5e-8.
@@ -155,8 +155,8 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
     the plain damped step (1-d)*old + d*update, d = DAMPING; the run has
     converged when it falls below TOL, and that last step is the damped
     one; it stops after MAX_SWEEPS sweeps.  Otherwise the step is mixed (see
-    the module docstring); a fit is ill-conditioned when its singular values
-    span more than 1/FIT_RCOND.
+    the module docstring).  Only an ill-conditioned fit, whose singular
+    values span more than 1/FIT_RCOND, empties the history.
     """
     damping, tol, max_sweeps = DAMPING, TOL, MAX_SWEEPS  # read once per run
     n = model.n_sites
@@ -168,7 +168,7 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
     messages, into = padded[2:-2], 2 * np.arange(n - 1)[:, None] + (0, 5)
     # the last MEMORY differences of iterates and of f, one column each, oldest first
     dx, df = np.empty((2, messages.size, MEMORY))
-    count, last, residuals = 0, None, []  # columns in use; (x, f, residual) of the last sweep
+    count, last, residuals = 0, None, []  # columns in use; (x, f) of the last sweep
     for iterations in range(1, max_sweeps + 1):
         update = _updates(neg_terms, padded[into], frame)
         f = update - messages
@@ -177,14 +177,12 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
         residuals.append(residual)
         if MEMORY and residual >= tol:
             x, f = messages.ravel().copy(), f.ravel()
-            if last is None or residual > last[2]:
-                count = 0  # first sweep, or the residual grew: restart
-            else:
+            if last is not None:
                 if count == MEMORY:  # drop the oldest column
                     dx[:, :-1], df[:, :-1] = dx[:, 1:], df[:, 1:]
                 count = min(count + 1, MEMORY)
                 dx[:, count - 1], df[:, count - 1] = x - last[0], f - last[1]
-            last = x, f, residual
+            last = x, f
             if count:
                 gamma, _, _, sv = np.linalg.lstsq(df[:, :count], f, rcond=None)
                 if sv[-1] > FIT_RCOND * sv[0]:
