@@ -9,7 +9,7 @@ engines, the two metrics and the errors they raise.  Everything else is
 imported from its module (``spinbp.qbp``, ``spinbp.cbp``, ...).
 """
 
-from .linalg import DomainError, NoConvergenceError, NotHermitianError, partial_trace
+from .linalg import NoConvergenceError, NotHermitianError, partial_trace
 from .spinchain import SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain
 from .trotter import ComplexResidueError, st_reduced, trotter_plan
 from .qbp import qbp_run

@@ -7,12 +7,12 @@ decomposition, the shifted exponential of Hermitian matrices, Kronecker
 products, partial traces and the absolute trace norm.  Matrices stay dense;
 the sizes of interest (8x8 up to 4096x4096) never justify sparse storage.
 ``herm_eig`` is the package's only eigensolver call: every spectrum, in
-``shifted_exp``, ``abs_trace_norm``, the exact Gibbs state and the metrics,
-passes its Hermiticity check and its handler for solver failure.  The check
-makes one pass, A - A^dag: an exactly Hermitian input (the symmetrized states,
-spectral outputs and differences the package builds) skips the relative test
-and the symmetrization, which would return it bit for bit; a NaN or inf entry
-is always rejected.
+``shifted_exp``, ``abs_trace_norm``, the exact Gibbs state, the qbp sweep and
+the metrics, passes its Hermiticity check and its handler for solver failure.
+The check makes one pass, A - A^dag: an exactly Hermitian input (the
+symmetrized states, spectral outputs and differences the package builds)
+skips the relative test and the symmetrization, which would return it bit for
+bit; a NaN or inf entry is always rejected.
 
 ``by_blocks`` is the one block kernel: it applies a function to the total-Sz
 sectors of a 2^N x 2^N matrix (``sz_sectors``: the basis states with equal
@@ -22,11 +22,10 @@ costs the sum of the sectors' cubes; any other matrix, and one narrower than
 ``BLOCK_MIN_DIM``, is one block.
 
 ``require_hermitian``, ``herm_eig``, ``shifted_exp``, ``spectral`` and
-``kron`` also take a stack of shape (..., d, d) and act on each matrix, and
-``positive_spectrum`` takes a stack of spectra (..., d), so many small
-matrices cost one call.  Every check (Hermiticity, positivity) and every
-shift is made per matrix, on that matrix's own scale, and a stack gives the
-same bits as the per-matrix calls.
+``kron`` also take a stack of shape (..., d, d) and act on each matrix, so
+many small matrices cost one call.  Every Hermiticity check and every shift
+is made per matrix, on that matrix's own scale, and a stack gives the same
+bits as the per-matrix calls.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import numpy as np
 
 # Relative Hermiticity tolerance used by every construction check.
 HERMITIAN_RTOL = 1e-12
-# ``positive_spectrum`` raises clamped eigenvalues to this, so log stays finite.
+# qbp raises the determinant and the divisors of its message read-off to at
+# least this, so log and division stay finite on a rank-deficient operator.
 POSITIVE_FLOOR = 1e-300
 # ``by_blocks`` takes a narrower matrix whole: there a dense product costs no
 # more than gathering the sectors and the extra calls per sector size
@@ -52,10 +52,6 @@ class NotHermitianError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """The iterative eigensolver gave up; the input is pathological."""
-
-
-class DomainError(ValueError):
-    """An eigenvalue lies outside the domain of the requested scalar function."""
 
 
 class HermitianEigen(NamedTuple):
@@ -166,22 +162,6 @@ def shifted_exp(a) -> np.ndarray:
     [0, 1], so it stays in range at any scale of A."""
     w, v = herm_eig(a)
     return spectral(v, np.exp(w - w[..., -1:]))
-
-
-def positive_spectrum(w: np.ndarray) -> np.ndarray:
-    """Spectra w (..., d) of positive semidefinite matrices, each clamped on its
-    own scale: eigenvalues down to -1e-12 * max|w| are raised to ``POSITIVE_FLOOR``,
-    which keeps log finite on roundoff; anything lower raises DomainError."""
-    tol = HERMITIAN_RTOL * np.abs(w).max(axis=-1, initial=0.0)
-    lowest = w.min(axis=-1, initial=np.inf)
-    bad = lowest < -tol
-    if bad.any():
-        at, where = _first_flagged(bad)
-        raise DomainError(
-            f"{where}eigenvalue {lowest[at]:.6e} below the clamp tolerance "
-            f"{-tol[at]:.3e}; input is not positive semidefinite"
-        )
-    return np.maximum(w, POSITIVE_FLOOR)
 
 
 def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:

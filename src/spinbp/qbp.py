@@ -13,15 +13,18 @@ start (identity messages) no sigma_y part arises.  A complex model takes all.
 The message j -> i exponentiates the bond operator -beta*E_ij dressed with
 the other messages into i and j, traces out j, takes the log and removes
 what the other messages already deliver to i; on a two-site chain the pair
-belief is then exact.  Both messages of bond k read one exponential: the
+belief is then exact.  Both messages of bond k read one eigensolve: the
 dressed exponents -beta*E_k + [a, b] @ D (a, b the messages into k and k+1
 from outside; D holds P_a (x) 1 and 1 (x) P_a) form one (n-1,4,4) stack
-per sweep for one checked ``linalg.shifted_exp``, each exponent shifted by
-its largest eigenvalue (a multiple of the identity, which the traceless log
-and the normalized beliefs drop), so any beta stays in range.  One product
-reads each side's trace t and c_a = tr((P_a (x) 1) exp) or tr((1 (x) P_a) exp),
-and t/2 + c.P has the traceless log (log l+ - log l-)/sqrt(2) c/|c|, with
-l-+ = t/2 -+ |c|/sqrt(2) checked by ``linalg.positive_spectrum`` (0 at c = 0).
+per sweep for one checked ``linalg.herm_eig``, and R = V diag(exp((w - w_max)/2))
+is a square root of the exponential shifted by its largest eigenvalue (a
+multiple of the identity, which the traceless log and the normalized beliefs
+drop), so any beta stays in range.  The side S (2,8) of R with the kept site
+as rows gives the reduced operator S S^dag = X = t/2 + c.P, whose traceless
+log is (log l+ - log l-)/sqrt(2) c/|c| (0 at c = 0), with l+ = t/2 + |c|/sqrt(2)
+and l- = det X / l+.  det X = |s0|^2 |s1 - (s0^dag s1 / |s0|^2) s0|^2, one
+Gram-Schmidt step on the rows of S, is never negative and does not cancel as
+t/2 - |c|/sqrt(2) does when l- is many orders below l+.
 
 The plain damped iteration converges only linearly, so ``qbp_run`` mixes
 the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
@@ -58,13 +61,10 @@ Edge = tuple  # directed (source, destination) site pair
 
 
 def _frame(basis: list) -> tuple:
-    """Basis P_a = basis/sqrt(2) flat (k,4); D (2k,16), rows P_a (x) 1 then 1 (x) P_a;
-    and R (16,2k+2), whose columns read tr(A) and tr((1 (x) P_a) A), then tr(A) and
-    tr((P_a (x) 1) A), off a flat 4x4 A: the moments of edges (k, k+1) and (k+1, k)."""
+    """Basis P_a = basis/sqrt(2) flat (k,4), and D (2k,16), rows P_a (x) 1 then 1 (x) P_a."""
     basis, eye = np.array(basis) / np.sqrt(2), np.eye(2)
     lift = np.vstack([linalg.kron(basis, eye), linalg.kron(eye, basis)]).reshape(-1, 16)
-    k, tr = len(basis), np.eye(4).ravel()
-    return basis.reshape(-1, 4), lift, np.vstack([tr, *lift[k:].conj(), tr, *lift[:k].conj()]).T
+    return basis.reshape(-1, 4), lift
 
 
 REAL, COMPLEX = _frame([SIGMA_X.real, SIGMA_Z.real]), _frame([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -108,21 +108,31 @@ def _dressed(neg_terms, incoming, lift) -> np.ndarray:
     return neg_terms + (incoming.reshape(-1, len(lift)) @ lift).reshape(-1, 4, 4)
 
 
-def _log_coordinates(trace, c) -> np.ndarray:
-    """Coordinates of the traceless part of log(trace/2 + c.P), one per row; 0 at c = 0."""
-    radius = np.sqrt((c * c).sum(axis=1, keepdims=True) / 2)  # |c|/sqrt(2)
-    logs = np.log(linalg.positive_spectrum(trace[:, None] / 2 + radius * np.array([-1.0, 1.0])))
-    return (logs[:, 1:] - logs[:, :1]) / np.maximum(2 * radius, linalg.POSITIVE_FLOOR) * c
+def _log_coordinates(sides, basis) -> np.ndarray:
+    """Coordinates in ``basis`` of the traceless part of log(S S^dag), one row per
+    side S (2,m) of the stack; 0 where S S^dag is a multiple of the identity."""
+    x = sides @ linalg.dagger(sides)
+    s00 = x[:, 0, 0].real  # |s0|^2
+    c = (x.reshape(-1, 4) @ basis.conj().T).real  # tr(P_a X)
+    radius = np.sqrt((c * c).sum(axis=1) / 2)  # |c|/sqrt(2)
+    top = (s00 + x[:, 1, 1].real) / 2 + radius  # l+
+    s0, s1 = sides[:, 0], sides[:, 1]
+    rest = s1 - (x[:, 1, 0] / np.maximum(s00, linalg.POSITIVE_FLOOR))[:, None] * s0
+    det = s00 * (rest * rest.conj()).real.sum(axis=1)  # l+ l-, one Gram-Schmidt step
+    logs = np.log(top * top / np.maximum(det, linalg.POSITIVE_FLOOR))  # log l+ - log l-
+    return (logs / np.maximum(2 * radius, linalg.POSITIVE_FLOOR))[:, None] * c
 
 
 def _updates(neg_terms, incoming, frame) -> np.ndarray:
     """New message coordinates for a stack of bonds, two rows per bond: edge
-    (k, k+1), which removes b, then edge (k+1, k), which removes a."""
-    _, lift, read = frame
-    expo = linalg.shifted_exp(_dressed(neg_terms, incoming, lift))
-    moments = (expo.reshape(-1, 16) @ read).real.reshape(-1, read.shape[1] // 2)
+    (k, k+1), which keeps site k+1 and removes b, then edge (k+1, k), which
+    keeps site k and removes a."""
+    basis, lift = frame
+    w, v = linalg.herm_eig(_dressed(neg_terms, incoming, lift))
+    root = (v * np.exp((w - w[..., -1:]) / 2)[..., None, :]).reshape(-1, 2, 2, 4)
+    sides = np.stack([root.swapaxes(1, 2), root], axis=1).reshape(-1, 2, 8)
     own = incoming[:, ::-1].reshape(-1, incoming.shape[-1])
-    return _log_coordinates(moments[:, 0], moments[:, 1:]) - own
+    return _log_coordinates(sides, basis) - own
 
 
 def _gibbs(a: np.ndarray) -> np.ndarray:
@@ -133,7 +143,7 @@ def _gibbs(a: np.ndarray) -> np.ndarray:
 def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.ndarray:
     """Recompute the message for the directed edge (j, i), traceless: float64 when
     the model and the two messages it reads are real, else complex128.  Like a
-    sweep, it exponentiates the edge's bond once and reads off the side into i."""
+    sweep, it decomposes the edge's bond once and reads off the side into i."""
     edge, edges = tuple(edge), directed_edges(model)
     if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")

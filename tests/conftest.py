@@ -28,8 +28,8 @@ def herm_func(a, f):
 
 def herm_log(a):
     """log(A) for positive semidefinite A, or for each of a stack, with the spectrum
-    clamped and checked by linalg.positive_spectrum."""
-    return herm_func(a, lambda w: np.log(linalg.positive_spectrum(w)))
+    raised to at least linalg.POSITIVE_FLOOR."""
+    return herm_func(a, lambda w: np.log(np.maximum(w, linalg.POSITIVE_FLOOR)))
 
 
 def embed_term(term, pair, n_sites):

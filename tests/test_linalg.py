@@ -148,7 +148,7 @@ def test_reconstruction_and_unitarity_100_seeds():
         np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
 
 
-# --- shifted_exp and positive_spectrum ----------------------------------------
+# --- shifted_exp ------------------------------------------------------------
 
 
 def test_shifted_exp_of_zero():
@@ -195,19 +195,6 @@ def test_shifted_exp_shifts_each_matrix_by_its_own_largest_eigenvalue():
     np.testing.assert_allclose(got[3], np.eye(4) - projector, atol=1e-13)
 
 
-def test_positive_spectrum_domain_error_on_negative_spectrum():
-    with pytest.raises(linalg.DomainError):
-        linalg.positive_spectrum(np.array([-1.0, 1.0]))
-
-
-def test_positive_spectrum_clamps_roundoff_negatives():
-    # eigenvalue -1e-15 is within 1e-12 * max|w| of zero: clamped, no raise
-    got = linalg.positive_spectrum(np.array([-1e-15, 1.0]))
-    np.testing.assert_array_equal(got, [linalg.POSITIVE_FLOOR, 1.0])
-    assert np.isfinite(np.log(got)).all()
-    assert np.log(got[0]) < -600  # log of the tiny positive floor
-
-
 # --- stacks -----------------------------------------------------------------
 
 
@@ -223,7 +210,6 @@ def test_stacked_exp_and_log_equal_per_matrix_calls_bit_for_bit():
             np.testing.assert_array_equal(logs[k], herm_log(exps[k]))
         assert linalg.shifted_exp(np.zeros((0, dim, dim))).shape == (0, dim, dim)
         assert herm_log(np.zeros((0, dim, dim))).shape == (0, dim, dim)
-        assert linalg.positive_spectrum(np.zeros((0, dim))).shape == (0, dim)
 
 
 # A 1e6-scale neighbour would hide a defect of a unit-scale matrix from a
@@ -238,15 +224,6 @@ def test_stacked_hermiticity_check_is_per_matrix():
     with pytest.raises(linalg.NotHermitianError):
         linalg.require_hermitian(np.array([[BIG, BIG], [BIG, skewed]]))
     linalg.require_hermitian(np.array([BIG, np.eye(2)]))
-
-
-def test_stacked_positivity_check_is_per_matrix():
-    big, negative = np.diag(BIG), np.array([-1e-9, 1.0])  # below -1e-12 * 1, so not clamped
-    with pytest.raises(linalg.DomainError, match=r"stack index \(1,\)"):
-        linalg.positive_spectrum(np.array([big, negative]))
-    # roundoff negatives are still clamped per matrix
-    got = linalg.positive_spectrum(np.array([big, [-1e-15, 1.0]]))
-    np.testing.assert_array_equal(got[1], linalg.positive_spectrum(np.array([-1e-15, 1.0])))
 
 
 # --- dtypes -----------------------------------------------------------------
@@ -645,8 +622,9 @@ def test_herm_eig_is_the_only_hermitian_eigensolver_call():
 
 def test_shifted_exp_is_the_only_exponential_outside_the_exact_state():
     """exp is named in src/spinbp only inside linalg.shifted_exp, the one per-matrix
-    exponential, and spinchain.exact_gibbs, whose sector blocks share one shift."""
-    allowed_in = {"linalg.py": "shifted_exp", "spinchain.py": "exact_gibbs"}
+    exponential; spinchain.exact_gibbs, whose sector blocks share one shift; and
+    qbp._updates, whose square roots are each shifted by their own largest eigenvalue."""
+    allowed_in = {"linalg.py": "shifted_exp", "spinchain.py": "exact_gibbs", "qbp.py": "_updates"}
     inside, outside = set(), []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

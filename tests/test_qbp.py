@@ -389,11 +389,15 @@ def test_an_iterating_complex_chain_converges_with_complex_beliefs():
 # --- one eigensolve per sweep -----------------------------------------------------
 
 
-def test_each_sweep_makes_one_real_eigensolve(eig_calls):
-    # the (N-1,4,4) exponentials of a sweep, then the single and the pair beliefs;
-    # a stray complex constant, or a 2x2 eigensolve inside the sweep, fails here
+def test_each_sweep_makes_one_real_eigensolve(eig_calls, monkeypatch):
+    # the (N-1,4,4) square roots of a sweep, then the single and the pair beliefs,
+    # the only shifted exponentials; a stray complex constant, or a 2x2
+    # eigensolve inside the sweep, fails here
+    exps, shifted_exp = [], linalg.shifted_exp
+    monkeypatch.setattr(linalg, "shifted_exp", lambda a: exps.append(np.shape(a)) or shifted_exp(a))
     result = qbp_run(xxz_chain(8, 1.0, delta=0.5, field=0.3))
     assert result.iterations > 1
+    assert exps == [(8, 2, 2), (7, 4, 4)]
     assert len(eig_calls) == result.iterations + 2
     assert [shape for shape, _ in eig_calls] == (
         [(7, 4, 4)] * result.iterations + [(8, 2, 2), (7, 4, 4)]
@@ -417,41 +421,50 @@ def coordinates(a):
     return np.array([np.trace(s @ a).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) / np.sqrt(2)
 
 
-def closed_form_log(trace, c):
-    return qbp._log_coordinates(np.array([float(trace)]), np.array([c], dtype=float))[0]
+def closed_form_log(side):
+    """``_log_coordinates`` of one side S (2,m), in the complex basis."""
+    return qbp._log_coordinates(np.array([side], dtype=complex), qbp.COMPLEX[0])[0]
 
 
 def test_closed_form_log_matches_herm_log():
     rng = np.random.default_rng(14)
     for _ in range(200):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        state = g @ g.conj().T + rng.uniform(0, 1) * I2
-        expected = coordinates(herm_log(state))  # its traceless part
-        got = closed_form_log(np.trace(state).real, coordinates(state))
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        side = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        expected = coordinates(herm_log(side @ side.conj().T))  # its traceless part
+        np.testing.assert_allclose(closed_form_log(side), expected, rtol=0, atol=1e-13)
 
 
 def test_closed_form_log_of_a_zero_bloch_vector_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = closed_form_log(2.0, [0.0, 0.0, 0.0])
+        got = closed_form_log(2 * np.eye(2, 8))
     np.testing.assert_array_equal(got, np.zeros(3))
 
 
 def test_closed_form_log_clamps_a_near_pure_state():
-    # trace 1 and |c| = 1/sqrt(2) give the eigenvalues 0 and 1; a Bloch vector
-    # 1e-14 longer puts the lowest 5e-15 below zero, within the clamp tolerance
+    # rows s and e^{i pi/4} s with |s|^2 = 1/2: S S^dag has eigenvalues 0 and 1
+    # and the Bloch vector (1, 1, 0)/sqrt(2); the Gram-Schmidt step leaves exactly 0
     floor_log = -np.log(linalg.POSITIVE_FLOOR) / 2  # per coordinate, along (1, 1, 0)/sqrt(2)
-    for scale in (1.0, 1 + 1e-14):
-        got = closed_form_log(1.0, [0.5 * scale, 0.5 * scale, 0.0])
-        assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, [floor_log, floor_log, 0.0], rtol=1e-12)
+    row = np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+    got = closed_form_log([row, np.exp(1j * np.pi / 4) * row])
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, [floor_log, floor_log, 0.0], rtol=1e-12, atol=1e-12)
 
 
-def test_closed_form_log_rejects_a_negative_state():
-    # the lowest eigenvalue is -1e-11, beyond the clamp tolerance 1e-12 * max|w|
-    with pytest.raises(linalg.DomainError):
-        closed_form_log(1.0, [0.5 * (1 + 2e-11), 0.5 * (1 + 2e-11), 0.0])
+@pytest.mark.parametrize("ratio", [1e-14, 1e-20])
+def test_closed_form_log_keeps_its_precision_when_one_eigenvalue_is_tiny(ratio):
+    # S = U diag(sqrt(l+), sqrt(l-)) W^dag, W (8,2) with orthonormal columns, has
+    # S S^dag = U diag(l+, l-) U^dag, whose traceless log is (log(l+/l-)/2) U sigma_z U^dag;
+    # l+ - |c|/sqrt(2) would leave l- with at most a few correct digits here
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        w, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        top = rng.uniform(0.5, 2.0)
+        side = (u * np.sqrt([top, ratio * top])) @ w.conj().T
+        expected = coordinates(-np.log(ratio) / 2 * u @ SIGMA_Z @ u.conj().T)
+        got = closed_form_log(side)
+        assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("model", [
@@ -546,10 +559,10 @@ def test_a_growing_residual_keeps_the_history(monkeypatch):
 # Chains with positive couplings that converge within the default budget only
 # because a growing residual keeps the history: a restart on every growth leaves
 # each needing 514-3028 sweeps.  (N, delta, field, beta), with sweeps measured:
-# (16, 0, 1, 10) 101, (16, 0.5, 0.3, 5) 56, (16, 1, 1, 5) 52, (16, 1, 3, 10) 126,
-# (16, 2, 3, 5) 63, (32, 0, 0.3, 5) 172, (32, 0, 0.3, 10) 168, (32, 0, 1, 10) 312,
-# (32, 0.5, 0.3, 5) 140, (32, 0.5, 1, 5) 196, (32, 1, 0.3, 2) 139, (32, 1, 1, 2) 113,
-# (32, 1, 1, 5) 151, (32, 1, 3, 10) 267.
+# (16, 0, 1, 10) 101, (16, 0.5, 0.3, 5) 61, (16, 1, 1, 5) 55, (16, 1, 3, 10) 126,
+# (16, 2, 3, 5) 63, (32, 0, 0.3, 5) 172, (32, 0, 0.3, 10) 156, (32, 0, 1, 10) 312,
+# (32, 0.5, 0.3, 5) 129, (32, 0.5, 1, 5) 175, (32, 1, 0.3, 2) 139, (32, 1, 1, 2) 113,
+# (32, 1, 1, 5) 164, (32, 1, 3, 10) 247.
 SLOW_POSITIVE_CHAINS = [
     (16, 0, 1, 10), (16, 0.5, 0.3, 5), (16, 1, 1, 5), (16, 1, 3, 10), (16, 2, 3, 5),
     (32, 0, 0.3, 5), (32, 0, 0.3, 10), (32, 0, 1, 10), (32, 0.5, 0.3, 5), (32, 0.5, 1, 5),
@@ -563,6 +576,29 @@ def test_slow_positive_chains_converge_within_the_budget(n_sites, delta, field, 
     result = qbp_run(xxz_chain(n_sites, beta, couplings, delta=delta, field=field))
     assert result.converged
     assert result.iterations <= 400
+
+
+# Chains whose reduced bond operators have l-/l+ down to 1e-14 or 0, where
+# l- = t/2 - |c|/sqrt(2) kept few or no correct digits and each run spent the
+# 500-sweep budget with a final residual of 8.3e-10 to 0.39.  (N, delta, field,
+# beta, lowest coupling), with sweeps measured: (4, -1, 3, 5, 0.9) 17,
+# (4, 0, 3, 10, -1.1) 18, (4, 0.5, 3, 10, -1.1) 14, (8, -1, 1, 10, 0.9) 21,
+# (8, -1, 3, 5, 0.9) 23, (8, -1, 3, 5, -1.1) 20, (8, -1, 3, 10, -1.1) 22,
+# (8, 0, 3, 5, -1.1) 20, (8, 0, 3, 10, 0.9) 23, (8, 0, 3, 10, -1.1) 25,
+# (8, 0.5, 3, 10, -1.1) 27, (8, 1, 3, 10, -1.1) 31.
+NEAR_PURE_CHAINS = [
+    (4, -1, 3, 5, 0.9), (4, 0, 3, 10, -1.1), (4, 0.5, 3, 10, -1.1), (8, -1, 1, 10, 0.9),
+    (8, -1, 3, 5, 0.9), (8, -1, 3, 5, -1.1), (8, -1, 3, 10, -1.1), (8, 0, 3, 5, -1.1),
+    (8, 0, 3, 10, 0.9), (8, 0, 3, 10, -1.1), (8, 0.5, 3, 10, -1.1), (8, 1, 3, 10, -1.1),
+]
+
+
+@pytest.mark.parametrize("n_sites, delta, field, beta, lowest", NEAR_PURE_CHAINS)
+def test_near_pure_chains_converge_within_the_budget(n_sites, delta, field, beta, lowest):
+    couplings = np.random.default_rng(1).uniform(lowest, 1.1, n_sites - 1)
+    result = qbp_run(xxz_chain(n_sites, beta, couplings, delta=delta, field=field))
+    assert result.converged
+    assert result.iterations <= 60
 
 
 def test_history_keeps_the_last_differences_oldest_first(monkeypatch):
