@@ -17,7 +17,8 @@ import pytest
 from conftest import herm_log
 from spinbp import cbp, linalg, qbp, trotter
 from spinbp.spinchain import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, total_hamiltonian,
+    xxz_chain,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -520,6 +521,72 @@ def test_sz_sectors_list_the_popcount_classes():
     assert [g.shape for g in linalg.sz_sectors(4)] == [(2, 1), (2, 4), (1, 6)]
 
 
+def test_sz_sectors_checks_its_argument_and_hands_out_read_only_tables():
+    # the argument is checked before the tables are looked up, so a width
+    # already built answers no float
+    linalg.sz_sectors(8)
+    for bad in (8.0, -1):
+        with pytest.raises(ValueError, match="n_sites"):
+            linalg.sz_sectors(bad)
+    sectors = linalg.sz_sectors(np.int64(8))
+    assert isinstance(sectors, tuple) and sectors is linalg.sz_sectors(8)
+    for stack in sectors:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 1
+
+
+def by_blocks_rebuilt(a, fn):
+    """linalg.by_blocks with its sectors listed and indexed anew on every call,
+    from a loop over the set-bit counts: the oracle of the held tables."""
+    dim = len(a)
+    counts = np.array([popcount(i) for i in range(dim)])
+    if np.count_nonzero(a[counts[:, None] != counts[None, :]]):
+        return fn([a[None].copy()])[0][0]
+    by_size = {}
+    for c in range(counts.max() + 1):
+        members = np.flatnonzero(counts == c)
+        by_size.setdefault(len(members), []).append(members)
+    stacks = [np.array(by_size[d]) for d in sorted(by_size)]
+    index = [s[:, :, None] * dim + s[:, None, :] for s in stacks]
+    out, flat = np.zeros(a.shape, a.dtype), a.ravel()
+    for i, stack in zip(index, fn([flat[i] for i in index])):
+        out.ravel()[i] = stack
+    return out
+
+
+def test_by_blocks_matches_a_rebuilt_index_across_widths():
+    # one process visits 128, 256, 512 and 1024 states and comes back to 256:
+    # every result has the per-call oracle's bits, a matrix with an entry
+    # between sectors is still one block, and the second visit builds nothing
+    seen = []
+
+    def summed(stacks):  # each entry moves to its row's running sum: order shows
+        seen.append([s.shape for s in stacks])
+        return [np.cumsum(s, axis=-1) for s in stacks]
+
+    def check(sites):
+        for model in (heisenberg_chain(sites, 1.0), xxz_chain(sites, 1.0, delta=0.5, field=0.3)):
+            for matrix in (total_hamiltonian(model),
+                           trotter.build_weights(trotter.trotter_plan(model, 20)).matrix):
+                for a in (matrix, np.asfortranarray(matrix)):
+                    assert np.array_equal(linalg.by_blocks(a, summed),
+                                          by_blocks_rebuilt(a, summed))
+                    assert len(seen[-1]) == len(seen[-2]) == sites // 2 + 1
+        crossed = total_hamiltonian(heisenberg_chain(sites, 1.0))
+        crossed[0, 1] = 0.5
+        assert np.array_equal(linalg.by_blocks(crossed, summed),
+                              by_blocks_rebuilt(crossed, summed))
+        assert seen[-2:] == [[(1, 2**sites, 2**sites)]] * 2
+
+    for sites in (7, 8, 9, 10):
+        check(sites)
+    built = linalg._sector_tables.cache_info()
+    check(8)
+    again = linalg._sector_tables.cache_info()
+    assert (again.misses, again.currsize) == (built.misses, built.currsize)
+    assert again.hits > built.hits
+
+
 def test_by_blocks_takes_the_matrix_whole_when_an_entry_lies_between_sectors():
     # one entry between sectors, in either triangle, in either part, or a NaN,
     # and the 128-state matrix is one block, handed over and returned as it is
@@ -647,26 +714,35 @@ def test_shifted_exp_is_the_only_exponential_outside_the_exact_state():
 
 
 def test_by_blocks_is_the_only_block_kernel():
-    """sz_sectors is called, and the block index s[:, :, None], s[:, None, :]
-    that gathers and scatters the sector blocks is built, in src/spinbp only
-    inside linalg.by_blocks."""
-    inside, outside = [], []
+    """The sectors are listed (argsort) and the block index s[:, :, None],
+    s[:, None, :] that gathers and scatters their blocks is built, in src/spinbp
+    only inside linalg._sector_tables, once per width (functools.cache).  It is
+    called only by sz_sectors, which takes the sectors, and by by_blocks, the
+    one reader of the index."""
+    built, calls, cached = [], [], []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "linalg.py":
-            (kernel,) = [n for n in tree.body
-                         if isinstance(n, ast.FunctionDef) and n.name == "by_blocks"]
-            allowed = {id(n) for n in ast.walk(kernel)}
+        owner, parent = {}, {}
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                owner.update((id(n), top) for n in ast.walk(top))
+                if any(ast.unparse(d) == "functools.cache" for d in top.decorator_list):
+                    cached.append(f"{path.name}:{top.name}")
+        for node in ast.walk(tree):
+            parent.update((id(child), node) for child in ast.iter_child_nodes(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                hit = name == "sz_sectors"
             elif isinstance(node, ast.Subscript):
-                hit = ast.unparse(node.slice) in {"(:, :, None)", "(:, None, :)"}
+                name = ast.unparse(node.slice)
             else:
                 continue
-            if hit:
-                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
-    assert len(inside) == 3, "linalg.by_blocks no longer lists and indexes the sectors"
-    assert outside == []
+            where = f"{path.name}:{getattr(owner.get(id(node)), 'name', node.lineno)}"
+            if name in {"argsort", "(:, :, None)", "(:, None, :)"}:
+                built.append(where)
+            elif name == "_sector_tables":
+                up = parent[id(node)]
+                calls.append((where, ast.unparse(up.slice) if isinstance(up, ast.Subscript) else None))
+    assert built == ["linalg.py:_sector_tables"] * 3
+    assert sorted(calls) == [("linalg.py:by_blocks", "1"), ("linalg.py:sz_sectors", "0")]
+    assert cached == ["linalg.py:_sector_tables"]
