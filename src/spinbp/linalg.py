@@ -15,13 +15,14 @@ skips the relative test and the symmetrization, which would return it bit for
 bit; a NaN or inf entry is always rejected.
 
 ``by_blocks`` is the one block kernel: it applies a function to the total-Sz
-sectors of a 2^N x 2^N matrix (``sz_sectors``: the basis states with equal
-set-bit counts), one stack per sector size, when the sectors hold every
-nonzero entry.  So a Hamiltonian or Trotter slice that conserves total Sz
-costs the sum of the sectors' cubes; any other matrix, and one narrower than
-``BLOCK_MIN_DIM``, is one block.  The sectors and their flat gather/scatter
-indices are built once per width and held read-only for the life of the
-process: C(2N, N) x 8 bytes, 0.1 MB at N = 8, 1.5 MB at N = 10, 21.6 MB at N = 12.
+sectors of a 2^N x 2^N matrix (the basis states with equal set-bit counts),
+one stack per sector size, when the sectors hold every nonzero entry.  So a
+Hamiltonian or Trotter slice that conserves total Sz costs the sum of the
+sectors' cubes; any other matrix, and one narrower than ``BLOCK_MIN_DIM``, is
+one block.  Only the flat gather/scatter index of the blocks is held, built
+once per width and read-only for the life of the process: C(2N, N) x 8 bytes,
+0.1 MB at N = 8, 1.5 MB at N = 10, 21.6 MB at N = 12.  The sectors themselves
+are read off its diagonal.
 
 ``require_hermitian``, ``herm_eig``, ``shifted_exp``, ``spectral`` and
 ``kron`` also take a stack of shape (..., d, d) and act on each matrix, so
@@ -222,56 +223,51 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def sz_sectors(n_sites: int) -> tuple[np.ndarray, ...]:
-    """Index sets of the total-Sz sectors of ``n_sites`` qubits, stacked by size.
-
-    Basis state i lies in sector c when c bits of i are set.  Each returned
-    (k, d) integer array holds the k sectors of d = C(n_sites, c) states, one
-    per row, ascending within a row and ordered by c; the arrays come in
-    ascending d, shared and read-only.  A non-integer or negative ``n_sites``
-    is a ValueError.
-    """
-    n_sites = require_int(n_sites, "n_sites")
-    if n_sites < 0:
-        raise ValueError(f"n_sites={n_sites} is negative")
-    return _sector_tables(n_sites)[0]
-
-
 @functools.cache
-def _sector_tables(n_sites: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """``sz_sectors(n_sites)`` and the flat row-major index of each stack's (k, d, d)
-    blocks in a 2^N x 2^N matrix, built once per width and held read-only."""
+def _sector_index(n_sites: int) -> tuple[np.ndarray, ...]:
+    """The flat row-major index of the total-Sz sector blocks of a 2^N x 2^N
+    matrix, one read-only (k, d, d) array per sector size d, ascending, built
+    once per width and held.
+
+    Basis state i lies in sector c when c bits of i are set; the k sectors of
+    d = C(N, c) states come ordered by c, ascending within each.  Entry [j, r, r]
+    of an array is s * (2^N + 1) for the r-th state s of its j-th sector, so the
+    sectors are its diagonal divided by 2^N + 1.
+    """
     counts = np.zeros(1, dtype=np.intp)
     for _ in range(n_sites):  # the states with the next bit set count one more
         counts = np.concatenate((counts, counts + 1))
     sizes = [math.comb(n_sites, c) for c in range(n_sites + 1)]
     sectors = np.split(np.argsort(counts, kind="stable"), np.cumsum(sizes)[:-1])
-    stacks = tuple(np.array([s for s in sectors if len(s) == d]) for d in sorted(set(sizes)))
+    stacks = (np.array([s for s in sectors if len(s) == d]) for d in sorted(set(sizes)))
     index = tuple(s[:, :, None] * 2**n_sites + s[:, None, :] for s in stacks)
-    for table in stacks + index:
-        table.flags.writeable = False
-    return stacks, index
+    for i in index:
+        i.flags.writeable = False
+    return index
 
 
 def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
     """The square matrix ``a`` with ``fn`` applied to its total-Sz sector blocks.
 
-    ``fn`` takes the blocks of ``sz_sectors`` as a list of (k, d, d) stacks
-    in ascending d, which it may overwrite, and returns stacks of the same
-    shapes; entries between blocks stay zero.  The sectors are used only when
-    they hold every nonzero entry of ``a`` (a NaN counts as nonzero).  Otherwise,
-    and for a matrix narrower than ``BLOCK_MIN_DIM`` or whose width is not a
-    power of two, ``a`` is one block and ``fn`` gets a copy of it.  The result
-    is C-ordered, whatever the layout of ``a``: blocks move by the flat indices
-    that ``_sector_tables`` builds on the first call at a width and then holds.
+    ``fn`` takes the blocks of the sectors (the basis states with equal set-bit
+    counts) as a list of (k, d, d) stacks in ascending d, which it may overwrite,
+    and returns stacks of the same shapes; entries between blocks stay zero.  The
+    sectors are used only when they hold every nonzero entry of ``a`` (a NaN
+    counts as nonzero).  Otherwise, and for a matrix narrower than
+    ``BLOCK_MIN_DIM`` or whose width is not a power of two, ``a`` is one block and
+    ``fn`` gets a copy of it.  The result is C-ordered, whatever the layout of
+    ``a``: every block is gathered from one ravelled view or copy of ``a`` and
+    scattered back by the flat indices that ``_sector_index`` builds on the first
+    call at a width and then holds.
     """
     dim = len(a)
     if dim >= BLOCK_MIN_DIM and not dim & (dim - 1):
-        index = _sector_tables(dim.bit_length() - 1)[1]
-        stacks = [a.ravel()[i] for i in index]
-        if sum(np.count_nonzero(s != 0) for s in stacks) == np.count_nonzero(a != 0):
+        index = _sector_index(dim.bit_length() - 1)
+        flat = a.ravel()
+        stacks = [flat[i] for i in index]
+        if sum(np.count_nonzero(s != 0) for s in stacks) == np.count_nonzero(flat != 0):
             out = np.zeros(a.shape, a.dtype)
-            del a  # so a caller's temporary input can die before fn runs
+            del a, flat  # so a caller's temporary input can die before fn runs
             for i, stack in zip(index, fn(stacks)):
                 out.ravel()[i] = stack
             return out

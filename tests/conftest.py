@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "herm_eig", recording)
     return calls
+
+
+def sector_shapes(n_sites):
+    """The (k, d, d) stacks into which linalg.by_blocks splits a 2^n_sites matrix
+    that keeps total Sz: the k sectors of d states, d ascending, counted by a
+    loop over the set-bit counts of the basis states."""
+    sizes = Counter(Counter(bin(i).count("1") for i in range(2**n_sites)).values())
+    return [(k, d, d) for d, k in sorted(sizes.items())]
 
 
 def herm_func(a, f):
@@ -68,4 +78,38 @@ def free_fermion_pairs(couplings, field, beta):
         rho = np.diag([nab, c[a, a] - nab, c[b, b] - nab, 1 - c[a, a] - c[b, b] + nab])
         rho[1, 2] = rho[2, 1] = c[a, b]
         pairs.append(rho)
+    return pairs
+
+
+def tfim_pairs(couplings, g, beta):
+    """The adjacent-pair reduced Gibbs states (sites a, a+1) of the transverse-field
+    Ising chain with bonds J_k sx.sx + (g/2)(sz.1 + 1.sz), from its Majorana solution;
+    basis index 0 = spin up.
+
+    The Majoranas a_2i = S_i sx_i and a_2i+1 = S_i sy_i, with S_i the sz string left
+    of site i, give sz_i = -i a_2i a_2i+1 and sx_i sx_i+1 = -i a_2i+1 a_2i+2, so
+    H = (i/4) a^T A a with A real antisymmetric, and <a_p a_q> = [1 + tanh(beta iA/2)]_pq.
+    A pair's state is (1/4) sum_S <m_S^dag> m_S over the parity-even products m_S of
+    its four Majoranas, written on two sites as sx.1, sy.1, sz.sx, sz.sy; the
+    four-fold product follows from Wick's rule.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    n = len(couplings) + 1
+    field = g * np.bincount(np.r_[0:n - 1, 1:n], minlength=n) / 2
+    a = np.zeros((2 * n, 2 * n))
+    a[2 * np.arange(n), 2 * np.arange(n) + 1] = -2 * field
+    a[2 * np.arange(n - 1) + 1, 2 * np.arange(n - 1) + 2] = -2 * couplings
+    w, v = np.linalg.eigh(1j * (a - a.T))
+    two_point = np.eye(2 * n) + (v * np.tanh(beta * w / 2)) @ v.conj().T
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    m = [np.kron(x, np.eye(2)), np.kron(y, np.eye(2)), np.kron(z, x), np.kron(z, y)]
+    pairs = []
+    for s in range(0, 2 * n - 2, 2):
+        c = two_point[s:s + 4, s:s + 4]
+        rho = np.eye(4, dtype=complex)
+        for p in range(4):
+            for q in range(p + 1, 4):
+                rho += c[q, p] * m[p] @ m[q]  # <(m_p m_q)^dag> = <m_q m_p>
+        wick = c[0, 1] * c[2, 3] - c[0, 2] * c[1, 3] + c[0, 3] * c[1, 2]
+        pairs.append((rho + wick * m[0] @ m[1] @ m[2] @ m[3]) / 4)
     return pairs

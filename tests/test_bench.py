@@ -242,6 +242,12 @@ def test_config_validation_errors():
         run_sweep(quick_config(beta_min=-1.0))
     with pytest.raises(ValueError):
         run_sweep(quick_config(beta_min=2.0, beta_max=1.0, beta_steps=3))
+    with pytest.raises(ValueError, match="beta-steps must be >= 1, got 0"):
+        run_sweep(quick_config(beta_steps=0))
+    with pytest.raises(ValueError, match="at least one method is required"):
+        run_sweep(quick_config(methods=()))
+    with pytest.raises(ValueError, match="method 'st' requires at least one slice count"):
+        run_sweep(quick_config(methods=("st",), st_slices=()))
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -697,6 +703,8 @@ def test_couplings_give_the_records_of_their_j_keys(model_keys):
     ("model=xxz\ndelta=nan\n", "delta must be finite, got nan"),
     ("model=xxz\nfield=strong\n", "field 'field': not a number: 'strong'"),
     ("model=ising\n", "unsupported model 'ising'; choose from ['heisenberg', 'xxz']"),
+    ("J_x=1\n", "field 'J_x': bond index is not an integer"),
+    ("J_1=abc\n", "field 'J_1': not a number: 'abc'"),
 ])
 def test_cli_model_key_errors_exit_2_before_any_row(text, message, tmp_path, capsys, monkeypatch):
     calls = count_timed_calls(monkeypatch)

@@ -199,6 +199,31 @@ def test_cycle_is_rejected():
 def test_disconnected_is_rejected():
     with pytest.raises(NotATreeError):
         FactorChain([2, 2, 2, 2], [(0, 1, np.ones((2, 2))), (2, 3, np.ones((2, 2)))])
+    # n - 1 edges, but a cycle among three leaves the fourth variable apart
+    with pytest.raises(NotATreeError, match="disconnected"):
+        FactorChain([2, 2, 2, 2], [(0, 1, np.ones((2, 2))), (1, 2, np.ones((2, 2))),
+                                   (2, 0, np.ones((2, 2)))])
+
+
+@pytest.mark.parametrize("cards, edges, phis, message", [
+    ([2, 0], [(0, 1, np.ones((2, 0)))], None, r"cardinalities must be positive, got \(2, 0\)"),
+    ([], [], None, r"cardinalities must be positive, got \(\)"),
+    ([2, 2], [(0, 0, np.ones((2, 2)))], None, r"edge \(0, 0\) is invalid for 2 variables"),
+    ([2, 2], [(0, 2, np.ones((2, 2)))], None, r"edge \(0, 2\) is invalid for 2 variables"),
+    ([2, 3], [(0, 1, np.ones((3, 2)))], None,
+     r"edge \(0, 1\) potential has shape \(3, 2\), expected \(2, 3\)"),
+    ([2, 2], [(0, 1, [[1.0, np.inf], [1.0, 1.0]])], None,
+     r"edge \(0, 1\) potential has non-finite entries"),
+    ([2, 2], [(0, 1, np.ones((2, 2)))], [np.ones(2)], "expected 2 local potentials, got 1"),
+    ([2, 2], [(0, 1, np.ones((2, 2)))], [np.ones(2), np.ones(3)],
+     r"local potential 1 has shape \(3,\)"),
+    ([2, 2], [(0, 1, np.ones((2, 2)))], [[np.nan, 1.0], np.ones(2)],
+     "local potential 0 has non-finite entries"),
+], ids=["zero-card", "no-cards", "self-edge", "edge-out-of-range", "edge-shape",
+        "edge-non-finite", "phi-count", "phi-shape", "phi-non-finite"])
+def test_factor_chain_checks_its_cards_and_potentials(cards, edges, phis, message):
+    with pytest.raises(ValueError, match=message):
+        FactorChain(cards, edges, phis)
 
 
 def test_duplicate_edge_is_rejected():

@@ -243,6 +243,11 @@ def test_coercion_keeps_float64_and_complex128_and_promotes_the_rest():
         assert linalg.as_stack(a).dtype == linalg.as_matrix(a).dtype == kept
     a = np.eye(2)
     assert linalg.as_stack(a) is a  # no copy on the common path
+    for bad in (np.ones((2, 3)), np.ones(2), np.ones((3, 2, 3))):
+        with pytest.raises(ValueError, match="expected a square matrix or a stack of them"):
+            linalg.as_stack(bad)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 2, 2\)"):
+        linalg.as_matrix(np.ones((2, 2, 2)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -453,6 +458,8 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], keep=[])
     with pytest.raises(ValueError, match="out of range"):
         linalg.partial_trace(np.eye(4), [2, 2], keep=[2])
+    with pytest.raises(ValueError, match=r"site dimensions must be positive, got \[2, 0\]"):
+        linalg.partial_trace(np.eye(2), [2, 0], keep=[0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -488,7 +495,7 @@ def test_numpy_integer_arguments_are_accepted():
     assert trotter.st_opcount(np.int64(20), np.int8(3)) == trotter.st_opcount(20, 3)
 
 
-# --- sz_sectors and by_blocks -------------------------------------------------
+# --- by_blocks and its sector index -------------------------------------------
 
 
 def popcount(i):
@@ -505,8 +512,12 @@ def sector_diagonal(rng, n_sites):
     return a, between
 
 
-def test_sz_sectors_list_the_popcount_classes():
-    # a loop oracle: sizes ascending, equal sizes by set-bit count, indices ascending
+def test_by_blocks_hands_over_the_popcount_classes(monkeypatch):
+    # a loop oracle: sizes ascending, equal sizes by set-bit count, states
+    # ascending.  Entry s of the diagonal is s + 1, so the diagonals of the
+    # stacks handed over, less one, are the sectors; the held index gives them
+    # too, as its diagonal divided by 2^N + 1
+    monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for n_sites in range(13):
         sectors = {}
         for i in range(2**n_sites):
@@ -514,30 +525,36 @@ def test_sz_sectors_list_the_popcount_classes():
         expected = {}
         for c in sorted(sectors):
             expected.setdefault(len(sectors[c]), []).append(sectors[c])
-        got = linalg.sz_sectors(n_sites)
-        assert [g.shape for g in got] == [(len(expected[d]), d) for d in sorted(expected)]
-        for g, d in zip(got, sorted(expected)):
-            np.testing.assert_array_equal(g, expected[d])
-    assert [g.shape for g in linalg.sz_sectors(4)] == [(2, 1), (2, 4), (1, 6)]
+        expected = [np.array(expected[d]) for d in sorted(expected)]
+        dim, seen = 2**n_sites, []
+
+        def diagonals(stacks):
+            seen.extend(s.diagonal(axis1=1, axis2=2) - 1 for s in stacks)
+            return stacks
+
+        linalg.by_blocks(np.diag(np.arange(dim) + 1.0), diagonals)
+        index = linalg._sector_index(n_sites)
+        for got in (seen, [i.diagonal(axis1=1, axis2=2) // (dim + 1) for i in index]):
+            assert [g.shape for g in got] == [e.shape for e in expected]
+            for g, e in zip(got, expected):
+                np.testing.assert_array_equal(g, e)
+    assert [i.shape for i in linalg._sector_index(4)] == [(2, 1, 1), (2, 4, 4), (1, 6, 6)]
 
 
-def test_sz_sectors_checks_its_argument_and_hands_out_read_only_tables():
-    # the argument is checked before the tables are looked up, so a width
-    # already built answers no float
-    linalg.sz_sectors(8)
-    for bad in (8.0, -1):
-        with pytest.raises(ValueError, match="n_sites"):
-            linalg.sz_sectors(bad)
-    sectors = linalg.sz_sectors(np.int64(8))
-    assert isinstance(sectors, tuple) and sectors is linalg.sz_sectors(8)
-    for stack in sectors:
-        with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0] = 1
+def test_sector_index_holds_read_only_arrays():
+    # every width's index is one tuple, built once and shared by later calls,
+    # and no array in it can be written
+    for n_sites in (0, 3, 8):
+        index = linalg._sector_index(n_sites)
+        assert isinstance(index, tuple) and index is linalg._sector_index(n_sites)
+        for i in index:
+            with pytest.raises(ValueError, match="read-only"):
+                i[0, 0, 0] = 1
 
 
 def by_blocks_rebuilt(a, fn):
     """linalg.by_blocks with its sectors listed and indexed anew on every call,
-    from a loop over the set-bit counts: the oracle of the held tables."""
+    from a loop over the set-bit counts: the oracle of the held index."""
     dim = len(a)
     counts = np.array([popcount(i) for i in range(dim)])
     if np.count_nonzero(a[counts[:, None] != counts[None, :]]):
@@ -580,9 +597,9 @@ def test_by_blocks_matches_a_rebuilt_index_across_widths():
 
     for sites in (7, 8, 9, 10):
         check(sites)
-    built = linalg._sector_tables.cache_info()
+    built = linalg._sector_index.cache_info()
     check(8)
-    again = linalg._sector_tables.cache_info()
+    again = linalg._sector_index.cache_info()
     assert (again.misses, again.currsize) == (built.misses, built.currsize)
     assert again.hits > built.hits
 
@@ -716,20 +733,17 @@ def test_shifted_exp_is_the_only_exponential_outside_the_exact_state():
 def test_by_blocks_is_the_only_block_kernel():
     """The sectors are listed (argsort) and the block index s[:, :, None],
     s[:, None, :] that gathers and scatters their blocks is built, in src/spinbp
-    only inside linalg._sector_tables, once per width (functools.cache).  It is
-    called only by sz_sectors, which takes the sectors, and by by_blocks, the
-    one reader of the index."""
+    only inside linalg._sector_index, once per width (functools.cache).  by_blocks
+    is its one caller, the one reader of the index."""
     built, calls, cached = [], [], []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner, parent = {}, {}
+        owner = {}
         for top in tree.body:
             if isinstance(top, ast.FunctionDef):
                 owner.update((id(n), top) for n in ast.walk(top))
                 if any(ast.unparse(d) == "functools.cache" for d in top.decorator_list):
                     cached.append(f"{path.name}:{top.name}")
-        for node in ast.walk(tree):
-            parent.update((id(child), node) for child in ast.iter_child_nodes(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
@@ -740,9 +754,8 @@ def test_by_blocks_is_the_only_block_kernel():
             where = f"{path.name}:{getattr(owner.get(id(node)), 'name', node.lineno)}"
             if name in {"argsort", "(:, :, None)", "(:, None, :)"}:
                 built.append(where)
-            elif name == "_sector_tables":
-                up = parent[id(node)]
-                calls.append((where, ast.unparse(up.slice) if isinstance(up, ast.Subscript) else None))
-    assert built == ["linalg.py:_sector_tables"] * 3
-    assert sorted(calls) == [("linalg.py:by_blocks", "1"), ("linalg.py:sz_sectors", "0")]
-    assert cached == ["linalg.py:_sector_tables"]
+            elif name == "_sector_index":
+                calls.append(where)
+    assert built == ["linalg.py:_sector_index"] * 3
+    assert calls == ["linalg.py:by_blocks"]
+    assert cached == ["linalg.py:_sector_index"]

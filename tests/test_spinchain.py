@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import embed_term, herm_func
+from conftest import embed_term, herm_func, sector_shapes, tfim_pairs
 from spinbp import linalg, spinchain, trotter
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
@@ -193,6 +193,31 @@ def test_exact_gibbs_keeps_one_sector_when_magnetization_is_not_conserved(eig_ca
     np.testing.assert_array_equal(got, expected)
 
 
+def ising_chain(couplings, g, beta):
+    """The transverse-field Ising chain of conftest.tfim_pairs: bonds
+    J_k sx.sx + (g/2)(sz.1 + 1.sz), which keep no total-Sz sector."""
+    zeeman = g / 2 * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
+    terms = tuple(j * np.kron(SIGMA_X, SIGMA_X) + zeeman for j in couplings)
+    return SpinChainModel(len(couplings) + 1, terms, beta)
+
+
+@pytest.mark.parametrize("low, g", [(0.9, 0.7), (-1.1, -1.3)], ids=["ferro", "mixed-sign"])
+def test_exact_gibbs_matches_the_ising_oracle_as_one_block(low, g, eig_calls):
+    # sx.sx puts entries between the total-Sz sectors, so from BLOCK_MIN_DIM
+    # states on by_blocks counts them and hands H over whole: at N = 8 and 10
+    # this scores the one-block path against the Majorana solution
+    assert 2**8 >= linalg.BLOCK_MIN_DIM
+    for sites in (3, 4, 6, 8, 10):
+        couplings = np.random.default_rng(sites).uniform(low, 1.1, sites - 1)
+        for beta in (0.5, 2.0) if sites < 10 else (2.0,):  # exact at N = 10 takes 0.35 s
+            eig_calls.clear()
+            rho = exact_gibbs(ising_chain(couplings, g, beta))
+            assert shapes(eig_calls) == [(1, 2**sites, 2**sites)]
+            for a, pair in enumerate(tfim_pairs(couplings, g, beta)):
+                np.testing.assert_allclose(linalg.partial_trace(rho, [2] * sites, (a, a + 1)),
+                                           pair, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["heisenberg", "xxz-field"])
 def test_a_zero_coupling_chain_is_diagonalized_in_its_sz_sectors(kind, eig_calls):
     # a cut bond splits each sector into finer blocks, but H is still handed
@@ -206,7 +231,7 @@ def test_a_zero_coupling_chain_is_diagonalized_in_its_sz_sectors(kind, eig_calls
             expected = dense_gibbs(model)
             eig_calls.clear()
             got = exact_gibbs(model)
-            sectors = [(len(s), s.shape[1], s.shape[1]) for s in linalg.sz_sectors(sites)]
+            sectors = sector_shapes(sites)
             assert shapes(eig_calls) == sectors
             assert sum(k for k, _, _ in sectors) == sites + 1
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
@@ -267,6 +292,10 @@ def test_model_validation():
         heisenberg_chain(3, -0.5)
     with pytest.raises(linalg.NotHermitianError):
         SpinChainModel(2, (np.triu(np.ones((4, 4))),), 1.0)
+    with pytest.raises(ValueError, match=r"bond term 0 must be 4x4, got \(2, 2\)"):
+        SpinChainModel(2, (SIGMA_X,), 1.0)  # Hermitian, but one site wide
+    with pytest.raises(ValueError, match="expected 2 couplings for 3 sites, got 1"):
+        xxz_chain(3, 1.0, [1.0])
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
@@ -336,10 +365,13 @@ def test_parse_key_values():
         spinchain.parse_key_values("not a key value pair")
     with pytest.raises(ValueError, match="duplicate"):
         spinchain.parse_key_values("a=1\na=2")
+    with pytest.raises(ValueError, match="line 1: empty key in '=1'"):
+        spinchain.parse_key_values("=1")
 
 
 def test_zero_sites_are_rejected_before_the_couplings_are_counted():
     for build in (lambda: heisenberg_chain(0, 1.0), lambda: xxz_chain(-1, 1.0),
+                  lambda: SpinChainModel(0, (), 1.0),
                   lambda: spinchain.model_from_keys({"sites": "0"}),
                   lambda: spinchain.model_from_keys({"sites": "0", "J_1": "0.5"})):
         with pytest.raises(ValueError, match="n_sites must be positive, got"):
@@ -378,6 +410,8 @@ def test_model_from_keys():
         spinchain.model_from_keys({"sites": "3", "J_5": "1.0"})
     with pytest.raises(ValueError, match="not a number"):
         spinchain.model_from_keys({"sites": "3", "beta": "fast"})
+    with pytest.raises(ValueError, match="field 'sites': not an integer: 'abc'"):
+        spinchain.model_from_keys({"sites": "abc"})
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import embed_term, herm_func
+from conftest import embed_term, herm_func, sector_shapes
 from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
@@ -198,8 +198,8 @@ def test_st_density_peaks_at_three_full_size_arrays(build):
     # in units of one 2^N x 2^N float64 array: W dies with the contraction,
     # which normalizes its fresh block in place, so the peak is the marginal
     # and its complex copy (3.005).  by_blocks drops its reference to H after
-    # the gather; the sector tables it reads are built once per width and held
-    # (C(16, 8) int64 indices, about 0.2 units), so the warm-up call builds them
+    # the gather; the sector index it reads is built once per width and held
+    # (C(16, 8) int64 indices, about 0.2 units), so the warm-up call builds it
     # and the traced call allocates none.
     # From Python 3.11 a called Python function owns its arguments, so H dies
     # there and the exact state peaks at 2.198; before 3.11 the caller's stack
@@ -226,7 +226,7 @@ def test_weights_and_hamiltonian_split_into_the_sz_sectors(build, monkeypatch):
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for sites in range(2, 9):
         model = build(sites)
-        sectors = [(len(s), s.shape[1], s.shape[1]) for s in linalg.sz_sectors(sites)]
+        sectors = sector_shapes(sites)
         assert sum(k for k, _, _ in sectors) == sites + 1
         w = build_weights(trotter_plan(model, 20)).matrix
         fortran = np.asfortranarray(w)
