@@ -4,11 +4,11 @@ All operators in this package are plain numpy matrices, float64 when real
 and complex128 otherwise, and keep their dtype through every operation.
 This module provides the validated operations the engines share: spectral
 decomposition, the shifted exponential of Hermitian matrices, Kronecker
-products, partial traces and the absolute trace norm.  Matrices stay dense;
-the sizes of interest (8x8 up to 4096x4096) never justify sparse storage.
-``herm_eig`` is the package's only eigensolver call: every spectrum, in
-``shifted_exp``, ``abs_trace_norm``, the exact Gibbs state, the qbp sweep and
-the metrics, passes its Hermiticity check and its handler for solver failure.
+products and partial traces.  Matrices stay dense; the sizes of interest
+(8x8 up to 4096x4096) never justify sparse storage.  ``herm_eig`` is the
+package's only eigensolver call: every spectrum, in ``shifted_exp``, the
+exact Gibbs state, the qbp sweep and the metrics, passes its Hermiticity
+check and its handler for solver failure.
 The check makes one pass, A - A^dag: an exactly Hermitian input (the
 symmetrized states, spectral outputs and differences the package builds)
 skips the relative test and the symmetrization, which would return it bit for
@@ -201,7 +201,7 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     dims = [require_int(d, f"site_dims[{i}]") for i, d in enumerate(site_dims)]
     if any(d <= 0 for d in dims):
         raise ValueError(f"site dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total != arr.shape[0]:
         raise ValueError(
             f"dimension mismatch: product of site dims {total} != matrix dim {arr.shape[0]}"
@@ -219,7 +219,7 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
     col_subs = [k + i if i in kept_set else i for i in range(k)]
     out_subs = kept + [k + i for i in kept]
     out = np.einsum(tensor, row_subs + col_subs, out_subs)
-    d = int(np.prod([dims[i] for i in kept]))
+    d = math.prod(dims[i] for i in kept)
     return out.reshape(d, d)
 
 
@@ -273,7 +273,3 @@ def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
             return out
     return fn([a[None].copy()])[0][0]
 
-
-def abs_trace_norm(a) -> float:
-    """tr|A| = sum of |eigenvalues| for Hermitian A."""
-    return float(np.abs(herm_eig(as_matrix(a)).eigenvalues).sum())

@@ -4,10 +4,10 @@ Both metrics validate their inputs as density matrices with an absolute
 slack of 1e-8 on Hermiticity, unit trace and positive semidefiniteness,
 so engine outputs whose eigenvalues dip slightly below zero from roundoff
 are accepted; such eigenvalues are clamped to zero inside the metrics.
-A NaN or inf entry fails the Hermiticity check.  The pair is checked and
-decomposed as one (2, d, d) stack in its common dtype, with one eigensolve;
-the fidelity is the nuclear norm of sqrt(rho) sqrt(sigma) taken from the two
-decompositions.  ``scores`` gives both metrics from one check of the pair.
+A NaN or inf entry fails the Hermiticity check.  The pair, in its common
+dtype, plus rho - sigma for the trace distance, is decomposed in one stacked
+eigensolve; the fidelity is the nuclear norm of sqrt(rho) sqrt(sigma) from the
+two states' decompositions.  ``scores`` gives both from one check of the pair.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class NotDensityMatrixError(ValueError):
 
 
 @np.errstate(invalid="ignore")  # inf - inf gives the NaN residue that rejects an inf entry
-def _check_pair(rho, sigma):
-    """The symmetrized pair and its decompositions, from one stacked eigensolve.
+def _check_pair(rho, sigma, *, difference=True):
+    """The stacked spectra (w, v) of the checked pair and, with ``difference``, of rho - sigma.
 
     After the shapes, each state is checked for Hermiticity, trace and lowest
     eigenvalue, in that order, rho before sigma.
@@ -34,13 +34,18 @@ def _check_pair(rho, sigma):
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     pair = np.array((r, s))  # in the pair's common dtype
-    residues = np.abs(pair - linalg.dagger(pair)).max(axis=(1, 2)).tolist()
-    pair = (pair + linalg.dagger(pair)) / 2
+    dag = linalg.dagger(pair)
+    residues = np.abs(pair - dag).max(axis=(1, 2)).tolist()
+    pair = (pair + dag) / 2
     traces = np.trace(pair, axis1=1, axis2=2).real.tolist()
     valid = [res <= PSD_SLACK and abs(tr - 1.0) <= PSD_SLACK for res, tr in zip(residues, traces)]
-    # only the states before the first invalid one are decomposed: its check
-    # fails first, and eigh needs the finite input a NaN or inf entry rules out
-    w, v = linalg.herm_eig(pair[: valid.index(False) if False in valid else 2])
+    if False in valid:
+        # only the states before the first invalid one are decomposed: its check
+        # fails first, and eigh needs the finite input a NaN or inf entry rules out
+        pair = pair[: valid.index(False)]
+    elif difference:  # exactly Hermitian, and finite: no symmetrized entry passes half the range
+        pair = np.concatenate((pair, pair[:1] - pair[1:]))
+    w, v = linalg.herm_eig(pair)
     lowest = w[:, 0].tolist()
     for i, name in enumerate(("rho", "sigma")):
         if not residues[i] <= PSD_SLACK:  # a NaN or inf entry reads as residue nan or inf
@@ -53,17 +58,16 @@ def _check_pair(rho, sigma):
             )
         if lowest[i] < -PSD_SLACK:
             raise NotDensityMatrixError(f"{name}: eigenvalue {lowest[i]:.3e} below -{PSD_SLACK:g}")
-    return pair[0], linalg.HermitianEigen(w[0], v[0]), pair[1], linalg.HermitianEigen(w[1], v[1])
+    return w, v
 
 
-def _trace_distance(r, s) -> float:
-    return 0.5 * linalg.abs_trace_norm(r - s)
+def _trace_distance(w: np.ndarray) -> float:
+    return 0.5 * float(np.abs(w[2]).sum())
 
 
-def _fidelity(r_eig: linalg.HermitianEigen, s_eig: linalg.HermitianEigen) -> float:
-    (wr, vr), (ws, vs) = r_eig, s_eig
-    m = np.sqrt(np.maximum(wr, 0.0))[:, None] * (linalg.dagger(vr) @ vs)
-    m *= np.sqrt(np.maximum(ws, 0.0))
+def _fidelity(w: np.ndarray, v: np.ndarray) -> float:
+    m = np.sqrt(np.maximum(w[0], 0.0))[:, None] * (linalg.dagger(v[0]) @ v[1])
+    m *= np.sqrt(np.maximum(w[1], 0.0))
     try:
         return float(np.linalg.svd(m, compute_uv=False).sum())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -72,8 +76,7 @@ def _fidelity(r_eig: linalg.HermitianEigen, s_eig: linalg.HermitianEigen) -> flo
 
 def trace_distance(rho, sigma) -> float:
     """Half the absolute trace norm of the difference; 0 iff equal, at most 1."""
-    r, _, s, _ = _check_pair(rho, sigma)
-    return _trace_distance(r, s)
+    return _trace_distance(_check_pair(rho, sigma)[0])
 
 
 def fidelity(rho, sigma) -> float:
@@ -82,11 +85,10 @@ def fidelity(rho, sigma) -> float:
     It is the sum of the singular values of diag(sqrt(w_rho)) V_rho^dag V_sigma
     diag(sqrt(w_sigma)), from the decompositions the checks made.
     """
-    _, r_eig, _, s_eig = _check_pair(rho, sigma)
-    return _fidelity(r_eig, s_eig)
+    return _fidelity(*_check_pair(rho, sigma, difference=False))
 
 
 def scores(rho, sigma) -> tuple[float, float]:
     """(fidelity, trace_distance) of the pair, which is checked once for both."""
-    r, r_eig, s, s_eig = _check_pair(rho, sigma)
-    return _fidelity(r_eig, s_eig), _trace_distance(r, s)
+    w, v = _check_pair(rho, sigma)
+    return _fidelity(w, v), _trace_distance(w)

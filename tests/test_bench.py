@@ -456,9 +456,9 @@ def test_cli_unwritable_out_exits_2_before_any_row(out, tmp_path, capsys, monkey
 def test_each_row_is_scored_with_one_density_check(monkeypatch):
     calls, check = [], metrics._check_pair
 
-    def counting_check(rho, sigma):
+    def counting_check(rho, sigma, **private):
         calls.append(1)
-        return check(rho, sigma)
+        return check(rho, sigma, **private)
 
     monkeypatch.setattr(metrics, "_check_pair", counting_check)
     records = run_sweep(quick_config())

@@ -342,8 +342,6 @@ def test_non_finite_entries_are_rejected(value, at, dtype):
     stack = np.array([np.eye(2, dtype=dtype), a])
     with pytest.raises(linalg.NotHermitianError, match=r"stack index \(1,\): .*non-finite"):
         linalg.herm_eig(stack)
-    with pytest.raises(linalg.NotHermitianError, match="non-finite"):
-        linalg.abs_trace_norm(a)
 
 
 # --- kron -------------------------------------------------------------------
@@ -460,6 +458,16 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], keep=[2])
     with pytest.raises(ValueError, match=r"site dimensions must be positive, got \[2, 0\]"):
         linalg.partial_trace(np.eye(2), [2, 0], keep=[0])
+
+
+@pytest.mark.parametrize("site_dims, product", [
+    ([2] * 64, 2**64),  # wrapped to 0 in int64
+    ([3, 6148914691236517206], 18446744073709551618),  # wrapped to 2, the input's own dim
+])
+def test_partial_trace_sizes_past_int64_are_a_dimension_mismatch(site_dims, product):
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: product of site dims {product} "
+                                         r"!= matrix dim 2$"):
+        linalg.partial_trace(np.eye(2) / 2, site_dims, keep=[0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -655,27 +663,6 @@ def test_by_blocks_of_the_identity_returns_the_matrix(min_dim, monkeypatch):
     assert seen == ([(1, 8, 8)] if min_dim is None else [(2, 1, 1), (2, 3, 3)])
     np.testing.assert_array_equal(got, a)
     assert not got[between].any()  # exactly zero between the blocks
-
-
-# --- abs_trace_norm ---------------------------------------------------------
-
-
-def test_abs_trace_norm_values():
-    assert linalg.abs_trace_norm(SIGMA_Z) == pytest.approx(2.0, abs=1e-13)
-    assert linalg.abs_trace_norm(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-15)
-    assert linalg.abs_trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-13)
-
-
-def test_abs_trace_norm_bounds_trace():
-    for seed in range(25):
-        rng = np.random.default_rng(200 + seed)
-        a = random_hermitian(rng, int(rng.integers(2, 9)))
-        assert linalg.abs_trace_norm(a) >= abs(np.trace(a)) - 1e-12
-
-
-def test_abs_trace_norm_rejects_non_hermitian():
-    with pytest.raises(linalg.NotHermitianError):
-        linalg.abs_trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # --- one spectral path ------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spinbp import linalg
 from spinbp.metrics import NotDensityMatrixError, fidelity, scores, trace_distance
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -40,6 +41,41 @@ def test_trace_distance_closed_forms():
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
     assert trace_distance(KET0, KET1) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(MIXED, KET0) == pytest.approx(0.5, abs=1e-12)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_trace_distance_is_half_the_trace_norm_of_the_difference():
+    rng = np.random.default_rng(11)
+    for rho, sigma, distance in (
+        (KET0, KET1, 1.0),  # orthogonal pure states: rho - sigma = sigma_z, trace norm 2
+        (MIXED, MIXED, 0.0),  # identical states: the zero difference
+        # rho - sigma has spectrum (0.3, 0.4, 0, -0.7): trace norm 1.4
+        (np.diag([3.0, 4.0, 3.0, 0.0]) / 10, np.diag([0.0, 0.0, 3.0, 7.0]) / 10, 0.7),
+    ):
+        # in any common basis the difference keeps its spectrum
+        u = random_unitary(rng, len(rho))
+        rotated = [u @ a @ u.conj().T for a in (rho, sigma)]
+        assert trace_distance(rho, sigma) == pytest.approx(distance, abs=1e-13)
+        assert trace_distance(*rotated) == pytest.approx(distance, abs=1e-13)
+
+
+def test_trace_distance_bounds_the_weight_difference_on_any_subspace():
+    # tr P(rho - sigma) <= D(rho, sigma) for every projector P, with equality on the
+    # positive eigenspace of rho - sigma (numpy's eigh as an independent oracle)
+    rng = np.random.default_rng(200)
+    for rho, sigma in seeded_pairs(25):
+        d = trace_distance(rho, sigma)
+        w, v = np.linalg.eigh(rho - sigma)
+        positive = v[:, w > 0]
+        assert np.trace(positive.conj().T @ (rho - sigma) @ positive).real == pytest.approx(
+            d, abs=1e-12)
+        for rank in range(1, len(rho)):
+            p = random_unitary(rng, len(rho))[:, :rank]
+            assert np.trace(p.conj().T @ (rho - sigma) @ p).real <= d + 1e-12
 
 
 def test_fidelity_closed_forms():
@@ -223,19 +259,41 @@ def test_non_finite_entries_are_rejected_as_rho_and_as_sigma(value, at, metric):
     assert first_error(metric, bad, bad).startswith("rho:")
 
 
+def real_density(rng, dim):
+    rho = random_density(rng, dim).real
+    rho = (rho + rho.T) / 2
+    return rho / np.trace(rho)
+
+
 def test_a_pair_is_decomposed_in_one_stacked_call(eig_calls):
+    # the trace distance decomposes rho - sigma after the pair; the fidelity reads
+    # only the pair
     rng = np.random.default_rng(7)
     for dim in (2, 4, 8):
-        rho, sigma = random_density(rng, dim), random_density(rng, dim).real.astype(float)
-        sigma = (sigma + sigma.T) / 2
-        sigma /= np.trace(sigma)
-        eig_calls.clear()
-        scores(rho, sigma)
-        # one (2, d, d) check of the pair, one (d, d) trace norm of the difference
-        assert eig_calls == [((2, dim, dim), np.complex128), ((dim, dim), np.complex128)]
-        eig_calls.clear()
-        scores(sigma, sigma)
-        assert eig_calls == [((2, dim, dim), np.float64), ((dim, dim), np.float64)]
+        rho, sigma = random_density(rng, dim), real_density(rng, dim)
+        for a, b, dtype in ((rho, sigma, np.complex128), (sigma, sigma, np.float64)):
+            for metric, stacked in ((scores, 3), (trace_distance, 3), (fidelity, 2)):
+                eig_calls.clear()
+                metric(a, b)
+                assert eig_calls == [((stacked, dim, dim), dtype)]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+@pytest.mark.parametrize("dtypes", ["real", "complex", "mixed"])
+def test_trace_distance_is_the_separate_spectrum_of_the_difference_bit_for_bit(dim, dtypes):
+    # the difference of the symmetrized states, decomposed on its own, gives the
+    # same bits as its place in the pair's stack
+    rng = np.random.default_rng(dim)
+    make = {"real": (real_density, real_density), "complex": (random_density, random_density),
+            "mixed": (random_density, real_density)}[dtypes]
+    for _ in range(10):
+        rho, sigma = (m(rng, dim) for m in make)
+        for a, b in ((rho, sigma), (sigma, rho)):
+            pair = np.array((a, b))
+            r_sym, s_sym = (pair + pair.conj().swapaxes(1, 2)) / 2
+            expected = 0.5 * float(np.abs(linalg.herm_eig(r_sym - s_sym).eigenvalues).sum())
+            assert trace_distance(a, b) == expected
+            assert scores(a, b) == (fidelity(a, b), expected)
 
 
 def test_only_the_states_before_the_first_failing_one_are_decomposed(eig_calls):
