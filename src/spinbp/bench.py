@@ -26,6 +26,9 @@ import numpy as np
 from . import linalg, metrics, qbp, spinchain, trotter
 
 KNOWN_METHODS = ("exact", "st", "qbp")
+# Every sweep scores against the dense 2^N x 2^N exact state: --sites 12 peaks at
+# 442 MB, and at N = 13 the dense H alone is 512 MiB, so a longer chain is refused.
+MAX_SITES = 12
 
 
 def _check_beta(beta: float, name: str) -> None:
@@ -80,6 +83,9 @@ class SweepConfig:
                 linalg.require_int(n, name)
         if self.sites < 2:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
+        if self.sites > MAX_SITES:
+            raise ValueError(f"sites must be <= {MAX_SITES}, got {self.sites}: every sweep "
+                             "scores against the dense 2^sites x 2^sites exact state")
         spinchain.model_from_keys({**self.model_keys, "sites": str(self.sites)})  # checks the keys
         if self.couplings is not None and len(self.couplings) != self.sites - 1:
             raise ValueError(f"expected {self.sites - 1} couplings, got {len(self.couplings)}")

@@ -98,11 +98,6 @@ def qbp_init(model: SpinChainModel) -> dict:
     return {edge: np.zeros((2, 2)) for edge in directed_edges(model)}
 
 
-def _neg_terms(model: SpinChainModel, bonds) -> np.ndarray:
-    """-beta times the terms of bonds k as stored, one (4,4) each."""
-    return -model.beta * np.array([model.terms[k] for k in bonds]).reshape(-1, 4, 4)
-
-
 def _dressed(neg_terms, incoming, lift) -> np.ndarray:
     """Dressed bond exponents -beta*E_k + a (x) 1 + 1 (x) b, from (B,2,k) coordinates [a, b]."""
     return neg_terms + (incoming.reshape(-1, len(lift)) @ lift).reshape(-1, 4, 4)
@@ -148,7 +143,7 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
     if edge not in edges:
         raise ValueError(f"{edge} is not a bond of a {model.n_sites}-site chain")
     k = min(edge)
-    neg_term = _neg_terms(model, [k])
+    neg_term = -model.beta * model.terms[k:k + 1]
     into = (k - 1, k), (k + 2, k + 1)  # the edges into sites k and k+1 from outside the bond
     m = linalg.require_hermitian([messages[e] if e in edges else np.zeros((2, 2)) for e in into])
     frame = COMPLEX if np.iscomplexobj(neg_term) or m.imag.any() else REAL
@@ -170,7 +165,7 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
     """
     damping, tol, max_sweeps = DAMPING, TOL, MAX_SWEEPS  # read once per run
     n = model.n_sites
-    neg_terms = _neg_terms(model, range(n - 1))
+    neg_terms = -model.beta * model.terms
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
     # rows 2..2n-1 hold the messages in directed_edges order, between two zero rows
     # at each end; the messages into bond k from k-1 and k+2 are rows 2k and 2k+5

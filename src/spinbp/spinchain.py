@@ -1,8 +1,9 @@
 """Heisenberg and XXZ spin-chain models and the exact Gibbs-state reference.
 
 Sites are numbered 0..n_sites-1.  A model is an open chain with one
-Hermitian 4x4 coupling term per nearest-neighbour bond; bond k couples
-sites (k, k+1) with the left site in the first tensor slot.  The exchange
+Hermitian 4x4 coupling term per nearest-neighbour bond, held as one
+read-only (N-1, 4, 4) array that both approximate engines read as it is;
+bond k couples sites (k, k+1) with the left site in the first tensor slot.  The exchange
 term uses the Pauli-matrix convention (not spin-1/2 operators), coupling
 strength 1 unless a per-bond coupling is given; any other convention only
 rescales the inverse temperature.
@@ -41,13 +42,14 @@ def heisenberg_term() -> np.ndarray:
 class SpinChainModel:
     """Open qubit chain with nearest-neighbour bond terms and a temperature.
 
-    ``terms[k]`` is the Hermitian 4x4 operator on sites (k, k+1); ``beta``
-    is the inverse temperature of the Gibbs state exp(-beta H) / Z.  Terms
-    are stored as float64 when none has an imaginary part, else complex128.
+    ``terms`` is one read-only (N-1, 4, 4) array, ``terms[k]`` the Hermitian
+    operator on sites (k, k+1): a fresh copy of the given 4x4 terms (or stack),
+    checked in one stacked call, float64 when no term has an imaginary part,
+    else complex128.  ``beta`` is the inverse temperature of exp(-beta H) / Z.
     """
 
     n_sites: int
-    terms: tuple
+    terms: np.ndarray
     beta: float
 
     def __post_init__(self):
@@ -57,21 +59,23 @@ class SpinChainModel:
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if len(self.terms) != self.n_sites - 1:
-            raise ValueError(
-                f"expected {self.n_sites - 1} bond terms for {self.n_sites} sites, "
-                f"got {len(self.terms)}"
-            )
-        for k, t in enumerate(self.terms):
-            # require_hermitian rejects NaN and inf too, but this message names the bond
-            if not np.isfinite(t).all():
-                raise ValueError(f"bond term {k} has non-finite entries")
-        checked = tuple(linalg.require_hermitian(t) for t in self.terms)
-        for k, t in enumerate(checked):
-            if t.shape != (4, 4):
-                raise ValueError(f"bond term {k} must be 4x4, got {t.shape}")
-        if not any(t.imag.any() for t in checked):  # real symmetric: real arithmetic
-            checked = tuple(t.real.copy() for t in checked)
-        object.__setattr__(self, "terms", checked)
+            raise ValueError(f"expected {self.n_sites - 1} bond terms for {self.n_sites} "
+                             f"sites, got {len(self.terms)}")
+        try:  # a fresh copy; terms of unequal shapes do not stack
+            terms = np.array(self.terms) if len(self.terms) else np.zeros((0, 4, 4))
+        except ValueError:
+            terms = np.zeros(0)
+        if terms.shape[1:] != (4, 4):
+            k = next(k for k, t in enumerate(self.terms) if np.shape(t) != (4, 4))
+            raise ValueError(f"bond term {k} must be 4x4, got {np.shape(self.terms[k])}")
+        finite = np.isfinite(terms).all(axis=(1, 2))
+        if not finite.all():  # require_hermitian rejects these too, but this names the bond
+            raise ValueError(f"bond term {int(np.argmin(finite))} has non-finite entries")
+        terms = linalg.require_hermitian(terms)
+        if np.iscomplexobj(terms) and not terms.imag.any():  # real symmetric: real arithmetic
+            terms = terms.real.copy()
+        terms.flags.writeable = False
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "beta", float(self.beta))
 
 
@@ -94,26 +98,18 @@ def xxz_chain(
         # checked before any product, where inf * 0 would warn
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    exchange = xxz_term(delta)
-    if couplings is None:
-        couplings = [1.0] * (n_sites - 1)
-    couplings = [float(j) for j in couplings]
+    couplings = np.ones(n_sites - 1) if couplings is None else np.asarray(couplings, np.float64)
     if len(couplings) != n_sites - 1:
-        raise ValueError(
-            f"expected {n_sites - 1} couplings for {n_sites} sites, got {len(couplings)}"
-        )
-    for k, j in enumerate(couplings):
-        # checked before the product, where inf * 0 would warn
-        if not np.isfinite(j):
-            raise ValueError(f"bond {k}: coupling must be finite, got {j}")
-    terms = [j * exchange for j in couplings]
-    # adding a zero field would flip the sign of zeros under negative J_k
-    if field:
-        zeeman = (float(field) / 2) * (
-            linalg.kron(SIGMA_Z, IDENTITY_2) + linalg.kron(IDENTITY_2, SIGMA_Z)
-        )
-        terms = [t + zeeman for t in terms]
-    return SpinChainModel(n_sites, tuple(terms), beta)
+        raise ValueError(f"expected {n_sites - 1} couplings for {n_sites} sites, "
+                         f"got {len(couplings)}")
+    finite = np.isfinite(couplings)
+    if not finite.all():  # checked before the product, where inf * 0 would warn
+        k = int(np.argmin(finite))
+        raise ValueError(f"bond {k}: coupling must be finite, got {couplings[k]}")
+    terms = couplings[:, None, None] * xxz_term(delta)
+    if field:  # adding a zero field would flip the sign of zeros under negative J_k
+        terms += (float(field) / 2) * np.diag([2.0, 0.0, 0.0, -2.0])  # sz.1 + 1.sz
+    return SpinChainModel(n_sites, terms, beta)
 
 
 def heisenberg_chain(
@@ -132,7 +128,7 @@ def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
     sites, a strided view of H.  H has the terms' dtype.
     """
     n = model.n_sites
-    h = np.zeros((2**n, 2**n), dtype=np.result_type(np.float64, *model.terms))
+    h = np.zeros((2**n, 2**n), dtype=model.terms.dtype)
     for k, term in enumerate(model.terms):
         left, right = 2**k, 2 ** (n - k - 2)
         diagonal = np.einsum("aibajb->abij", h.reshape(left, 4, right, left, 4, right))

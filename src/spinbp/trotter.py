@@ -43,13 +43,13 @@ class ComplexResidueError(ValueError):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """A model, a slice count n, and the 4x4 bond factors
+    """A model, a slice count n, and the (N-1, 4, 4) array of bond factors
     f_k = exp(-(beta/n) (h_k - lambda_min(h_k))), each shifted by its term's
     lowest eigenvalue so that every entry is at most 1."""
 
     model: SpinChainModel
     n_slices: int
-    slice_factors: tuple
+    slice_factors: np.ndarray
 
 
 def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
@@ -57,9 +57,8 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
     n_slices = linalg.require_int(n_slices, "n_slices")
     if n_slices < 1:
         raise ValueError(f"n_slices must be positive, got {n_slices}")
-    step = model.beta / n_slices
-    # one stacked call, the same bits as one call per term; one site has none
-    factors = tuple(linalg.shifted_exp(-step * np.stack(model.terms))) if model.terms else ()
+    # one stacked call, the same bits as one call per term; one site gives a (0, 4, 4) stack
+    factors = linalg.shifted_exp(-(model.beta / n_slices) * model.terms)
     return TrotterPlan(model, n_slices, factors)
 
 
@@ -78,18 +77,19 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
     with the rows of 1 kron P viewed as (pair k, the rest), f_k acts on the
     leading axis only, one 4x4 by 4x(2^(N-k-2) 2^(N-k)) product.
     """
-    real_factors = []
-    for k, f in enumerate(plan.slice_factors):
-        residue = np.abs(f.imag).max()
-        if residue > linalg.HERMITIAN_RTOL * np.abs(f).max():
-            raise ComplexResidueError(
-                f"bond {k}: imaginary residue {residue:.3e} exceeds "
-                f"{linalg.HERMITIAN_RTOL:g} * max|f_k|; "
-                "transfer weights are only real for real-symmetric bond terms"
-            )
-        real_factors.append(f.real)
-    w = real_factors[-1] if real_factors else np.eye(2)
-    for f in reversed(real_factors[:-1]):
+    factors = plan.slice_factors
+    residue = np.abs(factors.imag).max(axis=(1, 2))
+    bad = residue > linalg.HERMITIAN_RTOL * np.abs(factors).max(axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ComplexResidueError(
+            f"bond {k}: imaginary residue {residue[k]:.3e} exceeds "
+            f"{linalg.HERMITIAN_RTOL:g} * max|f_k|; "
+            "transfer weights are only real for real-symmetric bond terms"
+        )
+    factors = factors.real
+    w = factors[-1] if len(factors) else np.eye(2)
+    for f in factors[-2::-1]:
         lifted = np.zeros((2, len(w), 2, len(w)))  # 1 kron w
         lifted[0, :, 0] = lifted[1, :, 1] = w
         w = np.matmul(f, lifted.reshape(4, -1)).reshape(2 * len(w), -1)

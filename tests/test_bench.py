@@ -342,6 +342,34 @@ def test_cli_sweep_checks_sites_before_the_model_keys(tmp_path, capsys):
     assert "spinbp: config error: sites must be >= 2, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sites", "13"],
+    ["sweep", "--sites", "40", "--methods", "qbp"],
+    ["complexity", "--sites", "13"],
+])
+def test_cli_refuses_more_sites_than_the_exact_state_holds(argv, capsys, monkeypatch):
+    # refused before any model is built: every row is scored against the dense
+    # exact state, whose H alone is 512 MiB at 13 sites
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise RuntimeError("no model may be built")
+
+    monkeypatch.setattr(spinchain, "exact_gibbs", refuse)
+    monkeypatch.setattr(spinchain, "model_from_keys", refuse)
+    assert main([*argv, "--time-repeats", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"spinbp: config error: sites must be <= {bench.MAX_SITES}, got {argv[2]}" in err
+    assert calls == []
+
+
+def test_the_longest_sweep_chain_validates():
+    SweepConfig(sites=bench.MAX_SITES).validate()
+    with pytest.raises(ValueError, match=f"sites must be <= {bench.MAX_SITES}"):
+        SweepConfig(sites=bench.MAX_SITES + 1).validate()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_non_finite_coupling_exits_2(value, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

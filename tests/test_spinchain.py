@@ -240,10 +240,10 @@ def test_a_zero_coupling_chain_is_diagonalized_in_its_sz_sectors(kind, eig_calls
 def test_real_models_keep_float64_through_the_engines():
     for model in (heisenberg_chain(4, 1.0), xxz_chain(4, 1.0, [1.0, -0.9, 1.1], 0.5, 0.3),
                   SpinChainModel(3, (np.kron(SIGMA_X, SIGMA_X).astype(complex),) * 2, 1.0)):
-        assert all(t.dtype == np.float64 for t in model.terms)
+        assert model.terms.dtype == np.float64
         assert total_hamiltonian(model).dtype == np.float64
         assert exact_gibbs(model).dtype == np.float64
-        assert all(f.dtype == np.float64 for f in trotter.trotter_plan(model, 5).slice_factors)
+        assert trotter.trotter_plan(model, 5).slice_factors.dtype == np.float64
     assert heisenberg_term().dtype == xxz_term(0.5).dtype == np.float64
 
 
@@ -263,7 +263,7 @@ def dm_chain(sites, beta):
 
 def test_a_complex_chain_takes_the_same_path_in_complex128(eig_calls):
     model = dm_chain(8, 1.0)
-    assert all(t.dtype == np.complex128 and t.imag.any() for t in model.terms)
+    assert model.terms.dtype == np.complex128 and model.terms.imag.any(axis=(1, 2)).all()
     expected = dense_gibbs(model)
     eig_calls.clear()
     got = exact_gibbs(model)
@@ -296,6 +296,38 @@ def test_model_validation():
         SpinChainModel(2, (SIGMA_X,), 1.0)  # Hermitian, but one site wide
     with pytest.raises(ValueError, match="expected 2 couplings for 3 sites, got 1"):
         xxz_chain(3, 1.0, [1.0])
+
+
+@pytest.mark.parametrize("term", [
+    heisenberg_term(),  # real
+    heisenberg_term() + 0.3 * np.kron(SIGMA_X, SIGMA_Y),  # complex, with an imaginary part
+])
+def test_model_terms_are_a_read_only_copy_of_the_input(term):
+    # the caller's arrays, given one by one or as one stack, may change after the model is built
+    expected = np.stack([term, 2 * term])
+    for given in ((term.copy(), 2 * term), expected.copy()):
+        model = SpinChainModel(3, given, 1.0)
+        assert model.terms.shape == (2, 4, 4)
+        assert model.terms.dtype == term.dtype
+        assert not any(np.shares_memory(model.terms, t) for t in given)
+        for t in given:
+            t[0, 0] = 99
+        np.testing.assert_array_equal(model.terms, expected)
+        assert not model.terms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.terms[0, 0, 0] = 99
+
+
+@pytest.mark.parametrize("terms", [
+    (heisenberg_term(), SIGMA_X),  # unequal shapes, which do not stack
+    (SIGMA_X, SIGMA_X),  # equal shapes, but not 4x4
+    (heisenberg_term(), np.ones((4, 3))),  # not square
+])
+def test_a_term_that_is_not_4x4_is_named(terms):
+    at = next(k for k, t in enumerate(terms) if t.shape != (4, 4))
+    shape = re.escape(str(terms[at].shape))
+    with pytest.raises(ValueError, match=f"bond term {at} must be 4x4, got {shape}"):
+        SpinChainModel(3, terms, 1.0)
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
@@ -426,16 +458,17 @@ def test_xxz_keys_build_the_benchmark_xxz_terms_bit_for_bit(seed):
                 + 0.5 * np.kron(SIGMA_Z, SIGMA_Z))
     zeeman = 0.15 * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
     expected = SpinChainModel(8, tuple(j * exchange + zeeman for j in couplings), 1.0)
-    assert [t.dtype for t in model.terms] == [t.dtype for t in expected.terms]
-    assert [t.tobytes() for t in model.terms] == [t.tobytes() for t in expected.terms]
+    assert model.terms.dtype == expected.terms.dtype == np.float64
+    assert model.terms.shape == expected.terms.shape == (7, 4, 4)
+    assert model.terms.tobytes() == expected.terms.tobytes()
 
 
 def test_xxz_keys_default_to_the_heisenberg_chain():
     keys = {"sites": "4", "beta": "0.5", "J_2": "-0.9"}
     xxz = spinchain.model_from_keys({**keys, "model": "xxz"})
-    assert [t.tobytes() for t in xxz.terms] == [
-        t.tobytes() for t in spinchain.model_from_keys(keys).terms
-    ]
+    heisenberg = spinchain.model_from_keys(keys)
+    assert xxz.terms.shape == heisenberg.terms.shape == (3, 4, 4)
+    assert xxz.terms.tobytes() == heisenberg.terms.tobytes()
 
 
 def test_load_model():

@@ -64,7 +64,7 @@ def exact_rho12(beta):
 def test_plan_factors_are_the_slice_exponentials():
     model = heisenberg_chain(3, 1.2)
     plan = trotter_plan(model, 16)
-    assert len(plan.slice_factors) == len(model.terms)
+    assert plan.slice_factors.shape == model.terms.shape == (2, 4, 4)
     step = 1.2 / 16
     for k, term in enumerate(model.terms):
         # one stacked exponential gives the bits of one call per term
@@ -117,7 +117,7 @@ def test_weights_on_a_chain_without_reflection_symmetry():
 
 def test_weights_on_one_and_two_sites():
     one = trotter_plan(SpinChainModel(1, (), 1.0), 5)
-    assert one.slice_factors == ()
+    assert one.slice_factors.shape == (0, 4, 4)
     np.testing.assert_array_equal(build_weights(one).matrix, np.eye(2))
     np.testing.assert_array_equal(st_density(one), np.eye(2) / 2)
     two = trotter_plan(xxz_chain(2, 1.0, [0.7], delta=0.5, field=0.3), 5)
@@ -143,6 +143,15 @@ def test_weights_reject_complex_entries():
     term = np.kron(SIGMA_X, SIGMA_Y)
     model = SpinChainModel(2, (term,), 1.0)
     with pytest.raises(ComplexResidueError):
+        build_weights(trotter_plan(model, 10))
+
+
+def test_the_stacked_residue_check_names_the_first_complex_bond():
+    # bond 0 is real; bonds 1 and 2 have complex slice factors
+    complex_term = xxz_term(1.0) + np.kron(SIGMA_X, SIGMA_Y)
+    model = SpinChainModel(4, (xxz_term(1.0), complex_term, complex_term), 1.0)
+    with pytest.raises(ComplexResidueError, match=r"^bond 1: imaginary residue \d\.\d{3}e-\d+ "
+                                                  r"exceeds 1e-12 \* max\|f_k\|"):
         build_weights(trotter_plan(model, 10))
 
 
