@@ -209,7 +209,7 @@ def _engine_call(model, keep: tuple, method: str, n_slices):
         )
     if method == "qbp":
         def compute():
-            result = qbp.qbp_run(model)  # its default tolerance, sweep budget and mixing step
+            result = qbp.qbp_run(model)  # its default tolerance and evaluation budget
             status = "ok" if result.converged else f"not-converged(residual={result.residual:.3e})"
             return _qbp_state(result, keep), result.iterations, status
         return compute

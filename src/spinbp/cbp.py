@@ -34,7 +34,7 @@ class NotAnEdgeError(ValueError):
     """The requested variable pair is not an edge of the model."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorChain:
     """Tree-structured pairwise model over discrete variables.
 

@@ -26,15 +26,15 @@ and l- = det X / l+.  det X = |s0|^2 |s1 - (s0^dag s1 / |s0|^2) s0|^2, one
 Gram-Schmidt step on the rows of S, is never negative and does not cancel as
 t/2 - |c|/sqrt(2) does when l- is many orders below l+.
 
-The plain damped iteration converges only linearly, so ``qbp_run`` mixes
-the sweeps with Anderson acceleration (Anderson 1965, J. ACM 12:547; Walker
-and Ni 2011, SIAM J. Numer. Anal. 49:1715) on the flattened coordinates x.
-With f = update - x and the mixing step d = ``DAMPING``, the next iterate
-is x + d*f - (dX + d*dF) gamma.  The columns of dX and dF are the
-differences between successive iterates, and between their f, over the
-last ``MEMORY`` sweeps; gamma is the least-squares fit of f on dF.  The
-history restarts only when the fit is ill-conditioned, not when the residual
-grows, and an empty history (or ``MEMORY = 0``) gives the plain damped step.
+``qbp_run`` finds the fixed point x = U(x) of the sweep map U (one update of
+every message) by Newton's method.  The update of bond k reads only rows
+2k-2 and 2k+3 of the message stack, so the Jacobian J of U is
+block-tridiagonal over the bonds, and all even rows (as all odd rows) feed
+distinct bonds: perturbing coordinate a of every even row at once, then of
+every odd row, gives all of J from 2c evaluations of U (c coordinates per
+message; Curtis, Powell and Reid 1974, IMA J. Appl. Math. 13:117), made as
+one stacked call.  Each step solves (I - J) d = U(x) - x by block cyclic
+reduction and halves d until the residual falls (Dennis and Schnabel 1983).
 """
 
 from __future__ import annotations
@@ -46,17 +46,9 @@ import numpy as np
 from . import linalg
 from .spinchain import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel
 
-# a run has converged when the residual falls below TOL, or stops after MAX_SWEEPS
+# a run has converged when the residual falls below TOL, or stops after MAX_SWEEPS map evaluations
 TOL = 1e-10
 MAX_SWEEPS = 500
-# the mixing step d, and the weight of the update in the plain damped step
-DAMPING = 0.5
-# sweeps of history behind each mixed step, read by every qbp_run call; 1054 in all on
-# 60 benchmark-style XXZ chains (1709 at 5; 1048 at 12, no faster, with 20 ill-conditioned fits)
-MEMORY = 10
-# A fit whose smallest singular value is at most this fraction of its largest
-# is ill-conditioned; on those chains the smallest ratio at MEMORY = 10 is 1.5e-8.
-FIT_RCOND = 1e-8
 Edge = tuple  # directed (source, destination) site pair
 
 
@@ -70,14 +62,16 @@ def _frame(basis: list) -> tuple:
 REAL, COMPLEX = _frame([SIGMA_X.real, SIGMA_Z.real]), _frame([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-@dataclass
+@dataclass(eq=False)
 class QbpResult:
     """Converged (or truncated) belief-propagation output.
 
     ``beliefs_single[i]`` is the 2x2 belief for site i; ``beliefs_pair[(i, i+1)]``
-    the 4x4 belief for a bond.  ``converged`` reports whether the final sweep
-    changed any message by less than the tolerance (callers decide whether a
-    truncated run is acceptable); ``residuals`` holds every sweep's residual.
+    the 4x4 belief for a bond.  ``iterations`` counts the evaluations of the
+    sweep map.  ``converged`` reports whether the residual |U(x) - x| at the
+    final messages fell below the tolerance (callers decide whether a truncated
+    run is acceptable); ``residuals`` holds it at the start and after each Newton
+    step.  Results compare and hash by identity, as they hold arrays.
     """
 
     beliefs_single: dict
@@ -152,18 +146,37 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
     return (both[int(edge[0] > k)] @ frame[0]).reshape(2, 2)
 
 
-def qbp_run(model: SpinChainModel) -> QbpResult:
-    """Anderson-mixed synchronous message iteration followed by belief assembly.
+def _block_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve lower[k] x[k-1] + diag[k] x[k] + upper[k] x[k+1] = rhs[k], k < n, for
+    (n,b,b) blocks and (n,b,m) right-hand sides; lower[0] and upper[-1] are not read.
+    Block cyclic reduction: one stacked solve on the odd rows folds them into the
+    even rows, which form a system of the same kind, so log2(n) levels in all."""
+    n, b = len(rhs), rhs.shape[1]
+    if n == 1:
+        return np.linalg.solve(diag, rhs)
+    evens, odds = (n + 1) // 2, n // 2
+    g = np.linalg.solve(diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2]], axis=-1))
+    left, right = np.zeros((2, evens) + g.shape[1:], g.dtype)  # what each even row reads
+    left[1:] = lower[2::2] @ g[:evens - 1]  # from the odd row before it, the first row aside
+    right[:odds] = upper[0:2 * odds:2] @ g  # from the odd row after it, if there is one
+    x = np.empty_like(rhs, g.dtype)
+    x[::2] = _block_solve(-left[..., :b], diag[::2] - left[..., b:2 * b] - right[..., :b],
+                          -right[..., b:2 * b], rhs[::2] - left[..., 2 * b:] - right[..., 2 * b:])
+    x[1::2] = g[..., 2 * b:] - g[..., :b] @ x[0:2 * odds:2]
+    x[1:2 * evens - 1:2] -= g[:evens - 1, :, b:2 * b] @ x[2::2]
+    return x
 
-    Each sweep recomputes every directed message from the current iterate.
-    The residual is the largest Frobenius-norm change of any message under
-    the plain damped step (1-d)*old + d*update, d = DAMPING; the run has
-    converged when it falls below TOL, and that last step is the damped
-    one; it stops after MAX_SWEEPS sweeps.  Otherwise the step is mixed (see
-    the module docstring).  Only an ill-conditioned fit, whose singular
-    values span more than 1/FIT_RCOND, empties the history.
+
+def qbp_run(model: SpinChainModel) -> QbpResult:
+    """Newton's method on the sweep map U, followed by belief assembly.
+
+    The residual is the largest Frobenius-norm change |U(x) - x| of any
+    message; the run has converged when it falls below TOL, and stops once
+    MAX_SWEEPS evaluations of U leave no room for another Newton step.  From
+    the zero messages, each step takes the Jacobian (2c evaluations) and
+    tries x + d, x + d/2, ... (one evaluation each) until the residual falls.
     """
-    damping, tol, max_sweeps = DAMPING, TOL, MAX_SWEEPS  # read once per run
+    tol, max_sweeps = TOL, MAX_SWEEPS  # read once per run
     n = model.n_sites
     neg_terms = -model.beta * model.terms
     frame = COMPLEX if np.iscomplexobj(neg_terms) else REAL
@@ -171,33 +184,37 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
     # at each end; the messages into bond k from k-1 and k+2 are rows 2k and 2k+5
     padded = np.zeros((2 * n + 2, len(frame[0])))
     messages, into = padded[2:-2], 2 * np.arange(n - 1)[:, None] + (0, 5)
-    # the last MEMORY differences of iterates and of f, one column each, oldest first
-    dx, df = np.empty((2, messages.size, MEMORY))
-    count, last, residuals = 0, None, []  # columns in use; (x, f) of the last sweep
-    for iterations in range(1, max_sweeps + 1):
+    width, h = 2 * len(frame[0]), 1e-6  # a bond's 2c message coordinates; the difference step
+
+    def evaluate():
         update = _updates(neg_terms, padded[into], frame)
-        f = update - messages
-        new = messages + damping * f
-        residual = damping * float(np.sqrt((f * f).sum(axis=1).max(initial=0.0)))
-        residuals.append(residual)
-        if MEMORY and residual >= tol:
-            x, f = messages.ravel().copy(), f.ravel()
-            if last is not None:
-                if count == MEMORY:  # drop the oldest column
-                    dx[:, :-1], df[:, :-1] = dx[:, 1:], df[:, 1:]
-                count = min(count + 1, MEMORY)
-                dx[:, count - 1], df[:, count - 1] = x - last[0], f - last[1]
-            last = x, f
-            if count:
-                gamma, _, _, sv = np.linalg.lstsq(df[:, :count], f, rcond=None)
-                if sv[-1] > FIT_RCOND * sv[0]:
-                    step = (dx[:, :count] + damping * df[:, :count]) @ gamma
-                    new = new - step.reshape(new.shape)
-                else:
-                    count = 0  # ill-conditioned fit: restart
-        messages[...] = new
-        if residual < tol:
-            break
+        return update, float(np.sqrt(((update - messages) ** 2).sum(axis=1).max(initial=0.0)))
+
+    update, residual = evaluate()
+    iterations, residuals = 1, [residual]
+    while residual >= tol and iterations + width < max_sweeps:
+        # perturbation a < c moves coordinate a of the message into each bond k from k-1
+        # (an even row), perturbation c + a that from k+2 (an odd row).  h = 1e-6 keeps the
+        # tests' rotated chains covariant to 8.1e-13; sqrt(eps) gives 2.9-8.8e-12, over 1e-12.
+        nudged = padded[into] + h * np.eye(width).reshape(width, 1, 2, -1)
+        shifted = _updates(np.tile(neg_terms, (width, 1, 1)), nudged.reshape(-1, 2, width // 2),
+                           frame)
+        slope = (update.reshape(n - 1, width) - shifted.reshape(width, n - 1, width)) / h
+        slope = slope.transpose(1, 2, 0)  # -J as (bond, output coordinate, perturbation)
+        even, eye = np.arange(width) < width // 2, np.broadcast_to(np.eye(width), slope.shape)
+        step = _block_solve(np.where(even, slope, 0), eye, np.where(even, 0, slope),
+                            (update - messages).reshape(n - 1, width, 1))
+        start, iterations = messages.copy(), iterations + width
+        for scale in 0.5 ** np.arange(max_sweeps - iterations):
+            messages[...] = start + scale * step.reshape(start.shape)
+            trial, trial_residual = evaluate()
+            iterations += 1
+            if trial_residual < residual:
+                update, residual = trial, trial_residual
+                residuals.append(residual)
+                break
+        else:
+            messages[...] = start
 
     # the messages into site i from i-1 and from i+1 are rows 2i and 2i+3
     singles = _gibbs(((padded[0:-2:2] + padded[3::2]) @ frame[0]).reshape(-1, 2, 2))

@@ -38,7 +38,7 @@ def heisenberg_term() -> np.ndarray:
     return xxz_term(1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinChainModel:
     """Open qubit chain with nearest-neighbour bond terms and a temperature.
 
@@ -46,6 +46,7 @@ class SpinChainModel:
     operator on sites (k, k+1): a fresh copy of the given 4x4 terms (or stack),
     checked in one stacked call, float64 when no term has an imaginary part,
     else complex128.  ``beta`` is the inverse temperature of exp(-beta H) / Z.
+    Models compare and hash by identity, as they hold an array.
     """
 
     n_sites: int

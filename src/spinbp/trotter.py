@@ -41,7 +41,7 @@ class ComplexResidueError(ValueError):
     """Transfer weights have an imaginary part; the model is not real-symmetric."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrotterPlan:
     """A model, a slice count n, and the (N-1, 4, 4) array of bond factors
     f_k = exp(-(beta/n) (h_k - lambda_min(h_k))), each shifted by its term's
@@ -62,7 +62,7 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
     return TrotterPlan(model, n_slices, factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferWeights:
     """One Trotter slice as a real 2^N x 2^N weight matrix."""
 

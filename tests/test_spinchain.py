@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import embed_term, herm_func, sector_shapes, tfim_pairs
-from spinbp import linalg, spinchain, trotter
+from spinbp import cbp, linalg, spinchain, trotter
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
     SIGMA_X,
@@ -283,6 +283,22 @@ def test_a_complex_chain_runs_qbp_but_not_st():
         assert linalg.herm_eig(q).eigenvalues.min() >= -1e-12
     with pytest.raises(trotter.ComplexResidueError):
         trotter.st_reduced(trotter.trotter_plan(model, 20), (0, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heisenberg_chain(3, 1.0),
+    lambda: trotter.trotter_plan(heisenberg_chain(3, 1.0), 4),
+    lambda: trotter.build_weights(trotter.trotter_plan(heisenberg_chain(3, 1.0), 4)),
+    lambda: qbp_run(heisenberg_chain(3, 1.0)),
+    lambda: cbp.FactorChain([2, 2], [(0, 1, np.ones((2, 2)))]),
+], ids=["SpinChainModel", "TrotterPlan", "TransferWeights", "QbpResult", "FactorChain"])
+def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(build):
+    # a field-wise == would ask numpy for the truth value of an array and raise,
+    # and a field-wise hash would raise TypeError on the frozen ones
+    a, b = build(), build()
+    assert (a == b) is False
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_model_validation():
