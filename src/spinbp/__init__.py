@@ -11,7 +11,7 @@ imported from its module (``spinbp.qbp``, ``spinbp.cbp``, ...).
 
 from .linalg import NoConvergenceError, NotHermitianError, partial_trace
 from .spinchain import SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain
-from .trotter import ComplexResidueError, st_reduced, trotter_plan
+from .trotter import st_reduced, trotter_plan
 from .qbp import qbp_run
 from .metrics import NotDensityMatrixError, fidelity, trace_distance
 

@@ -230,19 +230,18 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     identical pairwise potentials: the n-th power of the one matrix W.
 
     ``potentials`` is one square potential object repeated n >= 1 times, as
-    ``[W] * n``; any other list raises ``ValueError``.  W^n is powered within
-    the total-Sz sectors of its 2^N states when they hold every nonzero entry
-    (``linalg.by_blocks``): floor(log2 n) squarings and popcount(n) - 1
-    products, each operand first divided by its largest absolute entry
-    (unless that is zero), so long chains stay in range.  The returned
-    matrix (axes: first variable, last variable) is fresh and normalized to
-    unit absolute sum in place.
+    ``[W] * n``; any other list raises ``ValueError``.  W is read by
+    ``linalg.as_matrix``, so W^n is float64 or complex128 as W is.  W^n is
+    powered within the total-Sz sectors of its 2^N states when they hold
+    every nonzero entry (``linalg.by_blocks``): floor(log2 n) squarings and
+    popcount(n) - 1 products, each operand first divided by its largest
+    absolute entry (unless that is zero), so long chains stay in range.  The
+    returned matrix (axes: first variable, last variable) is fresh and
+    normalized to unit absolute sum in place.
     """
     n = len(potentials)
     if not n or any(p is not potentials[0] for p in potentials):
         raise ValueError("need one potential object repeated n >= 1 times")
-    w = np.asarray(potentials[0], dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"the potential must be a square matrix, got shape {w.shape}")
+    w = linalg.as_matrix(potentials[0])
     block = linalg.by_blocks(w, lambda stacks: _power(stacks, n))
     return np.divide(block, np.abs(block).sum(), out=block)

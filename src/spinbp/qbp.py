@@ -171,10 +171,14 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
     """Newton's method on the sweep map U, followed by belief assembly.
 
     The residual is the largest Frobenius-norm change |U(x) - x| of any
-    message; the run has converged when it falls below TOL, and stops once
-    MAX_SWEEPS evaluations of U leave no room for another Newton step.  From
-    the zero messages, each step takes the Jacobian (2c evaluations) and
-    tries x + d, x + d/2, ... (one evaluation each) until the residual falls.
+    message; the run has converged when it falls below TOL, and stops after
+    MAX_SWEEPS evaluations of U.  From the zero messages, each step takes the
+    Jacobian (2c evaluations) and tries x + d, x + d/2, ... (one evaluation
+    each) until the residual falls.  When the budget has no room for a fresh
+    Jacobian, a step reuses the last one (zero before the first, which makes
+    d = U(x) - x).  A two-site chain takes none: the messages into its one
+    bond are the zero padding, so U is constant there and d lands on the
+    fixed point.
     """
     tol, max_sweeps = TOL, MAX_SWEEPS  # read once per run
     n = model.n_sites
@@ -192,19 +196,21 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
 
     update, residual = evaluate()
     iterations, residuals = 1, [residual]
-    while residual >= tol and iterations + width < max_sweeps:
-        # perturbation a < c moves coordinate a of the message into each bond k from k-1
-        # (an even row), perturbation c + a that from k+2 (an odd row).  h = 1e-6 keeps the
-        # tests' rotated chains covariant to 8.1e-13; sqrt(eps) gives 2.9-8.8e-12, over 1e-12.
-        nudged = padded[into] + h * np.eye(width).reshape(width, 1, 2, -1)
-        shifted = _updates(np.tile(neg_terms, (width, 1, 1)), nudged.reshape(-1, 2, width // 2),
-                           frame)
-        slope = (update.reshape(n - 1, width) - shifted.reshape(width, n - 1, width)) / h
-        slope = slope.transpose(1, 2, 0)  # -J as (bond, output coordinate, perturbation)
+    slope = np.zeros((n - 1, width, width))  # -J as (bond, output coordinate, perturbation)
+    while residual >= tol and iterations < max_sweeps:
+        if n > 2 and iterations + width < max_sweeps:
+            # perturbation a < c moves coordinate a of the message into each bond k from k-1
+            # (an even row), perturbation c + a that from k+2 (an odd row).  h = 1e-6 keeps the
+            # tests' rotated chains covariant to 8.1e-13; sqrt(eps) gives 2.9-8.8e-12, over 1e-12.
+            nudged = padded[into] + h * np.eye(width).reshape(width, 1, 2, -1)
+            shifted = _updates(np.tile(neg_terms, (width, 1, 1)),
+                               nudged.reshape(-1, 2, width // 2), frame)
+            slope = (update.reshape(n - 1, width) - shifted.reshape(width, n - 1, width)) / h
+            slope, iterations = slope.transpose(1, 2, 0), iterations + width
         even, eye = np.arange(width) < width // 2, np.broadcast_to(np.eye(width), slope.shape)
         step = _block_solve(np.where(even, slope, 0), eye, np.where(even, 0, slope),
                             (update - messages).reshape(n - 1, width, 1))
-        start, iterations = messages.copy(), iterations + width
+        start = messages.copy()
         for scale in 0.5 ** np.arange(max_sweeps - iterations):
             messages[...] = start + scale * step.reshape(start.shape)
             trial, trial_residual = evaluate()

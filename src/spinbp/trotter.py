@@ -14,15 +14,14 @@ eigenvalue, f_k = exp(-(beta/n) (h_k - lambda_min(h_k))) (``linalg.shifted_exp``
 so its entries are at most 1 at any beta/n.  The built W is then the
 unshifted product times exp((beta/n) sum_k lambda_min(h_k)), and W^n the
 unshifted power times exp(beta sum_k lambda_min(h_k)): a positive factor,
-which the normalization by tr(W^n) cancels.  The factors must be real to
-``linalg.HERMITIAN_RTOL`` relative to their largest entry, which holds for
-real-symmetric bond terms (``ComplexResidueError`` otherwise).
+which the normalization by tr(W^n) cancels.  W takes the bond terms' dtype:
+float64 for real-symmetric terms, complex128 otherwise.
 A factor of a term that commutes with sz.1 + 1.sz keeps the total Sz and
 exact zeros between sectors, so W does too, and the contraction powers W
 within its total-Sz sectors (``linalg.by_blocks``): N+1 sectors, the widest
 C(N, N/2) states, in place of 2^N.
 
-W is a product of positive-definite factors but is not symmetric when the
+W is a product of positive-definite factors but is not Hermitian when the
 bond terms fail to commute, so the n-slice density matrix carries an
 O(beta^2/n) non-Hermitian residue, on the same order as its Trotter error.
 """
@@ -35,10 +34,6 @@ import numpy as np
 
 from . import cbp, linalg
 from .spinchain import SpinChainModel
-
-
-class ComplexResidueError(ValueError):
-    """Transfer weights have an imaginary part; the model is not real-symmetric."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,33 +59,24 @@ def trotter_plan(model: SpinChainModel, n_slices: int) -> TrotterPlan:
 
 @dataclass(frozen=True, eq=False)
 class TransferWeights:
-    """One Trotter slice as a real 2^N x 2^N weight matrix."""
+    """One Trotter slice as a 2^N x 2^N weight matrix in the slice factors' dtype."""
 
     matrix: np.ndarray
 
 
 def build_weights(plan: TrotterPlan) -> TransferWeights:
-    """Check that each slice factor is real, then multiply them in bond order.
+    """Multiply the slice factors in bond order.
 
     W = F_0 F_1 ... F_{N-2} with F_k = 1 kron f_k kron 1 is built right to
-    left in float64 by the recursion P <- f_k (1 kron P) from P = f_{N-2}:
+    left, in the factors' dtype (float64 for a real model, complex128 for a
+    complex one), by the recursion P <- f_k (1 kron P) from P = f_{N-2}:
     with the rows of 1 kron P viewed as (pair k, the rest), f_k acts on the
     leading axis only, one 4x4 by 4x(2^(N-k-2) 2^(N-k)) product.
     """
     factors = plan.slice_factors
-    residue = np.abs(factors.imag).max(axis=(1, 2))
-    bad = residue > linalg.HERMITIAN_RTOL * np.abs(factors).max(axis=(1, 2))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ComplexResidueError(
-            f"bond {k}: imaginary residue {residue[k]:.3e} exceeds "
-            f"{linalg.HERMITIAN_RTOL:g} * max|f_k|; "
-            "transfer weights are only real for real-symmetric bond terms"
-        )
-    factors = factors.real
     w = factors[-1] if len(factors) else np.eye(2)
     for f in factors[-2::-1]:
-        lifted = np.zeros((2, len(w), 2, len(w)))  # 1 kron w
+        lifted = np.zeros((2, len(w), 2, len(w)), w.dtype)  # 1 kron w
         lifted[0, :, 0] = lifted[1, :, 1] = w
         w = np.matmul(f, lifted.reshape(4, -1)).reshape(2 * len(w), -1)
     return TransferWeights(w)
@@ -101,10 +87,11 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
 
     cbp.chain_end_marginal takes the chain as ``[W] * n`` and powers W within
     W's total-Sz sectors: floor(log2 n) squarings and popcount(n) - 1 block
-    products.  The fresh result is scaled in place by 1 / tr, then copied to
-    complex: the bits of the complex division, which numpy makes as a (1 / t)
-    for a real t.  W dies first, so the call peaks at the marginal and its
-    complex copy: three 2^N x 2^N float64 arrays' worth.
+    products, in W's dtype.  The fresh result is scaled in place by 1 / tr.
+    A complex one is returned as it is; a real one is copied to complex128,
+    the bits of the complex division, which numpy makes as a (1 / t) for a
+    real t.  W dies first, so a real model's call peaks at the marginal and
+    its complex copy: three 2^N x 2^N float64 arrays' worth.
 
     Keep the copy unless a measurement says otherwise.  Returning the real p
     gives the same states and CSVs, but a warm loop of the N = 8, beta = 2 st
@@ -113,7 +100,7 @@ def st_density(plan: TrotterPlan) -> np.ndarray:
     """
     p = cbp.chain_end_marginal([build_weights(plan).matrix] * plan.n_slices)
     p *= 1.0 / np.trace(p)
-    return p.astype(np.complex128)
+    return p.astype(np.complex128, copy=False)
 
 
 def st_reduced(plan: TrotterPlan, keep) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinbp import linalg
+from spinbp.spinchain import SpinChainModel
 
 
 @pytest.fixture
@@ -113,3 +114,16 @@ def tfim_pairs(couplings, g, beta):
         wick = c[0, 1] * c[2, 3] - c[0, 2] * c[1, 3] + c[0, 3] * c[1, 2]
         pairs.append((rho + wick * m[0] @ m[1] @ m[2] @ m[3]) / 4)
     return pairs
+
+
+def complex_rotated(model, theta=0.4):
+    """The model with site i turned by u_i = exp(-i phi_i sigma_z/2) exp(-i theta sigma_y/2),
+    phi_i drawn from default_rng(2) in [-pi, pi]: each bond term becomes
+    (u_k x u_k+1) E (u_k x u_k+1)^dag, and the XX chain gains a complex
+    Dzyaloshinskii-Moriya exchange.  Returns the model and the (N,2,2) stack of u_i."""
+    phi = np.random.default_rng(2).uniform(-np.pi, np.pi, model.n_sites)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    u = np.exp(-0.5j * np.outer(phi, [1, -1]))[:, :, None] * np.array([[c, -s], [s, c]])
+    uu = [np.kron(u[k], u[k + 1]) for k in range(model.n_sites - 1)]
+    return SpinChainModel(model.n_sites, [w @ t @ w.conj().T for w, t in zip(uu, model.terms)],
+                          model.beta), u

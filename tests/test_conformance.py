@@ -1,10 +1,11 @@
 """Conformance: every engine on seeded models of every kind the library accepts.
 
 Each engine either gives a reduced state that ``metrics.scores`` accepts
-against the exact state, or raises an error named here: st refuses complex
-bond terms with ``ComplexResidueError``, and the first-order st state of a
-chain of three or more sites may carry a non-Hermitian residue that the
-metrics reject.  Warnings are errors, so an overflow fails the test.
+against the exact state, or raises an error named here: the first-order st
+state of a chain of three or more sites, real or complex, may carry a
+non-Hermitian residue that the metrics reject.  st builds its transfer
+weights in the bond terms' dtype, so a complex chain scores as a real one
+does.  Warnings are errors, so an overflow fails the test.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from spinbp import linalg, metrics
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain
-from spinbp.trotter import ComplexResidueError, st_reduced, trotter_plan
+from spinbp.trotter import st_reduced, trotter_plan
 
 
 def random_terms(rng, sites, complex_):
@@ -46,8 +47,6 @@ def st_outcome(model, keep, n_slices, reference):
     """'ok' if the st state scores, else the name of the error it raised."""
     try:
         metrics.scores(st_reduced(trotter_plan(model, n_slices), keep), reference)
-    except ComplexResidueError:
-        return "complex"
     except metrics.NotDensityMatrixError as exc:
         if "Hermiticity residue" not in str(exc):
             raise
@@ -68,11 +67,7 @@ def test_every_engine_scores_or_names_its_refusal(eig_calls):
             fid, dist = metrics.scores(exact, exact)
             assert fid == pytest.approx(1.0) and dist == pytest.approx(0.0, abs=1e-12)
 
-            allowed = {"ok"}
-            if kind == "random-complex":
-                allowed = {"complex"}
-            elif sites >= 3:
-                allowed.add("not-hermitian")
+            allowed = {"ok", "not-hermitian"} if sites >= 3 else {"ok"}
             for n_slices in (20, 100):
                 got = st_outcome(model, keep, n_slices, exact)
                 if got not in allowed:

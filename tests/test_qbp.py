@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import free_fermion_pairs, herm_log
+from conftest import complex_rotated, free_fermion_pairs, herm_log
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
     QbpResult,
@@ -255,6 +255,25 @@ def test_two_site_pair_belief_is_exact(beta):
     )
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_a_two_site_chain_takes_no_jacobian(beta, monkeypatch):
+    # the messages into the one bond are the zero padding, so the map is constant:
+    # the start and one plain step, which lands on the fixed point
+    model = xxz_chain(2, beta, delta=0.5, field=0.3)
+    calls, updates = [], qbp._updates
+
+    def recording(neg_terms, incoming, frame):
+        calls.append(len(neg_terms))
+        return updates(neg_terms, incoming, frame)
+
+    monkeypatch.setattr(qbp, "_updates", recording)
+    result = qbp_run(model)
+    assert (result.iterations, result.converged, result.residual) == (2, True, 0.0)
+    assert calls == [1, 1]
+    rho = exact_gibbs(model)
+    np.testing.assert_allclose(result.beliefs_pair[(0, 1)], rho, rtol=0, atol=1e-14)
+
+
 def test_beliefs_are_density_matrices():
     result = qbp_run(heisenberg_chain(4, 1.7))
     assert result.converged
@@ -289,7 +308,7 @@ def test_runs_are_deterministic():
         np.testing.assert_array_equal(a.beliefs_pair[e], b.beliefs_pair[e])
 
 
-def test_runs_are_deterministic_on_the_damped_iteration():
+def test_runs_are_deterministic_on_an_iterating_chain():
     model = xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3)
     a, b = qbp_run(model), qbp_run(model)
     assert a.iterations == b.iterations > 1
@@ -310,7 +329,7 @@ def test_single_site_run():
     assert result.beliefs_pair == {}
 
 
-def test_asymmetric_couplings_converge_with_damping():
+def test_asymmetric_couplings_converge():
     # unequal couplings on an anisotropic chain; the iteration still settles
     result = qbp_run(xxz_chain(4, 1.0, [1.0, 0.5, 0.25], delta=0.5, field=0.3))
     assert result.converged
@@ -335,12 +354,14 @@ def test_qbp_run_reads_its_tolerance_and_budget_from_the_module(monkeypatch):
     assert tight.converged
     assert tight.residual < 1e-13
     # the first evaluation, the 4 of a real model's Jacobian and one full step;
-    # a budget of 5 leaves no room for a step
+    # a budget of 5 leaves no room for a Jacobian, so its steps are plain ones,
+    # 4 of which each lower the residual
     monkeypatch.setattr(qbp, "MAX_SWEEPS", 6)
     short = qbp_run(model)
     assert (short.iterations, short.converged, len(short.residuals)) == (6, False, 2)
     monkeypatch.setattr(qbp, "MAX_SWEEPS", 5)
-    assert qbp_run(model).iterations == 1
+    plain = qbp_run(model)
+    assert (plain.iterations, plain.converged, len(plain.residuals)) == (5, False, 5)
 
 
 def test_residual_history():
@@ -732,19 +753,6 @@ def test_rotated_xx_chains_use_the_sigma_x_coordinate(n_sites, beta):
     sigma_x = [abs(np.trace(SIGMA_X @ q)) for q in result.beliefs_single.values()]
     assert all(np.trace(SIGMA_X @ q) == 0 for q in plain.beliefs_single.values())
     assert max(sigma_x) > 1e-2
-
-
-def complex_rotated(model, theta=0.4):
-    """The model with site i turned by u_i = exp(-i phi_i sigma_z/2) exp(-i theta sigma_y/2),
-    phi_i drawn from default_rng(2) in [-pi, pi]: each bond term becomes
-    (u_k x u_k+1) E (u_k x u_k+1)^dag, and the XX chain gains a complex
-    Dzyaloshinskii-Moriya exchange.  Returns the model and the (N,2,2) stack of u_i."""
-    phi = np.random.default_rng(2).uniform(-np.pi, np.pi, model.n_sites)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    u = np.exp(-0.5j * np.outer(phi, [1, -1]))[:, :, None] * np.array([[c, -s], [s, c]])
-    uu = [np.kron(u[k], u[k + 1]) for k in range(model.n_sites - 1)]
-    return SpinChainModel(model.n_sites, [w @ t @ w.conj().T for w, t in zip(uu, model.terms)],
-                          model.beta), u
 
 
 @pytest.mark.parametrize("n_sites", [64, 128])

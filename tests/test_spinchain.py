@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import embed_term, herm_func, sector_shapes, tfim_pairs
-from spinbp import cbp, linalg, spinchain, trotter
+from spinbp import cbp, linalg, metrics, spinchain, trotter
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
     SIGMA_X,
@@ -274,15 +274,22 @@ def test_a_complex_chain_takes_the_same_path_in_complex128(eig_calls):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
-def test_a_complex_chain_runs_qbp_but_not_st():
-    model = dm_chain(8, 1.0)
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_a_complex_chain_runs_qbp_and_st(beta):
+    model = dm_chain(8, beta)
     result = qbp_run(model)
     for q in list(result.beliefs_single.values()) + list(result.beliefs_pair.values()):
         assert abs(np.trace(q) - 1) < 1e-12
         np.testing.assert_allclose(q, q.conj().T, atol=1e-12)
         assert linalg.herm_eig(q).eigenvalues.min() >= -1e-12
-    with pytest.raises(trotter.ComplexResidueError):
-        trotter.st_reduced(trotter.trotter_plan(model, 20), (0, 1))
+    # st's pair state scores under the trace-distance ceiling 0.6 (beta/n)^2 that
+    # the benchmark sets for real chains
+    exact = linalg.partial_trace(exact_gibbs(model), [2] * 8, (0, 1))
+    for n in (20, 100):
+        st = trotter.st_reduced(trotter.trotter_plan(model, n), (0, 1))
+        assert st.dtype == np.complex128
+        _, distance = metrics.scores(st, exact)
+        assert distance < 0.6 * (beta / n) ** 2
 
 
 @pytest.mark.parametrize("build", [

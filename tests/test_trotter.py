@@ -6,6 +6,7 @@ against the product of embedded 2^N x 2^N exponentials, and the
 n -> infinity limit against full diagonalization.
 """
 
+import functools
 import sys
 import tracemalloc
 import warnings
@@ -13,11 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import embed_term, herm_func, sector_shapes
+from conftest import complex_rotated, embed_term, herm_func, sector_shapes
 from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
-    SIGMA_Y,
     SpinChainModel,
     exact_gibbs,
     heisenberg_chain,
@@ -26,7 +26,6 @@ from spinbp.spinchain import (
     xxz_term,
 )
 from spinbp.trotter import (
-    ComplexResidueError,
     build_weights,
     st_density,
     st_opcount,
@@ -136,23 +135,6 @@ def test_weights_carry_negative_entries():
     assert w[0, 0] > 0
     off = w - np.diag(np.diag(w))
     assert off.min() < 0
-
-
-def test_weights_reject_complex_entries():
-    # a Hermitian bond term with imaginary entries has a complex slice factor
-    term = np.kron(SIGMA_X, SIGMA_Y)
-    model = SpinChainModel(2, (term,), 1.0)
-    with pytest.raises(ComplexResidueError):
-        build_weights(trotter_plan(model, 10))
-
-
-def test_the_stacked_residue_check_names_the_first_complex_bond():
-    # bond 0 is real; bonds 1 and 2 have complex slice factors
-    complex_term = xxz_term(1.0) + np.kron(SIGMA_X, SIGMA_Y)
-    model = SpinChainModel(4, (xxz_term(1.0), complex_term, complex_term), 1.0)
-    with pytest.raises(ComplexResidueError, match=r"^bond 1: imaginary residue \d\.\d{3}e-\d+ "
-                                                  r"exceeds 1e-12 \* max\|f_k\|"):
-        build_weights(trotter_plan(model, 10))
 
 
 def test_slice_power_converges_to_exact_exponential():
@@ -303,6 +285,46 @@ def test_st_density_trace_and_reality():
             assert np.abs(rho.imag).max() < 1e-14
             # first-order product: non-Hermitian only at the Trotter order
             assert np.abs(rho - rho.conj().T).max() < beta**2 / n
+
+
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_st_on_complex_chains(beta, n, monkeypatch):
+    # site rotations u_i turn a real chain complex.  W of the turned chain is
+    # U W U^dag with U = u_0 x ... x u_{N-1}, so its st state is U rho_st U^dag.
+    # Rotations about z alone keep total Sz, and W is powered in complex128 by
+    # sectors; a rotation about y as well leaves W one block.
+    powered, power = [], cbp._power
+
+    def recording(stacks, count):
+        powered.append([(s.shape, s.dtype.name) for s in stacks])
+        return power(stacks, count)
+
+    def chain(sites):
+        couplings = np.random.default_rng(1).uniform(0.9, 1.1, sites - 1)
+        return xxz_chain(sites, beta, couplings, delta=0.5, field=0.3)
+
+    monkeypatch.setattr(cbp, "_power", recording)
+    for sites, theta, shapes in [
+        (8, 0.0, [(2, 1, 1), (2, 8, 8), (2, 28, 28), (2, 56, 56), (1, 70, 70)]),
+        (3, 0.4, [(1, 8, 8)]),
+        (8, 0.4, [(1, 256, 256)]),
+    ]:
+        model = chain(sites)
+        turned, u = complex_rotated(model, theta)
+        assert turned.terms.dtype == np.complex128
+        rotation = functools.reduce(np.kron, u)
+        expected = rotation @ st_density(trotter_plan(model, n)) @ rotation.conj().T
+        plan = trotter_plan(turned, n)
+        powered.clear()
+        got = st_density(plan)
+        assert powered == [[(shape, "complex128") for shape in shapes]]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, power_oracle(plan), rtol=0, atol=1e-12)
+    # two sites: W^n is the exponential of the one bond term, so st is exact
+    turned, _ = complex_rotated(chain(2))
+    np.testing.assert_allclose(st_density(trotter_plan(turned, n)), exact_gibbs(turned),
+                               rtol=0, atol=1e-13)
 
 
 def test_first_order_error_scaling():
