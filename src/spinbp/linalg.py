@@ -67,8 +67,9 @@ class HermitianEigen(NamedTuple):
 
 def require_int(value, name: str) -> int:
     """``value`` as an int; anything but a Python or numpy integer is a ValueError
-    naming ``name``, so a float count is refused rather than truncated."""
-    if not isinstance(value, (int, np.integer)):
+    naming ``name``, so a float count is refused rather than truncated, and a
+    bool (Python's, which is an int subclass, or numpy's) is not taken as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}={value!r} is not an integer")
     return int(value)
 

@@ -33,8 +33,9 @@ block-tridiagonal over the bonds, and all even rows (as all odd rows) feed
 distinct bonds: perturbing coordinate a of every even row at once, then of
 every odd row, gives all of J from 2c evaluations of U (c coordinates per
 message; Curtis, Powell and Reid 1974, IMA J. Appl. Math. 13:117), made as
-one stacked call.  Each step solves (I - J) d = U(x) - x by block cyclic
-reduction and halves d until the residual falls (Dennis and Schnabel 1983).
+one stacked call.  Each step solves (I - J) d = U(x) - x, by one dense LU
+solve up to 16 bonds and by block cyclic reduction above, and halves d until
+the residual falls (Dennis and Schnabel 1983).
 """
 
 from __future__ import annotations
@@ -149,11 +150,17 @@ def qbp_update_edge(model: SpinChainModel, messages: dict, edge: Edge) -> np.nda
 def _block_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Solve lower[k] x[k-1] + diag[k] x[k] + upper[k] x[k+1] = rhs[k], k < n, for
     (n,b,b) blocks and (n,b,m) right-hand sides; lower[0] and upper[-1] are not read.
-    Block cyclic reduction: one stacked solve on the odd rows folds them into the
-    even rows, which form a system of the same kind, so log2(n) levels in all."""
+    Up to 16 rows take one dense LU solve.  Above that, block cyclic reduction: one
+    stacked solve on the odd rows folds them into the even rows, which form a
+    system of the same kind, until at most 16 rows are left."""
     n, b = len(rhs), rhs.shape[1]
-    if n == 1:
-        return np.linalg.solve(diag, rhs)
+    # at b = 4 and one BLAS thread the dense solve wins up to about 128 unknowns
+    # (n = 32: 133 against 179 us) and loses beyond (n = 64: 838 against 242 us)
+    if n <= 16:
+        dense, k = np.zeros((n, b, n, b), np.result_type(lower, diag, upper)), np.arange(n)
+        dense[k, :, k] = diag
+        dense[k[1:], :, k[:-1]], dense[k[:-1], :, k[1:]] = lower[1:], upper[:-1]
+        return np.linalg.solve(dense.reshape(n * b, -1), rhs.reshape(n * b, -1)).reshape(rhs.shape)
     evens, odds = (n + 1) // 2, n // 2
     g = np.linalg.solve(diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2]], axis=-1))
     left, right = np.zeros((2, evens) + g.shape[1:], g.dtype)  # what each even row reads
@@ -196,18 +203,19 @@ def qbp_run(model: SpinChainModel) -> QbpResult:
 
     update, residual = evaluate()
     iterations, residuals = 1, [residual]
-    slope = np.zeros((n - 1, width, width))  # -J as (bond, output coordinate, perturbation)
     while residual >= tol and iterations < max_sweeps:
+        if iterations == 1:  # the step's constants, built only once a run steps
+            slope = np.zeros((n - 1, width, width))  # -J as (bond, output coordinate, perturbation)
+            even, eye = np.arange(width) < width // 2, np.broadcast_to(np.eye(width), slope.shape)
+            tiled = np.tile(neg_terms, (width, 1, 1))
+            nudge = h * np.eye(width).reshape(width, 1, 2, -1)
         if n > 2 and iterations + width < max_sweeps:
             # perturbation a < c moves coordinate a of the message into each bond k from k-1
             # (an even row), perturbation c + a that from k+2 (an odd row).  h = 1e-6 keeps the
             # tests' rotated chains covariant to 8.1e-13; sqrt(eps) gives 2.9-8.8e-12, over 1e-12.
-            nudged = padded[into] + h * np.eye(width).reshape(width, 1, 2, -1)
-            shifted = _updates(np.tile(neg_terms, (width, 1, 1)),
-                               nudged.reshape(-1, 2, width // 2), frame)
+            shifted = _updates(tiled, (padded[into] + nudge).reshape(-1, 2, width // 2), frame)
             slope = (update.reshape(n - 1, width) - shifted.reshape(width, n - 1, width)) / h
             slope, iterations = slope.transpose(1, 2, 0), iterations + width
-        even, eye = np.arange(width) < width // 2, np.broadcast_to(np.eye(width), slope.shape)
         step = _block_solve(np.where(even, slope, 0), eye, np.where(even, 0, slope),
                             (update - messages).reshape(n - 1, width, 1))
         start = messages.copy()

@@ -22,6 +22,19 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Shape of the coefficient matrix or stack of each np.linalg.solve call, in call order."""
+    calls, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return calls
+
+
 def sector_shapes(n_sites):
     """The (k, d, d) stacks into which linalg.by_blocks splits a 2^n_sites matrix
     that keeps total Sz: the k sectors of d states, d ascending, counted by a

@@ -256,10 +256,13 @@ def test_config_validation_errors():
     (dict(time_repeats=0.5), "time-repeats=0.5"),
     (dict(st_slices=(20.5,)), "st-slices=20.5"),
     (dict(keep=(0.0, 1.0)), "keep=0.0"),
+    (dict(st_slices=(True, 20)), "st-slices=True"),
+    (dict(st_slices=(np.True_, 20)), f"st-slices={np.True_!r}"),
 ])
 def test_config_counts_are_checked_as_integers(overrides, message, monkeypatch):
-    # beta_steps=2.5 failed in np.linspace with a bare TypeError; the others
-    # passed validation, and then every row of the sweep failed
+    # beta_steps=2.5 failed in np.linspace with a bare TypeError; the floats
+    # passed validation, and then every row of the sweep failed; st_slices=(True, 20)
+    # ran, and wrote True into its rows' n_slices and iterations columns
     calls = count_timed_calls(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
         run_sweep(quick_config(**overrides))

@@ -472,10 +472,14 @@ def test_partial_trace_sizes_past_int64_are_a_dimension_mismatch(site_dims, prod
 
 @pytest.mark.parametrize("call, message", [
     (lambda: trotter.trotter_plan(heisenberg_chain(3, 1.0), 2.5), "n_slices=2.5"),
+    (lambda: trotter.trotter_plan(heisenberg_chain(3, 1.0), True), "n_slices=True"),
     (lambda: trotter.st_opcount(20.7, 3), "n_slices=20.7"),
     (lambda: trotter.st_opcount(20, 3.0), "n_spins_exponent=3.0"),
     (lambda: qbp.qbp_opcount(3.9), "n_sites=3.9"),
+    (lambda: qbp.qbp_opcount(np.True_), f"n_sites={np.True_!r}"),
     (lambda: linalg.partial_trace(np.eye(4), [2, 2], keep=[0.7]), "keep[0]=0.7"),
+    (lambda: linalg.partial_trace(np.eye(4), [2, 2], keep=[True]), "keep[0]=True"),
+    (lambda: linalg.partial_trace(np.eye(4), [2, 2], keep=[np.True_]), f"keep[0]={np.True_!r}"),
     (lambda: linalg.partial_trace(np.eye(4), [2, "2"], keep=[0]), "site_dims[1]='2'"),
     (lambda: SpinChainModel(3.0, heisenberg_chain(3, 1.0).terms, 1.0), "n_sites=3.0"),
     (lambda: xxz_chain(3.0, 1), "n_sites=3.0"),
@@ -483,11 +487,13 @@ def test_partial_trace_sizes_past_int64_are_a_dimension_mismatch(site_dims, prod
     (lambda: cbp.FactorChain([2, 2], [(0, 1.0, np.ones((2, 2)))]), "edge end=1.0"),
     (lambda: cbp.brute_marginal(cbp.FactorChain([2, 2], [(0, 1, np.ones((2, 2)))]), [0.7]),
      "targets[0]=0.7"),
-], ids=["trotter_plan", "st_opcount-slices", "st_opcount-exponent", "qbp_opcount",
-        "partial_trace-keep", "partial_trace-dims", "SpinChainModel", "xxz_chain",
+], ids=["trotter_plan", "trotter_plan-bool", "st_opcount-slices", "st_opcount-exponent",
+        "qbp_opcount", "qbp_opcount-numpy-bool", "partial_trace-keep", "partial_trace-keep-bool",
+        "partial_trace-keep-numpy-bool", "partial_trace-dims", "SpinChainModel", "xxz_chain",
         "FactorChain-cards", "FactorChain-edges", "brute_marginal"])
 def test_integer_arguments_are_checked_not_truncated(call, message):
-    # each of these once truncated its argument or failed with a bare TypeError;
+    # each of these once truncated its argument, failed with a bare TypeError or took
+    # a Python bool as 0 or 1 (a numpy bool was refused);
     # SweepConfig's counts follow the same rule (test_bench.py)
     with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer")):
         call()

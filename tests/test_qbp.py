@@ -274,6 +274,29 @@ def test_a_two_site_chain_takes_no_jacobian(beta, monkeypatch):
     np.testing.assert_allclose(result.beliefs_pair[(0, 1)], rho, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_sites", [3, 8])
+def test_a_run_at_its_fixed_point_never_steps(n_sites, monkeypatch):
+    # zero messages are the Heisenberg chain's fixed point, so the run stops at its
+    # first evaluation: no solve, and none of the step's constants (np.tile stacks
+    # the bond terms for the Jacobian) are built
+    calls, updates, tile = [], qbp._updates, np.tile
+
+    def recording(neg_terms, incoming, frame):
+        calls.append(len(neg_terms))
+        return updates(neg_terms, incoming, frame)
+
+    def tiling(*args):
+        calls.append("tile")
+        return tile(*args)
+
+    monkeypatch.setattr(qbp, "_updates", recording)
+    monkeypatch.setattr(qbp, "_block_solve", lambda *args: calls.append("solve"))
+    monkeypatch.setattr(np, "tile", tiling)
+    result = qbp_run(heisenberg_chain(n_sites, 1.0))
+    assert (result.iterations, result.converged, result.residual) == (1, True, 0.0)
+    assert calls == [n_sites - 1]
+
+
 def test_beliefs_are_density_matrices():
     result = qbp_run(heisenberg_chain(4, 1.7))
     assert result.converged
@@ -570,6 +593,23 @@ def test_block_solve_matches_a_dense_solve_at_every_length(size):
         expected = np.linalg.solve(dense.reshape(n * size, -1), rhs.reshape(-1, 1))
         got = qbp._block_solve(lower, diag, upper, rhs)
         np.testing.assert_allclose(got, expected.reshape(rhs.shape), rtol=0, atol=1e-13)
+
+
+def test_a_newton_step_solves_short_chains_in_one_dense_call(solve_calls):
+    # up to 16 block rows take one dense LU solve: the 7 bonds of N = 8, 4 coordinates
+    # each, make one (28, 28) solve per step
+    for beta in (0.5, 1.0, 2.0):
+        solve_calls.clear()
+        result = qbp_run(benchmark_style_chain(1, beta))
+        assert result.converged and len(result.residuals) > 1
+        assert solve_calls == [(28, 28)] * (len(result.residuals) - 1)
+    # the 63 bonds of N = 64 fold by cyclic reduction to 32 rows, then 16, which
+    # take the dense solve: three calls per step
+    solve_calls.clear()
+    couplings = np.random.default_rng(1).uniform(0.9, 1.1, 63)
+    result = qbp_run(xxz_chain(64, 2.0, couplings, delta=0.5, field=0.3))
+    assert result.converged and len(result.residuals) > 1
+    assert solve_calls == [(31, 4, 4), (16, 4, 4), (64, 64)] * (len(result.residuals) - 1)
 
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
