@@ -26,8 +26,8 @@ import numpy as np
 from . import linalg, metrics, qbp, spinchain, trotter
 
 KNOWN_METHODS = ("exact", "st", "qbp")
-# Every sweep scores against the dense 2^N x 2^N exact state: --sites 12 peaks at
-# 442 MB, and at N = 13 the dense H alone is 512 MiB, so a longer chain is refused.
+# Every sweep scores against the dense 2^N x 2^N exact state: --sites 12 peaks at 442 MB,
+# and at N = 13 each dense array (the state, st's W) is 512 MiB or more, so it is refused.
 MAX_SITES = 12
 
 

@@ -14,15 +14,15 @@ symmetrized states, spectral outputs and differences the package builds)
 skips the relative test and the symmetrization, which would return it bit for
 bit; a NaN or inf entry is always rejected.
 
-``by_blocks`` is the one block kernel: it applies a function to the total-Sz
-sectors of a 2^N x 2^N matrix (the basis states with equal set-bit counts),
-one stack per sector size, when the sectors hold every nonzero entry.  So a
-Hamiltonian or Trotter slice that conserves total Sz costs the sum of the
-sectors' cubes; any other matrix, and one narrower than ``BLOCK_MIN_DIM``, is
-one block.  Only the flat gather/scatter index of the blocks is held, built
-once per width and read-only for the life of the process: C(2N, N) x 8 bytes,
-0.1 MB at N = 8, 1.5 MB at N = 10, 21.6 MB at N = 12.  The sectors themselves
-are read off its diagonal.
+``by_blocks`` applies a function to the total-Sz sectors of a 2^N x 2^N matrix
+(the basis states with equal set-bit counts), one stack per sector size, when
+the sectors hold every nonzero entry: so the st engine's W, which keeps total
+Sz, costs the sum of the sectors' cubes, and any other matrix, or one narrower
+than ``BLOCK_MIN_DIM``, is one block.  ``_sector_index``, the flat gather/scatter
+index of the blocks, is built once per width and held read-only (C(2N, N) x 8
+bytes: 0.10 MB at N = 8, 1.48 MB at N = 10, 21.6 MB at N = 12); the sectors are
+read off its diagonal.  ``spinchain.exact_gibbs`` fills H's blocks from the bond
+terms through it and per-bond tables (0.02, 0.12 and 0.57 MB more).
 
 ``require_hermitian``, ``herm_eig``, ``shifted_exp``, ``spectral`` and
 ``kron`` also take a stack of shape (..., d, d) and act on each matrix, so
@@ -44,9 +44,9 @@ HERMITIAN_RTOL = 1e-12
 # qbp raises the determinant and the divisors of its message read-off to at
 # least this, so log and division stay finite on a rank-deficient operator.
 POSITIVE_FLOOR = 1e-300
-# ``by_blocks`` takes a narrower matrix whole: there a dense product costs no
-# more than gathering the sectors and the extra calls per sector size
-# (break-even near 64 states on one BLAS thread).
+# ``by_blocks`` and ``spinchain.exact_gibbs`` take a narrower matrix whole: there a
+# dense product costs no more than the sectors and the extra calls per sector
+# size (break-even near 64 states on one BLAS thread).
 BLOCK_MIN_DIM = 128
 
 

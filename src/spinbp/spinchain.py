@@ -6,11 +6,14 @@ read-only (N-1, 4, 4) array that both approximate engines read as it is;
 bond k couples sites (k, k+1) with the left site in the first tensor slot.  The exchange
 term uses the Pauli-matrix convention (not spin-1/2 operators), coupling
 strength 1 unless a per-bond coupling is given; any other convention only
-rescales the inverse temperature.
+rescales the inverse temperature.  The exact state is diagonalized in H's
+total-Sz sector blocks, filled straight from the bond terms: H is never dense.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,41 +123,64 @@ def heisenberg_chain(
     return xxz_chain(n_sites, beta, couplings)
 
 
-def total_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """H = sum_k I^(k) kron h_k kron I^(N-k-2), bit for bit.
+# The entries of a two-site term between pair states of unequal up-spin counts
+# (0, 1, 1, 2): a nonzero one there breaks total Sz, and H keeps no sectors.
+_CROSS = np.array([0, 1, 1, 2])[:, None] != np.array([0, 1, 1, 2])
 
-    Bond k's term is added, in bond order, into the entries where
-    I kron h_k kron I can be nonzero: viewing H's row and column indices as
-    (left sites, pair k, right sites), those with equal left and equal right
-    sites, a strided view of H.  H has the terms' dtype.
+
+@functools.cache
+def _bond_index(n_sites: int, split: bool) -> tuple[np.ndarray, ...]:
+    """Positions in the flat buffer of H's blocks, held read-only per width and layout.
+
+    The buffer is H itself, or when ``split`` the stacks of ``linalg._sector_index``
+    one after another.  Returns the entries of a 4x4 term that each bond adds (the
+    6 that keep the up-spin count when ``split``, else all 16), the positions of
+    H's diagonal in basis order, and one (2^(N-2), entries) array per bond.
     """
-    n = model.n_sites
-    h = np.zeros((2**n, 2**n), dtype=model.terms.dtype)
-    for k, term in enumerate(model.terms):
-        left, right = 2**k, 2 ** (n - k - 2)
-        diagonal = np.einsum("aibajb->abij", h.reshape(left, 4, right, left, 4, right))
-        diagonal += term
-    return h
+    dim, offset = 2**n_sites, 0
+    row = np.arange(dim)
+    start = row * dim  # where a state's row begins in the buffer
+    for index in linalg._sector_index(n_sites) if split else ():
+        states = index.diagonal(axis1=1, axis2=2) // (dim + 1)
+        start[states] = np.arange(offset, offset + index.size, len(states[0])).reshape(states.shape)
+        row[states] = np.arange(len(states[0]))
+        offset += index.size
+    entries = np.flatnonzero(~_CROSS if split else np.ones(16))
+    tables = [entries, start + row]
+    for k in range(n_sites - 1):  # a state is (left sites, bond k's pair, right sites)
+        right = 2 ** (n_sites - k - 2)
+        outside = (np.arange(2**k)[:, None] * 4 * right + np.arange(right)).reshape(-1, 1)
+        tables.append(start[outside + entries // 4 * right] + row[outside + entries % 4 * right])
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def exact_gibbs(model: SpinChainModel) -> np.ndarray:
-    """exp(-beta H) / tr exp(-beta H), diagonalized by sectors (``linalg.by_blocks``).
-
-    A chain whose bond terms commute with sz.1 + 1.sz is diagonalized in its
-    N+1 total-Sz sectors, the widest C(N, N/2) states; any other H is one
-    block.  Every spectrum is shifted by the global minimum so large beta
-    cannot overflow; the shift cancels in the normalization.  The sector
-    blocks of one state must share that one scale, so the per-matrix shift of
-    ``linalg.shifted_exp`` does not serve here.  A real model's state is
-    float64, computed in real arithmetic.
-    """
-    def gibbs(stacks):
-        eigs = [linalg.herm_eig(s) for s in stacks]
-        lowest = min(w.min() for w, _ in eigs)
-        return [linalg.spectral(v, np.exp(-model.beta * (w - lowest))) for w, v in eigs]
-
-    rho = linalg.by_blocks(total_hamiltonian(model), gibbs)
-    rho /= np.trace(rho).real
+    """exp(-beta H) / tr exp(-beta H) from H's blocks, added up bond by bond at the
+    positions ``_bond_index`` holds: the N+1 total-Sz sectors (one ``herm_eig`` call
+    per size) from ``linalg.BLOCK_MIN_DIM`` states on when no term mixes up-spin
+    counts, else H whole.  All spectra share one shift, their global minimum, so no
+    beta overflows; the blocks are divided by their diagonal summed in basis order
+    (``np.trace``'s bits) and scattered into the dense state."""
+    n, dim, terms = model.n_sites, 2**model.n_sites, model.terms
+    split = dim >= linalg.BLOCK_MIN_DIM and not terms[:, _CROSS].any()
+    index = linalg._sector_index(n) if split else ()
+    entries, diagonal, *bonds = _bond_index(n, split)
+    buf = np.zeros(sum(i.size for i in index) or dim * dim, terms.dtype)
+    for at, term in zip(bonds, terms):
+        buf[at] += term.ravel()[entries]
+    # the state is allocated before the eigensolves: after them, warm calls fault it in
+    rho = np.zeros((dim, dim), buf.dtype) if split else buf.reshape(dim, dim)
+    ends = itertools.accumulate(i.size for i in index)
+    stacks = [buf[e - i.size:e].reshape(i.shape) for e, i in zip(ends, index)] or [rho[None]]
+    eigs = [linalg.herm_eig(s) for s in stacks]
+    lowest = min(w.min() for w, _ in eigs)
+    for s, (w, v) in zip(stacks, eigs):
+        s[...] = linalg.spectral(v, np.exp(-model.beta * (w - lowest)))
+    buf /= buf[diagonal].sum().real
+    for i, s in zip(index, stacks):
+        rho.ravel()[i] = s
     return rho
 
 

@@ -35,6 +35,48 @@ def solve_calls(monkeypatch):
     return calls
 
 
+def total_hamiltonian(model):
+    """H = sum_k I^(k) kron h_k kron I^(N-k-2) in the terms' dtype, the dense oracle
+    of spinchain.exact_gibbs.
+
+    Bond k's term is added, in bond order, into the entries where
+    I kron h_k kron I can be nonzero: viewing H's row and column indices as
+    (left sites, pair k, right sites), those with equal left and equal right
+    sites, a strided view of H.
+    """
+    n = model.n_sites
+    h = np.zeros((2**n, 2**n), dtype=model.terms.dtype)
+    for k, term in enumerate(model.terms):
+        left, right = 2**k, 2 ** (n - k - 2)
+        diagonal = np.einsum("aibajb->abij", h.reshape(left, 4, right, left, 4, right))
+        diagonal += term
+    return h
+
+
+def dense_exact_gibbs(model):
+    """exp(-beta H) / Z through the dense H: linalg.by_blocks hands total_hamiltonian's
+    total-Sz sectors (or H whole) to herm_eig, every spectrum shifted by the global
+    minimum, and the dense state is divided by its np.trace.  spinchain.exact_gibbs
+    must give these bits without forming H."""
+    def gibbs(stacks):
+        eigs = [linalg.herm_eig(s) for s in stacks]
+        lowest = min(w.min() for w, _ in eigs)
+        return [linalg.spectral(v, np.exp(-model.beta * (w - lowest))) for w, v in eigs]
+
+    rho = linalg.by_blocks(total_hamiltonian(model), gibbs)
+    rho /= np.trace(rho).real
+    return rho
+
+
+def rotated(model, theta):
+    """The model with every site turned by the real rotation u = exp(-i theta sigma_y / 2):
+    each bond term becomes (u x u) E (u x u)^T.  Returns the model and u."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    u = np.array([[c, -s], [s, c]])
+    uu = np.kron(u, u)
+    return SpinChainModel(model.n_sites, tuple(uu @ t @ uu.T for t in model.terms), model.beta), u
+
+
 def sector_shapes(n_sites):
     """The (k, d, d) stacks into which linalg.by_blocks splits a 2^n_sites matrix
     that keeps total Sz: the k sectors of d states, d ascending, counted by a

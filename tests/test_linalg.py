@@ -14,11 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import herm_log
-from spinbp import cbp, linalg, qbp, trotter
+from conftest import herm_log, total_hamiltonian
+from spinbp import cbp, linalg, qbp, spinchain, trotter
 from spinbp.spinchain import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, total_hamiltonian,
-    xxz_chain,
+    SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -726,8 +725,10 @@ def test_shifted_exp_is_the_only_exponential_outside_the_exact_state():
 def test_by_blocks_is_the_only_block_kernel():
     """The sectors are listed (argsort) and the block index s[:, :, None],
     s[:, None, :] that gathers and scatters their blocks is built, in src/spinbp
-    only inside linalg._sector_index, once per width (functools.cache).  by_blocks
-    is its one caller, the one reader of the index."""
+    only inside linalg._sector_index, once per width (functools.cache).  Its
+    readers are by_blocks, which gathers and scatters W's blocks, and spinchain:
+    _bond_index, the per-bond table of H's block positions (held too), and
+    exact_gibbs, which scatters the state's blocks."""
     built, calls, cached = [], [], []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -750,5 +751,34 @@ def test_by_blocks_is_the_only_block_kernel():
             elif name == "_sector_index":
                 calls.append(where)
     assert built == ["linalg.py:_sector_index"] * 3
-    assert calls == ["linalg.py:by_blocks"]
-    assert cached == ["linalg.py:_sector_index"]
+    assert calls == ["linalg.py:by_blocks", "spinchain.py:_bond_index", "spinchain.py:exact_gibbs"]
+    assert cached == ["linalg.py:_sector_index", "spinchain.py:_bond_index"]
+
+
+def test_held_tables_are_built_once_per_width_and_read_only():
+    # the sector index and the per-bond tables of both layouts (sectors, and H
+    # whole for the transverse field and below BLOCK_MIN_DIM): a second round of
+    # the same widths builds nothing, and no held array can be written
+    transverse = np.kron(SIGMA_X, I2).real
+    widths = (3, 7, 8)
+
+    def run():
+        for sites in widths:
+            exact_gibbs(heisenberg_chain(sites, 1.0))
+            exact_gibbs(SpinChainModel(sites, (transverse,) * (sites - 1), 1.0))
+
+    run()
+    built = [held.cache_info() for held in (linalg._sector_index, spinchain._bond_index)]
+    run()
+    for held, before in zip((linalg._sector_index, spinchain._bond_index), built):
+        after = held.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert after.hits > before.hits
+    for sites in widths:
+        for split in (False, True):
+            tables = spinchain._bond_index(sites, split)
+            assert isinstance(tables, tuple) and tables is spinchain._bond_index(sites, split)
+            assert len(tables) == sites + 1  # the entries, the diagonal, one per bond
+            for table in tables + linalg._sector_index(sites):
+                with pytest.raises(ValueError, match="read-only"):
+                    table.flat[0] = 0

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import complex_rotated, free_fermion_pairs, herm_log
+from conftest import complex_rotated, free_fermion_pairs, herm_log, rotated
 from spinbp import linalg, metrics, qbp
 from spinbp.qbp import (
     QbpResult,
@@ -762,15 +762,6 @@ def test_a_1024_site_xx_chain_converges_near_the_free_fermion_pairs():
         for a, pair in enumerate(free_fermion_pairs(couplings, 0.3, 0.5))
     )
     assert worst < XX_PAIR_TD_MAX[0.5]
-
-
-def rotated(model, theta):
-    """The model with every site turned by the real rotation u = exp(-i theta sigma_y / 2):
-    each bond term becomes (u x u) E (u x u)^T.  Returns the model and u."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    u = np.array([[c, -s], [s, c]])
-    uu = np.kron(u, u)
-    return SpinChainModel(model.n_sites, tuple(uu @ t @ uu.T for t in model.terms), model.beta), u
 
 
 @pytest.mark.parametrize("n_sites", [16, 64, 128])

@@ -6,7 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import embed_term, herm_func, sector_shapes, tfim_pairs
+from conftest import (
+    complex_rotated, dense_exact_gibbs, embed_term, herm_func, rotated, sector_shapes, tfim_pairs,
+    total_hamiltonian,
+)
 from spinbp import cbp, linalg, metrics, spinchain, trotter
 from spinbp.qbp import qbp_run
 from spinbp.spinchain import (
@@ -17,7 +20,6 @@ from spinbp.spinchain import (
     exact_gibbs,
     heisenberg_chain,
     heisenberg_term,
-    total_hamiltonian,
     xxz_chain,
     xxz_term,
 )
@@ -216,6 +218,46 @@ def test_exact_gibbs_matches_the_ising_oracle_as_one_block(low, g, eig_calls):
             for a, pair in enumerate(tfim_pairs(couplings, g, beta)):
                 np.testing.assert_allclose(linalg.partial_trace(rho, [2] * sites, (a, a + 1)),
                                            pair, rtol=0, atol=1e-12)
+
+
+def random_couplings(sites):
+    return np.random.default_rng(sites).uniform(0.9, 1.1, sites - 1)
+
+
+def xx_chain(sites, beta):
+    return xxz_chain(sites, beta, random_couplings(sites), delta=0.0, field=0.3)
+
+
+# builder and whether its bond terms keep total Sz
+ORACLE_MODELS = {
+    "heisenberg": (lambda sites, beta: heisenberg_chain(sites, beta, random_couplings(sites)), True),
+    "xxz-field": (SECTOR_MODELS["xxz-field"], True),
+    # turned about z, the XX chain gains a complex Dzyaloshinskii-Moriya exchange
+    "xx-dm": (lambda sites, beta: complex_rotated(xx_chain(sites, beta), 0.0)[0], True),
+    "ising": (lambda sites, beta: ising_chain(random_couplings(sites), 0.7, beta), False),
+    "xx-turned": (lambda sites, beta: rotated(xx_chain(sites, beta), 0.4)[0], False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_MODELS))
+def test_exact_gibbs_is_the_dense_oracle_bit_for_bit(kind, eig_calls):
+    # H's blocks filled from the bond terms give the bits of the route through
+    # the dense H: the same adds per entry in bond order, the same eigensolves,
+    # and the diagonal summed in basis order as np.trace sums it.  A chain that
+    # keeps total Sz makes one call per sector size from BLOCK_MIN_DIM states
+    # on; a narrower one, and one whose terms mix the sectors, one call on H whole
+    build, keeps_sz = ORACLE_MODELS[kind]
+    for sites in range(1, 11):
+        for beta in (0.5, 2.0, 300.0):
+            model = build(sites, beta)
+            assert np.iscomplexobj(model.terms) == (kind == "xx-dm" and sites > 1)
+            expected = dense_exact_gibbs(model)
+            eig_calls.clear()
+            got = exact_gibbs(model)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            split = keeps_sz and 2**sites >= linalg.BLOCK_MIN_DIM
+            assert shapes(eig_calls) == (sector_shapes(sites) if split
+                                         else [(1, 2**sites, 2**sites)])
 
 
 @pytest.mark.parametrize("kind", ["heisenberg", "xxz-field"])

@@ -7,21 +7,19 @@ n -> infinity limit against full diagonalization.
 """
 
 import functools
-import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import complex_rotated, embed_term, herm_func, sector_shapes
+from conftest import complex_rotated, embed_term, herm_func, sector_shapes, total_hamiltonian
 from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
     SpinChainModel,
     exact_gibbs,
     heisenberg_chain,
-    total_hamiltonian,
     xxz_chain,
     xxz_term,
 )
@@ -188,21 +186,19 @@ def traced_peak(call) -> int:
 def test_st_density_peaks_at_three_full_size_arrays(build):
     # in units of one 2^N x 2^N float64 array: W dies with the contraction,
     # which normalizes its fresh block in place, so the peak is the marginal
-    # and its complex copy (3.005).  by_blocks drops its reference to H after
-    # the gather; the sector index it reads is built once per width and held
-    # (C(16, 8) int64 indices, about 0.2 units), so the warm-up call builds it
-    # and the traced call allocates none.
-    # From Python 3.11 a called Python function owns its arguments, so H dies
-    # there and the exact state peaks at 2.198; before 3.11 the caller's stack
-    # keeps H alive until by_blocks returns (2.760 with H held by the caller).
+    # and its complex copy (3.005).  No dense H exists: the exact state (one
+    # unit) is allocated before the eigensolves, beside H's sector blocks and
+    # their eigenvectors (C(16, 8) entries each, about 0.2 units) and the
+    # spectral products of the widest sector, so it peaks at 1.695.  The sector
+    # index and the bond tables are built once per width and held, so the
+    # warm-up call builds them and the traced call allocates none.
     sites = 8
     unit = 8 * 4**sites
     model = build(sites, 1.0)
     for n in (20, 100):
         plan = trotter_plan(model, n)
         assert traced_peak(lambda: st_density(plan)) <= 3.01 * unit
-    exact_bound = 2.25 if sys.version_info >= (3, 11) else 2.80
-    assert traced_peak(lambda: exact_gibbs(model)) <= exact_bound * unit
+    assert traced_peak(lambda: exact_gibbs(model)) <= 1.74 * unit
 
 
 @pytest.mark.parametrize("build", [
@@ -241,7 +237,8 @@ def handed_over(matrix):
 
 
 def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
-    # W and H of 256 states are split into sectors; those of 8 are taken whole
+    # W of 256 states is split into sectors; that of 8 is taken whole.  exact_gibbs
+    # fills H's blocks from the bond terms and hands by_blocks no matrix
     matrices, by_blocks = [], linalg.by_blocks
 
     def recording(a, fn):
@@ -254,7 +251,7 @@ def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
         exact_gibbs(heisenberg_chain(sites, 1.0))
     monkeypatch.undo()
     sectors = [(2, 1, 1), (2, 8, 8), (2, 28, 28), (2, 56, 56), (1, 70, 70)]
-    assert [handed_over(a) for a in matrices] == [sectors] * 2 + [[(1, 8, 8)]] * 2
+    assert [handed_over(a) for a in matrices] == [sectors, [(1, 8, 8)]]
 
 
 def test_a_transverse_field_leaves_one_block(monkeypatch):
