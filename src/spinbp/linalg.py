@@ -268,7 +268,7 @@ def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
         stacks = [flat[i] for i in index]
         if sum(np.count_nonzero(s != 0) for s in stacks) == np.count_nonzero(flat != 0):
             out = np.zeros(a.shape, a.dtype)
-            del a, flat  # so a caller's temporary input can die before fn runs
+            del flat  # a copy when a is not C-ordered: it can die before fn runs
             for i, stack in zip(index, fn(stacks)):
                 out.ravel()[i] = stack
             return out

@@ -668,18 +668,25 @@ def test_exact_row_state_scores_the_sweep_as_a_separate_reference_call():
 
 
 def test_cli_exact_failure_fails_every_row_and_exits_3(monkeypatch, capsys):
-    def failing_exact(model):
-        raise RuntimeError("exact broke")
+    # with an exact row its own error fails it; without one the untimed reference
+    # call's error, whatever its type, fails every row and names the exact error
+    cases = [("qbp,exact", RuntimeError), ("qbp", RuntimeError), ("st,qbp", RuntimeError),
+             ("st,qbp", linalg.NotHermitianError), ("qbp", MemoryError)]
+    for methods, error in cases:
+        def failing_exact(model):
+            raise error("exact broke")
 
-    monkeypatch.setattr(spinchain, "exact_gibbs", failing_exact)
-    argv = ["sweep", "--beta-steps", "2", "--methods", "qbp,exact", "--time-repeats", "0"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    rows = captured.out.splitlines()[1:]
-    assert len(rows) == 4
-    assert all(",error: exact broke" in r for r in rows if ",exact," in r)
-    assert all("error: no exact reference state" in r for r in rows if ",qbp," in r)
-    assert captured.err.count("spinbp: row") == 4
+        monkeypatch.setattr(spinchain, "exact_gibbs", failing_exact)
+        argv = ["sweep", "--beta-steps", "2", "--methods", methods, "--time-repeats", "0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 2 * (1 + ("exact" in methods) + 2 * ("st" in methods))
+        assert all(",error: exact broke" in r for r in rows if ",exact," in r)
+        other = [r for r in rows if ",exact," not in r]
+        reason = "the exact row failed" if "exact" in methods else "exact broke"
+        assert all(r.endswith(f",error: no exact reference state: {reason}") for r in other)
+        assert captured.err.count("spinbp: row") == len(rows)
 
 
 # --- model keys: every sweep model is built by spinchain.model_from_keys ----------
@@ -690,28 +697,45 @@ XXZ_CONFIG = (
 )
 
 
+HEISENBERG_CONFIG = "sites=8\nbeta-min=0.5\nbeta-max=2\nbeta-steps=3\ntime-repeats=0\n"
+
+
 def test_cli_xxz_config_sweep_rows_are_the_library_calls(tmp_path, capsys):
-    cfg = tmp_path / "xxz.cfg"
-    cfg.write_text(XXZ_CONFIG, encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg)]) == 3
-    captured = capsys.readouterr()
-    records = run_sweep(sweep_config(["--config", str(cfg)]))
-    assert captured.out == format_csv(records)
-    qbp_rows = [r for r in records if r.method == "qbp"]
-    assert [r.beta for r in qbp_rows] == [0.5, 1.25, 2.0]
-    for r in qbp_rows:
-        model = spinchain.xxz_chain(8, r.beta, None, 0.5, 0.3)
-        exact = linalg.partial_trace(spinchain.exact_gibbs(model), [2] * 8, (0, 1))
-        result = qbp.qbp_run(model)
-        fid, dist = metrics.scores(result.beliefs_pair[(0, 1)], exact)
-        assert (r.fidelity, r.trace_distance, r.iterations) == (fid, dist, result.iterations)
-        assert r.iterations > 1  # off the SU(2) chain the qbp iteration runs
-    st_rows = [r for r in records if r.method == "st"]
-    assert len(st_rows) == 6
-    for r in st_rows:
-        # first-order st is non-Hermitian here until a second-order splitting lands
-        assert "Hermiticity residue" in r.status
-        assert f"spinbp: row (beta={r.beta:g}, st, n={r.n_slices}): {r.status}" in captured.err
+    # an XXZ chain in a field, whose first-order st rows fail, and the Heisenberg
+    # chain, which scores every row: (delta, field) of the xxz_chain each config reads
+    for text, delta, field in [(XXZ_CONFIG, 0.5, 0.3), (HEISENBERG_CONFIG, 1.0, 0.0)]:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        heisenberg = text == HEISENBERG_CONFIG
+        assert main(["sweep", "--config", str(cfg)]) == (0 if heisenberg else 3)
+        captured = capsys.readouterr()
+        records = run_sweep(sweep_config(["--config", str(cfg)]))
+        assert captured.out == format_csv(records)
+        assert [r.beta for r in records if r.method == "qbp"] == [0.5, 1.25, 2.0]
+        st_rows = [r for r in records if r.method == "st"]
+        assert len(st_rows) == 6
+        for r in records:
+            model = spinchain.xxz_chain(8, r.beta, None, delta, field)
+            exact = linalg.partial_trace(spinchain.exact_gibbs(model), [2] * 8, (0, 1))
+            if r.method == "st" and not heisenberg:
+                # first-order st is non-Hermitian here until a second-order splitting lands
+                assert "Hermiticity residue" in r.status
+                line = f"spinbp: row (beta={r.beta:g}, st, n={r.n_slices}): {r.status}"
+                assert line in captured.err
+                continue
+            if r.method == "exact":
+                state, iterations = exact, 0
+            elif r.method == "st":
+                plan = trotter.trotter_plan(model, r.n_slices)
+                state, iterations = trotter.st_reduced(plan, (0, 1)), r.n_slices
+            else:
+                result = qbp.qbp_run(model)
+                state, iterations = result.beliefs_pair[(0, 1)], result.iterations
+                # off the SU(2) chain the qbp iteration runs; on it, one evaluation
+                assert (iterations == 1) if heisenberg else (iterations > 1)
+            fid, dist = metrics.scores(state, exact)
+            assert (r.fidelity, r.trace_distance, r.iterations) == (fid, dist, iterations)
+            assert r.status == "ok"
 
 
 @pytest.mark.parametrize("model_keys", [{}, {"model": "xxz", "delta": "0.5", "field": "0.3"}])

@@ -387,6 +387,29 @@ def test_qbp_run_reads_its_tolerance_and_budget_from_the_module(monkeypatch):
     assert (plain.iterations, plain.converged, len(plain.residuals)) == (5, False, 5)
 
 
+def test_a_rejected_trial_step_leaves_the_messages_it_started_from(monkeypatch):
+    # XXZ(delta=-1) in a field at beta 300: with a budget of 12 the run ends on an
+    # accepted step at residual 1.97e-4, and the 13th evaluation of a budget of 13
+    # is a trial step that does not lower it, so the run must return the beliefs
+    # of the messages that trial started from, bit for bit
+    couplings = np.random.default_rng(2).uniform(0.9, 1.1, 7)
+    model = xxz_chain(8, 300.0, couplings, delta=-1.0, field=0.3)
+    runs = []
+    for budget in (12, 13):
+        monkeypatch.setattr(qbp, "MAX_SWEEPS", budget)
+        runs.append(qbp_run(model))
+    accepted, rejected = runs
+    assert (accepted.iterations, rejected.iterations) == (12, 13)
+    assert not accepted.converged and not rejected.converged
+    assert rejected.residuals == accepted.residuals
+    assert rejected.residual == accepted.residual == pytest.approx(1.973e-4, rel=1e-3)
+    for beliefs in ("beliefs_single", "beliefs_pair"):
+        before, after = getattr(accepted, beliefs), getattr(rejected, beliefs)
+        assert before.keys() == after.keys()
+        for key in before:
+            np.testing.assert_array_equal(after[key], before[key])
+
+
 def test_residual_history():
     # one residual for the start and one for each Newton step, each below the last;
     # a step costs a Jacobian (4 evaluations) and at least one trial

@@ -205,9 +205,9 @@ def ising_chain(couplings, g, beta):
 
 @pytest.mark.parametrize("low, g", [(0.9, 0.7), (-1.1, -1.3)], ids=["ferro", "mixed-sign"])
 def test_exact_gibbs_matches_the_ising_oracle_as_one_block(low, g, eig_calls):
-    # sx.sx puts entries between the total-Sz sectors, so from BLOCK_MIN_DIM
-    # states on by_blocks counts them and hands H over whole: at N = 8 and 10
-    # this scores the one-block path against the Majorana solution
+    # sx.sx mixes up-spin counts, so exact_gibbs's term rule keeps H whole even
+    # from BLOCK_MIN_DIM states on: at N = 8 and 10 this scores the one-block
+    # path against the Majorana solution
     assert 2**8 >= linalg.BLOCK_MIN_DIM
     for sites in (3, 4, 6, 8, 10):
         couplings = np.random.default_rng(sites).uniform(low, 1.1, sites - 1)
