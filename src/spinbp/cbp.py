@@ -6,7 +6,7 @@ quasi-marginals rather than probabilities.  Every message is rescaled to
 unit absolute sum when it is produced, so arbitrarily long chains neither
 underflow nor overflow; the beliefs are normalized, so the scales are not
 kept.  ``chain_end_marginal`` serves the Suzuki-Trotter chain, n copies of
-one potential, whose end marginal is one matrix power.
+one potential: one matrix power, carried in one flat buffer of its sectors.
 """
 
 from __future__ import annotations
@@ -200,29 +200,37 @@ def belief_pair(chain: FactorChain, messages: dict, i: int, j: int) -> np.ndarra
     return b / b.sum()
 
 
-def _rescaled(arrays: list) -> list:
-    """Divide every array in place by the largest absolute entry over all of
-    them, unless that is zero."""
-    scale = max(np.abs(a).max() for a in arrays)
-    if scale > 0.0:
-        for a in arrays:
-            a /= scale
-    return arrays
-
-
 def _power(stacks: list, count: int) -> list:
-    """Each stack to the power ``count`` >= 1: the power is squared at each bit
-    of count and multiplies the result where the bit is set.  Before each
-    product its operand is rescaled over all stacks (``_rescaled``), in place."""
-    result = None
+    """The stacks ``linalg.by_blocks`` hands over, views of one flat buffer, each
+    to the power ``count`` >= 1, then divided by their absolute sum into them.
+    The power is squared at each bit of count and multiplies the result where the
+    bit is set, one ``np.matmul`` per stack into a spare buffer.  Before each
+    product the right operand is divided in place by its largest |entry| (unless
+    zero); the |entries| here and for the sum go into a spare's real part."""
+    spare, power, result = [], stacks, None
+
+    def times(a, b):  # a @ (b rescaled in place), into a spare buffer; b's is spare after
+        out = spare.pop() if spare else linalg._split(np.empty_like(b[0].base), b)
+        flat = b[0].base
+        top = np.maximum.reduce(np.abs(flat, out[0].base.real))
+        if top > 0.0:
+            flat /= top
+        for x, y, z in zip(a, b, out):
+            np.matmul(x, y, z)
+        spare.append(b)
+        return out
+
     while True:
         if count & 1:
-            result = ([p.copy() for p in stacks] if result is None
-                      else [p @ r for p, r in zip(stacks, _rescaled(result))])
+            result = power if result is None else times(power, result)
         count >>= 1
         if not count:
-            return result
-        stacks = [p @ p for p in _rescaled(stacks)]
+            flat, into = result[0].base, spare[-1][0].base.real if spare else None
+            np.divide(flat, np.add.reduce(np.abs(flat, into)), stacks[0].base)
+            return stacks
+        if power is result:  # the result keeps this buffer: square a copy
+            power = linalg._split(power[0].base.copy(), stacks)
+        power = times(power, power)
 
 
 def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
@@ -235,13 +243,11 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
     powered within the total-Sz sectors of its 2^N states when they hold
     every nonzero entry (``linalg.by_blocks``): floor(log2 n) squarings and
     popcount(n) - 1 products, each operand first divided by its largest
-    absolute entry (unless that is zero), so long chains stay in range.  The
-    returned matrix (axes: first variable, last variable) is fresh and
-    normalized to unit absolute sum in place.
+    absolute entry over all sectors (unless that is zero), so long chains stay
+    in range.  The returned matrix (axes: first variable, last variable) is
+    fresh, with unit absolute sum, normalized on the sectors before the scatter.
     """
     n = len(potentials)
     if not n or any(p is not potentials[0] for p in potentials):
         raise ValueError("need one potential object repeated n >= 1 times")
-    w = linalg.as_matrix(potentials[0])
-    block = linalg.by_blocks(w, lambda stacks: _power(stacks, n))
-    return np.divide(block, np.abs(block).sum(), out=block)
+    return linalg.by_blocks(linalg.as_matrix(potentials[0]), lambda stacks: _power(stacks, n))

@@ -15,14 +15,15 @@ skips the relative test and the symmetrization, which would return it bit for
 bit; a NaN or inf entry is always rejected.
 
 ``by_blocks`` applies a function to the total-Sz sectors of a 2^N x 2^N matrix
-(the basis states with equal set-bit counts), one stack per sector size, when
-the sectors hold every nonzero entry: so the st engine's W, which keeps total
-Sz, costs the sum of the sectors' cubes, and any other matrix, or one narrower
-than ``BLOCK_MIN_DIM``, is one block.  ``_sector_index``, the flat gather/scatter
-index of the blocks, is built once per width and held read-only (C(2N, N) x 8
-bytes: 0.10 MB at N = 8, 1.48 MB at N = 10, 21.6 MB at N = 12); the sectors are
-read off its diagonal.  ``spinchain.exact_gibbs`` fills H's blocks from the bond
-terms through it and per-bond tables (0.02, 0.12 and 0.57 MB more).
+(the basis states with equal set-bit counts), one stack per sector size, all
+views of one flat buffer filled by one gather and scattered back by one write,
+when the sectors hold every nonzero entry: so the st engine's W, which keeps
+total Sz, costs the sum of the sectors' cubes, and any other matrix, or one
+narrower than ``BLOCK_MIN_DIM``, is one block.  ``_sector_index``, the one flat
+gather/scatter index, is held read-only per width (C(2N, N) x 8 bytes: 0.10 MB
+at N = 8, 1.48 MB at N = 10, 21.6 MB at N = 12).  ``spinchain.exact_gibbs``
+fills H's blocks from the bond terms through it and per-bond tables (0.02, 0.12
+and 0.57 MB more).
 
 ``require_hermitian``, ``herm_eig``, ``shifted_exp``, ``spectral`` and
 ``kron`` also take a stack of shape (..., d, d) and act on each matrix, so
@@ -227,12 +228,12 @@ def partial_trace(a, site_dims: Sequence[int], keep) -> np.ndarray:
 @functools.cache
 def _sector_index(n_sites: int) -> tuple[np.ndarray, ...]:
     """The flat row-major index of the total-Sz sector blocks of a 2^N x 2^N
-    matrix, one read-only (k, d, d) array per sector size d, ascending, built
-    once per width and held.
+    matrix, built once per width and held: one read-only array, C(2N, N) entries,
+    as (k, d, d) views per sector size d, ascending (``[0].base`` is the array).
 
     Basis state i lies in sector c when c bits of i are set; the k sectors of
     d = C(N, c) states come ordered by c, ascending within each.  Entry [j, r, r]
-    of an array is s * (2^N + 1) for the r-th state s of its j-th sector, so the
+    of a view is s * (2^N + 1) for the r-th state s of its j-th sector, so the
     sectors are its diagonal divided by 2^N + 1.
     """
     counts = np.zeros(1, dtype=np.intp)
@@ -241,36 +242,46 @@ def _sector_index(n_sites: int) -> tuple[np.ndarray, ...]:
     sizes = [math.comb(n_sites, c) for c in range(n_sites + 1)]
     sectors = np.split(np.argsort(counts, kind="stable"), np.cumsum(sizes)[:-1])
     stacks = (np.array([s for s in sectors if len(s) == d]) for d in sorted(set(sizes)))
-    index = tuple(s[:, :, None] * 2**n_sites + s[:, None, :] for s in stacks)
-    for i in index:
-        i.flags.writeable = False
-    return index
+    index = [s[:, :, None] * 2**n_sites + s[:, None, :] for s in stacks]
+    flat = np.concatenate(index, axis=None)
+    flat.flags.writeable = False
+    return tuple(_split(flat, index))
+
+
+def _split(flat: np.ndarray, like: Sequence[np.ndarray]) -> list:
+    """``flat`` cut into views shaped as the arrays of ``like``, laid end to end."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
     """The square matrix ``a`` with ``fn`` applied to its total-Sz sector blocks.
 
     ``fn`` takes the blocks of the sectors (the basis states with equal set-bit
-    counts) as a list of (k, d, d) stacks in ascending d, which it may overwrite,
-    and returns stacks of the same shapes; entries between blocks stay zero.  The
-    sectors are used only when they hold every nonzero entry of ``a`` (a NaN
-    counts as nonzero).  Otherwise, and for a matrix narrower than
-    ``BLOCK_MIN_DIM`` or whose width is not a power of two, ``a`` is one block and
-    ``fn`` gets a copy of it.  The result is C-ordered, whatever the layout of
-    ``a``: every block is gathered from one ravelled view or copy of ``a`` and
-    scattered back by the flat indices that ``_sector_index`` builds on the first
-    call at a width and then holds.
+    counts) as (k, d, d) stacks in ascending d, views of one flat buffer, which it
+    may overwrite, and returns stacks of the same shapes; entries between blocks
+    stay zero.  The sectors are used only when they hold every nonzero entry of
+    ``a`` (a NaN counts as nonzero).  Otherwise, and for a matrix narrower than
+    ``BLOCK_MIN_DIM`` or whose width is not a power of two, ``a`` is one block,
+    handed over as a flat copy.  The result is C-ordered, whatever the layout of
+    ``a``: one indexed read of a ravelled view or copy of ``a`` gathers the blocks
+    and one indexed write scatters the buffer (joined anew unless ``fn`` returns
+    the stacks it was handed), through the flat index ``_sector_index`` holds.
     """
     dim = len(a)
     if dim >= BLOCK_MIN_DIM and not dim & (dim - 1):
         index = _sector_index(dim.bit_length() - 1)
         flat = a.ravel()
-        stacks = [flat[i] for i in index]
-        if sum(np.count_nonzero(s != 0) for s in stacks) == np.count_nonzero(flat != 0):
+        buf = flat[index[0].base]
+        if np.count_nonzero(buf != 0) == np.count_nonzero(flat != 0):
             out = np.zeros(a.shape, a.dtype)
             del flat  # a copy when a is not C-ordered: it can die before fn runs
-            for i, stack in zip(index, fn(stacks)):
-                out.ravel()[i] = stack
+            got = fn(stacks := _split(buf, index))
+            if any(g is not s for g, s in zip(got, stacks)):
+                buf = np.concatenate(got, axis=None)
+            out.ravel()[index[0].base] = buf
             return out
-    return fn([a[None].copy()])[0][0]
-
+    return fn([a.flatten().reshape(1, dim, dim)])[0][0]

@@ -13,7 +13,6 @@ total-Sz sector blocks, filled straight from the bond terms: H is never dense.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,15 +171,14 @@ def exact_gibbs(model: SpinChainModel) -> np.ndarray:
         buf[at] += term.ravel()[entries]
     # the state is allocated before the eigensolves: after them, warm calls fault it in
     rho = np.zeros((dim, dim), buf.dtype) if split else buf.reshape(dim, dim)
-    ends = itertools.accumulate(i.size for i in index)
-    stacks = [buf[e - i.size:e].reshape(i.shape) for e, i in zip(ends, index)] or [rho[None]]
+    stacks = linalg._split(buf, index) or [rho[None]]
     eigs = [linalg.herm_eig(s) for s in stacks]
     lowest = min(w.min() for w, _ in eigs)
     for s, (w, v) in zip(stacks, eigs):
         s[...] = linalg.spectral(v, np.exp(-model.beta * (w - lowest)))
     buf /= buf[diagonal].sum().real
-    for i, s in zip(index, stacks):
-        rho.ravel()[i] = s
+    if split:
+        rho.ravel()[index[0].base] = buf
     return rho
 
 

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from spinbp import cbp, linalg
+from conftest import complex_rotated
+from spinbp import cbp, linalg, trotter
 from spinbp.cbp import (
     FactorChain,
     NotAnEdgeError,
@@ -17,6 +18,7 @@ from spinbp.cbp import (
     chain_end_marginal,
     run_bp,
 )
+from spinbp.spinchain import heisenberg_chain, xxz_chain
 
 
 def loop_marginal(cards, edges, phis, targets):
@@ -298,6 +300,102 @@ def test_chain_end_marginal_powers_block_diagonal_potentials(power_path, monkeyp
         np.testing.assert_array_equal(got[between], 0.0)
     shapes = [(2, 1, 1), (2, 3, 3)] if power_path == "blocks" else [(1, 8, 8)]
     assert powered == [shapes] * 64  # n = 1 is powered too
+
+
+def rescaled(arrays: list) -> list:
+    """Divide every array in place by the largest absolute entry over all of
+    them, unless that is zero: the per-stack rescale of the oracle below."""
+    scale = max(np.abs(a).max() for a in arrays)
+    if scale > 0.0:
+        for a in arrays:
+            a /= scale
+    return arrays
+
+
+def power_per_stack(stacks: list, count: int) -> list:
+    """Each stack to the power ``count`` >= 1, stack by stack: the power is squared
+    at each bit of count and multiplies the result where the bit is set, and before
+    each product its operand is rescaled over all stacks, in place.  The oracle of
+    cbp._power, which carries the stacks in one flat buffer."""
+    result = None
+    while True:
+        if count & 1:
+            result = ([p.copy() for p in stacks] if result is None
+                      else [p @ r for p, r in zip(stacks, rescaled(result))])
+        count >>= 1
+        if not count:
+            return result
+        stacks = [p @ p for p in rescaled(stacks)]
+
+
+def laid_out(stacks):
+    """Copies of ``stacks`` as by_blocks hands them over: views of one flat buffer."""
+    return linalg._split(np.concatenate(stacks, axis=None), stacks)
+
+
+def handed_stacks(matrix):
+    """The stacks linalg.by_blocks hands over for ``matrix``, copied."""
+    seen = []
+    linalg.by_blocks(matrix, lambda stacks: seen.extend(s.copy() for s in stacks) or stacks)
+    return seen
+
+
+def power_inputs():
+    """The N=8 Trotter W's sectors (Heisenberg, XXZ(0.5)+h(0.3), a complex chain),
+    random sector-diagonal stacks, and one 1e-8-scaled block of a long chain."""
+    couplings = np.random.default_rng(1).uniform(0.9, 1.1, 7)
+    models = [heisenberg_chain(8, 2.0, couplings),
+              xxz_chain(8, 2.0, couplings, delta=0.5, field=0.3),
+              complex_rotated(xxz_chain(8, 2.0, couplings, delta=0.5, field=0.3), 0.0)[0]]
+    for model in models:
+        yield handed_stacks(trotter.build_weights(trotter.trotter_plan(model, 20)).matrix)
+    rng = np.random.default_rng(89)
+    yield handed_stacks(sector_diagonal(rng, 8)[0])
+    yield [1e-8 * rng.uniform(0.1, 1.0, size=(1, 3, 3))]
+
+
+def test_power_has_the_bits_of_the_per_stack_oracle_over_their_absolute_sum():
+    # the per-product scale and the matmuls are the oracle's, so only the
+    # normalizing sum is new, and it runs over the stacks in order
+    inputs = list(power_inputs())
+    assert [len(s) for s in inputs] == [5, 5, 5, 5, 1]
+    assert inputs[2][0].dtype == np.complex128
+    for stacks in inputs:
+        for n in [*range(1, 65), 100, 200]:
+            oracle = np.concatenate(power_per_stack([s.copy() for s in stacks], n), axis=None)
+            got = cbp._power(laid_out(stacks), n)
+            assert [g.shape for g in got] == [s.shape for s in stacks]
+            assert np.array_equal(np.concatenate(got, axis=None), oracle / np.abs(oracle).sum())
+
+
+def test_power_makes_floor_log2_plus_popcount_less_one_products(monkeypatch):
+    # one matmul per sector size for each squaring and each product: count
+    # those of the widest sector of an N=8 W
+    stacks = handed_stacks(sector_diagonal(np.random.default_rng(97), 8)[0])
+    shapes, matmul = [], np.matmul
+
+    def counting(a, b, out):
+        shapes.append(out.shape)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(cbp.np, "matmul", counting)
+    for n, products in [(1, 0), (2, 1), (3, 2), (20, 5), (64, 6), (100, 8), (200, 9)]:
+        shapes.clear()
+        cbp._power(laid_out(stacks), n)
+        assert n.bit_length() - 1 + bin(n).count("1") - 1 == products
+        assert shapes.count((1, 70, 70)) == products
+        assert len(shapes) == 5 * products
+
+
+def test_power_of_one_normalizes_the_stacks_it_was_handed():
+    for stacks in power_inputs():
+        handed = laid_out(stacks)
+        before = np.concatenate(handed, axis=None)
+        got = cbp._power(handed, 1)
+        assert len(got) == len(handed)
+        for g, h in zip(got, handed):
+            assert np.shares_memory(g, h) and g.shape == h.shape
+        assert np.array_equal(np.concatenate(handed, axis=None), before / np.abs(before).sum())
 
 
 def test_chain_end_marginal_never_writes_a_potential(power_path):

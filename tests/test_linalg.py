@@ -7,6 +7,7 @@ under test.
 """
 
 import ast
+import math
 import pathlib
 import re
 import warnings
@@ -782,3 +783,12 @@ def test_held_tables_are_built_once_per_width_and_read_only():
             for table in tables + linalg._sector_index(sites):
                 with pytest.raises(ValueError, match="read-only"):
                     table.flat[0] = 0
+    # the sector index holds C(2N, N) entries in all: its per-size arrays are
+    # views of one flat array laid end to end, with no second copy beside them
+    for sites in (4, 8, 10):
+        index = linalg._sector_index(sites)
+        flat = index[0].base
+        assert flat.ndim == 1 and flat.size == math.comb(2 * sites, sites)
+        assert all(i.base is flat for i in index)
+        assert sum(i.size for i in index) == flat.size
+        assert np.array_equal(np.concatenate(index, axis=None), flat)

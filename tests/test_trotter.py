@@ -185,13 +185,13 @@ def traced_peak(call) -> int:
 ], ids=["heisenberg", "xxz-field"])
 def test_st_density_peaks_at_three_full_size_arrays(build):
     # in units of one 2^N x 2^N float64 array: W dies with the contraction,
-    # which normalizes its fresh block in place, so the peak is the marginal
-    # and its complex copy (3.005).  No dense H exists: the exact state (one
-    # unit) is allocated before the eigensolves, beside H's sector blocks and
-    # their eigenvectors (C(16, 8) entries each, about 0.2 units) and the
-    # spectral products of the widest sector, so it peaks at 1.695.  The sector
-    # index and the bond tables are built once per width and held, so the
-    # warm-up call builds them and the traced call allocates none.
+    # which normalizes its sector buffer before the one scatter, so the peak is
+    # the marginal and its complex copy (3.003).  No dense H exists: the exact
+    # state (one unit) is allocated before the eigensolves, beside H's sector
+    # blocks and their eigenvectors (C(16, 8) entries each, about 0.2 units) and
+    # the spectral products of the widest sector, so it peaks at 1.694.  The
+    # sector index and the bond tables are built once per width and held, so
+    # the warm-up call builds them and the traced call allocates none.
     sites = 8
     unit = 8 * 4**sites
     model = build(sites, 1.0)
