@@ -6,7 +6,7 @@ quasi-marginals rather than probabilities.  Every message is rescaled to
 unit absolute sum when it is produced, so arbitrarily long chains neither
 underflow nor overflow; the beliefs are normalized, so the scales are not
 kept.  ``chain_end_marginal`` serves the Suzuki-Trotter chain, n copies of
-one potential: one matrix power, carried in one flat buffer of its sectors.
+one potential: one matrix power, of the sectors gathered into one flat buffer.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def belief_pair(chain: FactorChain, messages: dict, i: int, j: int) -> np.ndarra
     return b / b.sum()
 
 
-def _power(stacks: list, count: int) -> list:
-    """The stacks ``linalg.by_blocks`` hands over, views of one flat buffer, each
-    to the power ``count`` >= 1, then divided by their absolute sum into them.
+def _power(stacks: list, count: int) -> None:
+    """Raise the stacks of ``chain_end_marginal``, views of one flat buffer, each to
+    the power ``count`` >= 1 in place, then divide them by their absolute sum.
     The power is squared at each bit of count and multiplies the result where the
     bit is set, one ``np.matmul`` per stack into a spare buffer.  Before each
     product the right operand is divided in place by its largest |entry| (unless
@@ -227,7 +227,7 @@ def _power(stacks: list, count: int) -> list:
         if not count:
             flat, into = result[0].base, spare[-1][0].base.real if spare else None
             np.divide(flat, np.add.reduce(np.abs(flat, into)), stacks[0].base)
-            return stacks
+            return
         if power is result:  # the result keeps this buffer: square a copy
             power = linalg._split(power[0].base.copy(), stacks)
         power = times(power, power)
@@ -239,15 +239,30 @@ def chain_end_marginal(potentials: Sequence[np.ndarray]) -> np.ndarray:
 
     ``potentials`` is one square potential object repeated n >= 1 times, as
     ``[W] * n``; any other list raises ``ValueError``.  W is read by
-    ``linalg.as_matrix``, so W^n is float64 or complex128 as W is.  W^n is
-    powered within the total-Sz sectors of its 2^N states when they hold
-    every nonzero entry (``linalg.by_blocks``): floor(log2 n) squarings and
-    popcount(n) - 1 products, each operand first divided by its largest
-    absolute entry over all sectors (unless that is zero), so long chains stay
-    in range.  The returned matrix (axes: first variable, last variable) is
-    fresh, with unit absolute sum, normalized on the sectors before the scatter.
+    ``linalg.as_matrix``, so W^n is float64 or complex128 as W is.  When W's
+    total-Sz sectors (``linalg._sector_index``) hold every nonzero entry (a NaN
+    counts), one indexed read gathers them into one flat buffer, ``_power`` powers
+    them there, and one indexed write scatters them into the zeros of the
+    C-ordered result, whatever W's layout; a W narrower than
+    ``linalg.BLOCK_MIN_DIM``, whose width is no power of two or with an entry
+    between sectors is powered whole, in a flat copy.  The returned matrix (axes:
+    first variable, last variable) is fresh, with unit absolute sum.
     """
     n = len(potentials)
     if not n or any(p is not potentials[0] for p in potentials):
         raise ValueError("need one potential object repeated n >= 1 times")
-    return linalg.by_blocks(linalg.as_matrix(potentials[0]), lambda stacks: _power(stacks, n))
+    w = linalg.as_matrix(potentials[0])
+    dim = len(w)
+    if dim >= linalg.BLOCK_MIN_DIM and not dim & (dim - 1):
+        index = linalg._sector_index(dim.bit_length() - 1)
+        flat = w.ravel()
+        buf = flat[index[0].base]
+        if np.count_nonzero(buf != 0) == np.count_nonzero(flat != 0):
+            out = np.zeros(w.shape, w.dtype)
+            del flat  # a copy when W is not C-ordered: it can die before the power
+            _power(linalg._split(buf, index), n)
+            out.ravel()[index[0].base] = buf
+            return out
+    flat = w.flatten()
+    _power([flat.reshape(1, dim, dim)], n)
+    return flat.reshape(dim, dim)

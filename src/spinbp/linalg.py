@@ -14,14 +14,12 @@ symmetrized states, spectral outputs and differences the package builds)
 skips the relative test and the symmetrization, which would return it bit for
 bit; a NaN or inf entry is always rejected.
 
-``by_blocks`` applies a function to the total-Sz sectors of a 2^N x 2^N matrix
-(the basis states with equal set-bit counts), one stack per sector size, all
-views of one flat buffer filled by one gather and scattered back by one write,
-when the sectors hold every nonzero entry: so the st engine's W, which keeps
-total Sz, costs the sum of the sectors' cubes, and any other matrix, or one
-narrower than ``BLOCK_MIN_DIM``, is one block.  ``_sector_index``, the one flat
-gather/scatter index, is held read-only per width (C(2N, N) x 8 bytes: 0.10 MB
-at N = 8, 1.48 MB at N = 10, 21.6 MB at N = 12).  ``spinchain.exact_gibbs``
+``_sector_index`` is the flat gather/scatter index of the total-Sz sectors of a
+2^N x 2^N matrix (the basis states with equal set-bit counts), one (k, d, d) view
+per sector size, held read-only per width (C(2N, N) x 8 bytes: 0.10 MB at N = 8,
+1.48 MB at N = 10, 21.6 MB at N = 12).  ``cbp.chain_end_marginal`` gathers the st
+engine's W through it into one flat buffer, powers the sectors there and scatters
+them back, so W^n costs the sum of the sectors' cubes; ``spinchain.exact_gibbs``
 fills H's blocks from the bond terms through it and per-bond tables (0.02, 0.12
 and 0.57 MB more).
 
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +43,9 @@ HERMITIAN_RTOL = 1e-12
 # qbp raises the determinant and the divisors of its message read-off to at
 # least this, so log and division stay finite on a rank-deficient operator.
 POSITIVE_FLOOR = 1e-300
-# ``by_blocks`` and ``spinchain.exact_gibbs`` take a narrower matrix whole: there a
-# dense product costs no more than the sectors and the extra calls per sector
-# size (break-even near 64 states on one BLAS thread).
+# ``cbp.chain_end_marginal`` and ``spinchain.exact_gibbs`` take a narrower matrix
+# whole: there a dense product costs no more than the sectors and the extra calls
+# per sector size (break-even near 64 states on one BLAS thread).
 BLOCK_MIN_DIM = 128
 
 
@@ -241,9 +239,14 @@ def _sector_index(n_sites: int) -> tuple[np.ndarray, ...]:
         counts = np.concatenate((counts, counts + 1))
     sizes = [math.comb(n_sites, c) for c in range(n_sites + 1)]
     sectors = np.split(np.argsort(counts, kind="stable"), np.cumsum(sizes)[:-1])
-    stacks = (np.array([s for s in sectors if len(s) == d]) for d in sorted(set(sizes)))
-    index = [s[:, :, None] * 2**n_sites + s[:, None, :] for s in stacks]
-    flat = np.concatenate(index, axis=None)
+    flat, start, index = np.empty(math.comb(2 * n_sites, n_sites), np.intp), 0, []
+    for d in sorted(set(sizes)):  # each size's entries are written into their view
+        states = np.array([s for s in sectors if len(s) == d])
+        view = flat[start:start + states.size * d].reshape(len(states), d, d)
+        view[...] = states[:, None, :]  # a copy: unlike a ufunc, it takes no buffer
+        view += states[:, :, None] * 2**n_sites
+        index.append(view)
+        start += view.size
     flat.flags.writeable = False
     return tuple(_split(flat, index))
 
@@ -255,33 +258,3 @@ def _split(flat: np.ndarray, like: Sequence[np.ndarray]) -> list:
         views.append(flat[start:start + a.size].reshape(a.shape))
         start += a.size
     return views
-
-
-def by_blocks(a: np.ndarray, fn: Callable[[list], list]) -> np.ndarray:
-    """The square matrix ``a`` with ``fn`` applied to its total-Sz sector blocks.
-
-    ``fn`` takes the blocks of the sectors (the basis states with equal set-bit
-    counts) as (k, d, d) stacks in ascending d, views of one flat buffer, which it
-    may overwrite, and returns stacks of the same shapes; entries between blocks
-    stay zero.  The sectors are used only when they hold every nonzero entry of
-    ``a`` (a NaN counts as nonzero).  Otherwise, and for a matrix narrower than
-    ``BLOCK_MIN_DIM`` or whose width is not a power of two, ``a`` is one block,
-    handed over as a flat copy.  The result is C-ordered, whatever the layout of
-    ``a``: one indexed read of a ravelled view or copy of ``a`` gathers the blocks
-    and one indexed write scatters the buffer (joined anew unless ``fn`` returns
-    the stacks it was handed), through the flat index ``_sector_index`` holds.
-    """
-    dim = len(a)
-    if dim >= BLOCK_MIN_DIM and not dim & (dim - 1):
-        index = _sector_index(dim.bit_length() - 1)
-        flat = a.ravel()
-        buf = flat[index[0].base]
-        if np.count_nonzero(buf != 0) == np.count_nonzero(flat != 0):
-            out = np.zeros(a.shape, a.dtype)
-            del flat  # a copy when a is not C-ordered: it can die before fn runs
-            got = fn(stacks := _split(buf, index))
-            if any(g is not s for g, s in zip(got, stacks)):
-                buf = np.concatenate(got, axis=None)
-            out.ravel()[index[0].base] = buf
-            return out
-    return fn([a.flatten().reshape(1, dim, dim)])[0][0]

@@ -17,9 +17,9 @@ unshifted power times exp(beta sum_k lambda_min(h_k)): a positive factor,
 which the normalization by tr(W^n) cancels.  W takes the bond terms' dtype:
 float64 for real-symmetric terms, complex128 otherwise.
 A factor of a term that commutes with sz.1 + 1.sz keeps the total Sz and
-exact zeros between sectors, so W does too, and the contraction powers W
-within its total-Sz sectors (``linalg.by_blocks``): N+1 sectors, the widest
-C(N, N/2) states, in place of 2^N.
+exact zeros between sectors, so W does too, and the contraction gathers and
+powers W's total-Sz sectors (``cbp.chain_end_marginal``): N+1 sectors, the
+widest C(N, N/2) states, in place of 2^N.
 
 W is a product of positive-definite factors but is not Hermitian when the
 bond terms fail to commute, so the n-slice density matrix carries an
@@ -85,9 +85,9 @@ def build_weights(plan: TrotterPlan) -> TransferWeights:
 def st_density(plan: TrotterPlan) -> np.ndarray:
     """Density matrix W^n / tr(W^n) from the two-end marginal of the n-slice chain.
 
-    cbp.chain_end_marginal takes the chain as ``[W] * n`` and powers W within
-    W's total-Sz sectors: floor(log2 n) squarings and popcount(n) - 1 block
-    products, in W's dtype.  The fresh result is scaled in place by 1 / tr.
+    cbp.chain_end_marginal takes the chain as ``[W] * n`` and powers W's total-Sz
+    sectors in one gathered buffer: floor(log2 n) squarings and popcount(n) - 1
+    block products, in W's dtype.  The fresh result is scaled in place by 1 / tr.
     A complex one is returned as it is; a real one is copied to complex128,
     the bits of the complex division, which numpy makes as a (1 / t) for a
     real t.  W dies first, so a real model's call peaks at the marginal and

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinbp import linalg
+from spinbp import cbp, linalg
 from spinbp.spinchain import SpinChainModel
 
 
@@ -53,8 +53,30 @@ def total_hamiltonian(model):
     return h
 
 
+def by_blocks_rebuilt(a, fn):
+    """The square matrix ``a`` with ``fn`` applied to its total-Sz sector blocks, listed
+    and indexed anew on every call from a loop over the set-bit counts: the oracle of
+    the index linalg._sector_index holds.  ``fn`` takes one (k, d, d) stack per sector
+    size d, ascending, and returns stacks of the same shapes; ``a`` is one block when
+    narrower than linalg.BLOCK_MIN_DIM or when an entry lies between sectors."""
+    dim = len(a)
+    counts = np.array([bin(i).count("1") for i in range(dim)])
+    if dim < linalg.BLOCK_MIN_DIM or np.count_nonzero(a[counts[:, None] != counts[None, :]]):
+        return fn([a[None].copy()])[0][0]
+    by_size = {}
+    for c in range(counts.max() + 1):
+        members = np.flatnonzero(counts == c)
+        by_size.setdefault(len(members), []).append(members)
+    stacks = [np.array(by_size[d]) for d in sorted(by_size)]
+    index = [s[:, :, None] * dim + s[:, None, :] for s in stacks]
+    out, flat = np.zeros(a.shape, a.dtype), a.ravel()
+    for i, stack in zip(index, fn([flat[i] for i in index])):
+        out.ravel()[i] = stack
+    return out
+
+
 def dense_exact_gibbs(model):
-    """exp(-beta H) / Z through the dense H: linalg.by_blocks hands total_hamiltonian's
+    """exp(-beta H) / Z through the dense H: by_blocks_rebuilt hands total_hamiltonian's
     total-Sz sectors (or H whole) to herm_eig, every spectrum shifted by the global
     minimum, and the dense state is divided by its np.trace.  spinchain.exact_gibbs
     must give these bits without forming H."""
@@ -63,9 +85,25 @@ def dense_exact_gibbs(model):
         lowest = min(w.min() for w, _ in eigs)
         return [linalg.spectral(v, np.exp(-model.beta * (w - lowest))) for w, v in eigs]
 
-    rho = linalg.by_blocks(total_hamiltonian(model), gibbs)
+    rho = by_blocks_rebuilt(total_hamiltonian(model), gibbs)
     rho /= np.trace(rho).real
     return rho
+
+
+def through_power(matrix, kernel=lambda stacks: None):
+    """cbp.chain_end_marginal([matrix]) with ``kernel(stacks)`` run in place of
+    cbp._power on the stacks it hands over, views of one flat buffer that the kernel
+    may overwrite (by default it leaves them): the matrix it returns and the
+    stacks' shapes."""
+    shapes = []
+
+    def power(stacks, count):
+        shapes.extend(s.shape for s in stacks)
+        kernel(stacks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cbp, "_power", power)
+        return cbp.chain_end_marginal([matrix]), shapes
 
 
 def rotated(model, theta):
@@ -78,9 +116,9 @@ def rotated(model, theta):
 
 
 def sector_shapes(n_sites):
-    """The (k, d, d) stacks into which linalg.by_blocks splits a 2^n_sites matrix
-    that keeps total Sz: the k sectors of d states, d ascending, counted by a
-    loop over the set-bit counts of the basis states."""
+    """The (k, d, d) stacks into which a 2^n_sites matrix that keeps total Sz
+    splits: the k sectors of d states, d ascending, counted by a loop over the
+    set-bit counts of the basis states."""
     sizes = Counter(Counter(bin(i).count("1") for i in range(2**n_sites)).values())
     return [(k, d, d) for d, k in sorted(sizes.items())]
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import complex_rotated
+from conftest import complex_rotated, through_power
 from spinbp import cbp, linalg, trotter
 from spinbp.cbp import (
     FactorChain,
@@ -290,7 +290,7 @@ def test_chain_end_marginal_powers_block_diagonal_potentials(power_path, monkeyp
 
     def recording(stacks, count):
         powered.append([s.shape for s in stacks])
-        return power(stacks, count)
+        power(stacks, count)
 
     monkeypatch.setattr(cbp, "_power", recording)
     for n in range(1, 65):
@@ -329,14 +329,15 @@ def power_per_stack(stacks: list, count: int) -> list:
 
 
 def laid_out(stacks):
-    """Copies of ``stacks`` as by_blocks hands them over: views of one flat buffer."""
+    """Copies of ``stacks`` as chain_end_marginal hands them to cbp._power: views of
+    one flat buffer."""
     return linalg._split(np.concatenate(stacks, axis=None), stacks)
 
 
 def handed_stacks(matrix):
-    """The stacks linalg.by_blocks hands over for ``matrix``, copied."""
+    """The stacks chain_end_marginal hands to cbp._power for ``matrix``, copied."""
     seen = []
-    linalg.by_blocks(matrix, lambda stacks: seen.extend(s.copy() for s in stacks) or stacks)
+    through_power(matrix, lambda stacks: seen.extend(s.copy() for s in stacks))
     return seen
 
 
@@ -363,8 +364,8 @@ def test_power_has_the_bits_of_the_per_stack_oracle_over_their_absolute_sum():
     for stacks in inputs:
         for n in [*range(1, 65), 100, 200]:
             oracle = np.concatenate(power_per_stack([s.copy() for s in stacks], n), axis=None)
-            got = cbp._power(laid_out(stacks), n)
-            assert [g.shape for g in got] == [s.shape for s in stacks]
+            got = laid_out(stacks)
+            cbp._power(got, n)
             assert np.array_equal(np.concatenate(got, axis=None), oracle / np.abs(oracle).sum())
 
 
@@ -388,13 +389,11 @@ def test_power_makes_floor_log2_plus_popcount_less_one_products(monkeypatch):
 
 
 def test_power_of_one_normalizes_the_stacks_it_was_handed():
+    # in place: the stacks handed over are the result
     for stacks in power_inputs():
         handed = laid_out(stacks)
         before = np.concatenate(handed, axis=None)
-        got = cbp._power(handed, 1)
-        assert len(got) == len(handed)
-        for g, h in zip(got, handed):
-            assert np.shares_memory(g, h) and g.shape == h.shape
+        assert cbp._power(handed, 1) is None
         assert np.array_equal(np.concatenate(handed, axis=None), before / np.abs(before).sum())
 
 

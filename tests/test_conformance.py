@@ -77,8 +77,7 @@ def test_every_engine_scores_or_names_its_refusal(eig_calls):
             assert result.converged, (kind, sites, result.residual)
             metrics.scores(result.beliefs_pair[keep], exact)
     assert unexpected == []
-    # N = 7 is 128 states: H of the chains that conserve total Sz goes through
-    # by_blocks' sector path, and that of the random chains through its
-    # one-block fallback
+    # N = 7 is 128 states: H of the chains that conserve total Sz is diagonalized
+    # in its sectors by exact_gibbs, and that of the random chains whole
     shapes = {shape for shape, _ in eig_calls}
     assert {(2, 35, 35), (1, 128, 128)} <= shapes

@@ -10,12 +10,13 @@ import ast
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import herm_log, total_hamiltonian
+from conftest import by_blocks_rebuilt, herm_log, through_power, total_hamiltonian
 from spinbp import cbp, linalg, qbp, spinchain, trotter
 from spinbp.spinchain import (
     SIGMA_X, SIGMA_Y, SIGMA_Z, SpinChainModel, exact_gibbs, heisenberg_chain, xxz_chain,
@@ -263,7 +264,7 @@ def test_the_kernel_returns_its_input_dtype(dtype, monkeypatch):
     assert linalg.partial_trace(a, [2, 2, 2], [0]).dtype == dtype
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     blocky, _ = sector_diagonal(rng, 3)
-    assert linalg.by_blocks(blocky.astype(dtype), lambda stacks: stacks).dtype == dtype
+    assert through_power(blocky.astype(dtype))[0].dtype == dtype
 
 
 def test_a_real_stack_is_checked_and_decomposed_per_matrix():
@@ -509,7 +510,9 @@ def test_numpy_integer_arguments_are_accepted():
     assert trotter.st_opcount(np.int64(20), np.int8(3)) == trotter.st_opcount(20, 3)
 
 
-# --- by_blocks and its sector index -------------------------------------------
+# --- the sector path of cbp.chain_end_marginal and its sector index -----------
+# (these tests run chain_end_marginal with cbp._power replaced by a kernel that
+# works on the stacks in place, so they see what is gathered and scattered)
 
 
 def popcount(i):
@@ -529,8 +532,8 @@ def sector_diagonal(rng, n_sites):
 def test_by_blocks_hands_over_the_popcount_classes(monkeypatch):
     # a loop oracle: sizes ascending, equal sizes by set-bit count, states
     # ascending.  Entry s of the diagonal is s + 1, so the diagonals of the
-    # stacks handed over, less one, are the sectors; the held index gives them
-    # too, as its diagonal divided by 2^N + 1
+    # stacks chain_end_marginal hands over, less one, are the sectors; the held
+    # index gives them too, as its diagonal divided by 2^N + 1
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for n_sites in range(13):
         sectors = {}
@@ -544,9 +547,8 @@ def test_by_blocks_hands_over_the_popcount_classes(monkeypatch):
 
         def diagonals(stacks):
             seen.extend(s.diagonal(axis1=1, axis2=2) - 1 for s in stacks)
-            return stacks
 
-        linalg.by_blocks(np.diag(np.arange(dim) + 1.0), diagonals)
+        through_power(np.diag(np.arange(dim) + 1.0), diagonals)
         index = linalg._sector_index(n_sites)
         for got in (seen, [i.diagonal(axis1=1, axis2=2) // (dim + 1) for i in index]):
             assert [g.shape for g in got] == [e.shape for e in expected]
@@ -566,48 +568,45 @@ def test_sector_index_holds_read_only_arrays():
                 i[0, 0, 0] = 1
 
 
-def by_blocks_rebuilt(a, fn):
-    """linalg.by_blocks with its sectors listed and indexed anew on every call,
-    from a loop over the set-bit counts: the oracle of the held index."""
-    dim = len(a)
-    counts = np.array([popcount(i) for i in range(dim)])
-    if np.count_nonzero(a[counts[:, None] != counts[None, :]]):
-        return fn([a[None].copy()])[0][0]
-    by_size = {}
-    for c in range(counts.max() + 1):
-        members = np.flatnonzero(counts == c)
-        by_size.setdefault(len(members), []).append(members)
-    stacks = [np.array(by_size[d]) for d in sorted(by_size)]
-    index = [s[:, :, None] * dim + s[:, None, :] for s in stacks]
-    out, flat = np.zeros(a.shape, a.dtype), a.ravel()
-    for i, stack in zip(index, fn([flat[i] for i in index])):
-        out.ravel()[i] = stack
-    return out
+def test_sector_index_is_built_in_the_array_it_keeps():
+    # each size's entries are written straight into their view of the one flat
+    # array, so building a width's index allocates little beyond what it holds
+    tracemalloc.start()
+    try:
+        index = linalg._sector_index.__wrapped__(10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index[0].base.nbytes == 8 * math.comb(20, 10) <= held
+    assert peak <= 1.1 * held
 
 
 def test_by_blocks_matches_a_rebuilt_index_across_widths():
     # one process visits 128, 256, 512 and 1024 states and comes back to 256:
     # every result has the per-call oracle's bits, a matrix with an entry
-    # between sectors is still one block, and the second visit builds nothing
-    seen = []
+    # between sectors is still one block, and the second visit builds nothing.
+    # Each entry moves to its row's running sum, in place: the order shows
 
-    def summed(stacks):  # each entry moves to its row's running sum: order shows
-        seen.append([s.shape for s in stacks])
-        return [np.cumsum(s, axis=-1) for s in stacks]
+    def summed(stacks):
+        for s in stacks:
+            np.cumsum(s, axis=-1, out=s)
+
+    def rebuilt(a):
+        return by_blocks_rebuilt(a, lambda stacks: [np.cumsum(s, axis=-1) for s in stacks])
 
     def check(sites):
         for model in (heisenberg_chain(sites, 1.0), xxz_chain(sites, 1.0, delta=0.5, field=0.3)):
             for matrix in (total_hamiltonian(model),
                            trotter.build_weights(trotter.trotter_plan(model, 20)).matrix):
                 for a in (matrix, np.asfortranarray(matrix)):
-                    assert np.array_equal(linalg.by_blocks(a, summed),
-                                          by_blocks_rebuilt(a, summed))
-                    assert len(seen[-1]) == len(seen[-2]) == sites // 2 + 1
+                    got, shapes = through_power(a, summed)
+                    assert np.array_equal(got, rebuilt(a))
+                    assert len(shapes) == sites // 2 + 1
         crossed = total_hamiltonian(heisenberg_chain(sites, 1.0))
         crossed[0, 1] = 0.5
-        assert np.array_equal(linalg.by_blocks(crossed, summed),
-                              by_blocks_rebuilt(crossed, summed))
-        assert seen[-2:] == [[(1, 2**sites, 2**sites)]] * 2
+        got, shapes = through_power(crossed, summed)
+        assert np.array_equal(got, rebuilt(crossed))
+        assert shapes == [(1, 2**sites, 2**sites)]
 
     for sites in (7, 8, 9, 10):
         check(sites)
@@ -622,18 +621,16 @@ def test_by_blocks_takes_the_matrix_whole_when_an_entry_lies_between_sectors():
     # one entry between sectors, in either triangle, in either part, or a NaN,
     # and the 128-state matrix is one block, handed over and returned as it is
     a, between = sector_diagonal(np.random.default_rng(71), 7)
-    seen = []
-
-    def identity(stacks):
-        seen.append([s.shape for s in stacks])
-        return stacks
-
-    np.testing.assert_array_equal(linalg.by_blocks(a, identity), a)
+    got, shapes = through_power(a)
+    np.testing.assert_array_equal(got, a)
+    seen = [shapes]
     for at, value in (((0, 1), 0.5), ((1, 0), 0.5), ((3, 64), 1e-30j), ((5, 7), np.nan)):
         assert between[at]
         b = a.astype(type(value))
         b[at] = value
-        np.testing.assert_array_equal(linalg.by_blocks(b, identity), b)
+        got, shapes = through_power(b)
+        np.testing.assert_array_equal(got, b)
+        seen.append(shapes)
     sectors = [(2, 1, 1), (2, 7, 7), (2, 21, 21), (2, 35, 35)]
     assert seen == [sectors] + [[(1, 128, 128)]] * 4
 
@@ -643,14 +640,9 @@ def test_by_blocks_takes_a_full_or_odd_width_matrix_whole():
     rng = np.random.default_rng(73)
     for a in (rng.uniform(0.1, 1.0, size=(128, 128)), np.diag(rng.uniform(0.1, 1.0, 130)),
               np.eye(192)):
-        seen = []
-
-        def identity(stacks):
-            seen.extend(s.shape for s in stacks)
-            return stacks
-
-        np.testing.assert_array_equal(linalg.by_blocks(a, identity), a)
-        assert seen == [(1,) + a.shape]
+        got, shapes = through_power(a)
+        np.testing.assert_array_equal(got, a)
+        assert shapes == [(1,) + a.shape]
 
 
 @pytest.mark.parametrize("min_dim", [None, 1])
@@ -659,14 +651,8 @@ def test_by_blocks_of_the_identity_returns_the_matrix(min_dim, monkeypatch):
     if min_dim is not None:
         monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", min_dim)
     a, between = sector_diagonal(np.random.default_rng(79), 3)
-    seen = []
-
-    def identity(stacks):
-        seen.extend(s.shape for s in stacks)
-        return stacks
-
-    got = linalg.by_blocks(a, identity)
-    assert seen == ([(1, 8, 8)] if min_dim is None else [(2, 1, 1), (2, 3, 3)])
+    got, shapes = through_power(a)
+    assert shapes == ([(1, 8, 8)] if min_dim is None else [(2, 1, 1), (2, 3, 3)])
     np.testing.assert_array_equal(got, a)
     assert not got[between].any()  # exactly zero between the blocks
 
@@ -727,9 +713,9 @@ def test_by_blocks_is_the_only_block_kernel():
     """The sectors are listed (argsort) and the block index s[:, :, None],
     s[:, None, :] that gathers and scatters their blocks is built, in src/spinbp
     only inside linalg._sector_index, once per width (functools.cache).  Its
-    readers are by_blocks, which gathers and scatters W's blocks, and spinchain:
-    _bond_index, the per-bond table of H's block positions (held too), and
-    exact_gibbs, which scatters the state's blocks."""
+    readers are cbp.chain_end_marginal, which gathers and scatters W's blocks,
+    and spinchain: _bond_index, the per-bond table of H's block positions (held
+    too), and exact_gibbs, which scatters the state's blocks."""
     built, calls, cached = [], [], []
     for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -752,7 +738,8 @@ def test_by_blocks_is_the_only_block_kernel():
             elif name == "_sector_index":
                 calls.append(where)
     assert built == ["linalg.py:_sector_index"] * 3
-    assert calls == ["linalg.py:by_blocks", "spinchain.py:_bond_index", "spinchain.py:exact_gibbs"]
+    assert calls == ["cbp.py:chain_end_marginal", "spinchain.py:_bond_index",
+                     "spinchain.py:exact_gibbs"]
     assert cached == ["linalg.py:_sector_index", "spinchain.py:_bond_index"]
 
 

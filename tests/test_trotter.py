@@ -13,7 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import complex_rotated, embed_term, herm_func, sector_shapes, total_hamiltonian
+from conftest import (
+    complex_rotated, embed_term, herm_func, sector_shapes, through_power, total_hamiltonian,
+)
 from spinbp import cbp, linalg, metrics
 from spinbp.spinchain import (
     SIGMA_X,
@@ -206,10 +208,10 @@ def test_st_density_peaks_at_three_full_size_arrays(build):
     lambda sites: xxz_chain(sites, 2.0, delta=0.5, field=0.3),
 ], ids=["heisenberg", "xxz-field"])
 def test_weights_and_hamiltonian_split_into_the_sz_sectors(build, monkeypatch):
-    # every bond factor keeps exact zeros between sectors, so by_blocks hands
-    # the N+1 total-Sz sectors of W and H over at every width.  A Fortran-ordered
-    # copy of W gives the same blocks, and the same bits of W^n: the result
-    # is C-ordered whatever the input's layout.
+    # every bond factor keeps exact zeros between sectors, so chain_end_marginal
+    # hands the N+1 total-Sz sectors of W and H to the power at every width.  A
+    # Fortran-ordered copy of W gives the same blocks, and the same bits of W^n:
+    # the result is C-ordered whatever the input's layout.
     monkeypatch.setattr(linalg, "BLOCK_MIN_DIM", 1)
     for sites in range(2, 9):
         model = build(sites)
@@ -224,34 +226,29 @@ def test_weights_and_hamiltonian_split_into_the_sz_sectors(build, monkeypatch):
 
 
 def handed_over(matrix):
-    """Shapes of the stacks linalg.by_blocks hands over for ``matrix``, which
-    must come back unchanged: the stacks hold every nonzero entry."""
-    seen = []
-
-    def identity(stacks):
-        seen.extend(s.shape for s in stacks)
-        return stacks
-
-    np.testing.assert_array_equal(linalg.by_blocks(matrix, identity), matrix)
-    return seen
+    """Shapes of the stacks cbp.chain_end_marginal hands to the power for
+    ``matrix``, which must come back unchanged when the power leaves them be:
+    the stacks hold every nonzero entry."""
+    got, shapes = through_power(matrix)
+    np.testing.assert_array_equal(got, matrix)
+    return shapes
 
 
 def test_st_density_reads_blocks_off_wide_weights_only(monkeypatch):
     # W of 256 states is split into sectors; that of 8 is taken whole.  exact_gibbs
-    # fills H's blocks from the bond terms and hands by_blocks no matrix
-    matrices, by_blocks = [], linalg.by_blocks
+    # fills H's blocks from the bond terms and powers no matrix
+    powered, power = [], cbp._power
 
-    def recording(a, fn):
-        matrices.append(np.array(a))
-        return by_blocks(a, fn)
+    def recording(stacks, count):
+        powered.append([s.shape for s in stacks])
+        power(stacks, count)
 
-    monkeypatch.setattr(linalg, "by_blocks", recording)
+    monkeypatch.setattr(cbp, "_power", recording)
     for sites in (8, 3):
         st_density(trotter_plan(heisenberg_chain(sites, 1.0), 20))
         exact_gibbs(heisenberg_chain(sites, 1.0))
-    monkeypatch.undo()
     sectors = [(2, 1, 1), (2, 8, 8), (2, 28, 28), (2, 56, 56), (1, 70, 70)]
-    assert [handed_over(a) for a in matrices] == [sectors, [(1, 8, 8)]]
+    assert powered == [sectors, [(1, 8, 8)]]
 
 
 def test_a_transverse_field_leaves_one_block(monkeypatch):
@@ -295,7 +292,7 @@ def test_st_on_complex_chains(beta, n, monkeypatch):
 
     def recording(stacks, count):
         powered.append([(s.shape, s.dtype.name) for s in stacks])
-        return power(stacks, count)
+        power(stacks, count)
 
     def chain(sites):
         couplings = np.random.default_rng(1).uniform(0.9, 1.1, sites - 1)
